@@ -5,9 +5,9 @@ modules."""
 from .errors import (ConstraintError, EotypesError, InternalInvariantError,
                      PolyParseError, SingularCurveError)
 from .gf import GF, FieldElem, field_new, frobenius
-from .polyring import (GradedPoly, MonomialBasis, TClass, coeff_of,
+from .polyring import (GradedPoly, MonomialBasis, TClass, coeff_of, gather,
                        monomial_basis, partial_derivative, poly_mul, poly_pow,
-                       t_multiply)
+                       t_multiply, tmul_matrix)
 from .semilinear import (Subspace, TwistedMap, independent_subset, null_space,
                          rank, rref, solve_matrix, standard_gram,
                          symplectic_perp, twisted_image, twisted_kernel,

@@ -9,6 +9,7 @@ Exit codes: 2 parse error, 3 constraint violation, 4 singular curve,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -265,10 +266,14 @@ def _curve_from_args(args, field: GF) -> CurveCI:
     return CurveCI(field, polys)
 
 
-def _open_out(args):
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed on exit, or stdout when --out is absent."""
     if getattr(args, "out", None):
-        return open(args.out, "w", newline="")
-    return sys.stdout
+        with open(args.out, "w", newline="") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def cmd_eotype(args) -> int:
@@ -281,16 +286,12 @@ def cmd_eotype(args) -> int:
     t2 = time.perf_counter()
     report = build_report(curve, triple, result, {
         "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0})
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.json:
             json.dump(report, out, indent=2)
             out.write("\n")
         else:
             _print_report(report, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -298,8 +299,7 @@ def cmd_hw(args) -> int:
     field = _field_from_args(args)
     curve = _curve_from_args(args, field)
     triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.json:
             payload = {
                 "p": field.p,
@@ -325,9 +325,6 @@ def cmd_hw(args) -> int:
             print("second operator columns:", file=out)
             for row in triple.A_psi:
                 print("  " + " ".join(field.format_element(x) for x in row), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -363,8 +360,7 @@ def cmd_classify_dm(args) -> int:
     field, A_F = read_dm_file(args.file)
     dm = PolarizedDM(field, A_F)
     result = classify(dm)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.json:
             payload = {
                 "p": field.p,
@@ -382,9 +378,6 @@ def cmd_classify_dm(args) -> int:
             out.write("\n")
         else:
             print(str(result), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -426,12 +419,8 @@ def run_scan(p: int, d: int, count: int, seed: int, out) -> dict:
 
 
 def cmd_scan(args) -> int:
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         run_scan(args.p, args.d, args.count, args.seed, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -175,13 +175,7 @@ def dm_to_hw(full_F, full_V, gram, field: GF) -> HWTriple:
         lift[comp] = kappa[j]  # sigma of the twisted-kernel vector's lift
         fv = field.matmul(full_F, lift[:, None])[:, 0]
         A_psi[:, j] = field.matmul(gram, fv[:, None])[:, 0][comp]
-    if h == 0:
-        tag = "ordinary"
-    elif not A_phi.any():
-        tag = "superspecial"
-    else:
-        tag = "interesting"
-    return HWTriple(field, g, A_phi, kappa, A_psi, tag)
+    return HWTriple(field, g, A_phi, kappa, A_psi)
 
 
 class KraftWord:
@@ -349,10 +343,4 @@ def random_hw_triple(field: GF, g: int, rng) -> HWTriple:
         A_psi = field.matmul(ann.T, R)
     else:
         A_psi = np.zeros((g, 0), DTYPE)
-    if h == 0:
-        tag = "ordinary"
-    elif not A_phi.any():
-        tag = "superspecial"
-    else:
-        tag = "interesting"
-    return HWTriple(field, g, A_phi, kappa, A_psi, tag)
+    return HWTriple(field, g, A_phi, kappa, A_psi)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
-from .polyring import (GradedPoly, TClass, monomial_basis, partial_derivative,
-                       poly_mul, poly_pow, t_multiply)
+from .polyring import (GradedPoly, TClass, exponent_array, gather, partial_derivative,
+                       poly_mul, poly_pow, t_multiply, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
 
@@ -112,21 +112,11 @@ def plane_smoothness_check(curve: CurveCI) -> bool:
     i.e. they have no common projective zero."""
     if curve.n != 2:
         raise ConstraintError("smoothness check only implemented for plane curves")
-    field = curve.field
     f = curve.polys[0]
-    d = f.degree
-    target = monomial_basis(3, 3 * d - 5)
-    dom = monomial_basis(3, 2 * d - 4)
-    cols = np.zeros((len(target), 3 * len(dom)), DTYPE)
-    c = 0
-    for j in range(3):
-        df = partial_derivative(f, j)
-        terms = [(e, int(v)) for e, v in zip(df.basis.monomials, df.coeffs) if v]
-        for mexp in dom.monomials:
-            for e, v in terms:
-                cols[target.index[tuple(a + b for a, b in zip(e, mexp))], c] = v
-            c += 1
-    return rank(field, cols) == len(target)
+    target = exponent_array(3, 3 * f.degree - 5)
+    diffs = target[:, None] - exponent_array(3, 2 * f.degree - 4)[None]
+    cols = np.hstack([gather(partial_derivative(f, j), diffs) for j in range(3)])
+    return rank(curve.field, cols) == len(target)
 
 
 def ci_q_basis(curve: CurveCI) -> Subspace:
@@ -135,37 +125,14 @@ def ci_q_basis(curve: CurveCI) -> Subspace:
     if "q_basis" in curve._cache:
         return curve._cache["q_basis"]
     field, nvars, d = curve.field, curve.nvars, curve.d
-    N = TClass.basis_size(nvars, -d)
-    blocks = []
-    for f in curve.polys:
-        if TClass.basis_size(nvars, -d + f.degree) == 0:
-            continue
-        blocks.append(_tmul_matrix(f, -d))
-    if blocks:
-        sub = Subspace.span(field, null_space(field, np.vstack(blocks)), ambient=N)
-    else:
-        sub = Subspace.full(field, N)
+    blocks = np.vstack([tmul_matrix(f, -d) for f in curve.polys])
+    sub = Subspace.span(field, null_space(field, blocks), ambient=TClass.basis_size(nvars, -d))
     if curve.n == 2:
         expected = (d - 1) * (d - 2) // 2
         if sub.dim != expected:
             raise InternalInvariantError("plane curve Q space has wrong dimension")
     curve._cache["q_basis"] = sub
     return sub
-
-
-def _tmul_matrix(s: GradedPoly, src_degree: int):
-    """Matrix of t -> s*t from the degree src_degree piece of T."""
-    nvars = s.nvars
-    n_src = TClass.basis_size(nvars, src_degree)
-    n_tgt = TClass.basis_size(nvars, src_degree + s.degree)
-    M = np.zeros((n_tgt, n_src), DTYPE)
-    if n_tgt == 0:
-        return M
-    for k in range(n_src):
-        unit = np.zeros(n_src, DTYPE)
-        unit[k] = 1
-        M[:, k] = t_multiply(s, TClass(s.field, nvars, src_degree, unit)).coeffs
-    return M
 
 
 def hasse_witt_matrix(curve: CurveCI):
@@ -176,19 +143,11 @@ def hasse_witt_matrix(curve: CurveCI):
 
 
 def _hw_plane_matrix(curve: CurveCI):
-    field, p, d = curve.field, curve.field.p, curve.d
-    md = monomial_basis(3, d - 3).monomials
-    g = len(md)
+    p = curve.field.p
+    md = exponent_array(3, curve.d - 3)
     fp1 = poly_mul(curve.polys[0], curve._power(0, p - 2))
-    A = np.zeros((g, g), DTYPE)
-    fb = fp1.basis
-    for j, mj in enumerate(md):
-        for i, mi in enumerate(md):
-            e = tuple(p * a + (p - 1) - b for a, b in zip(mj, mi))
-            pos = fb.index.get(e)
-            if pos is not None:
-                A[i, j] = fp1.coeffs[pos]
-    return A
+    # A[i, j] = coefficient of X^(p*m_j + p - 1 - m_i) in f^(p-1)
+    return gather(fp1, p * md[None] + (p - 1) - md[:, None])
 
 
 def _hw_general_matrix(curve: CurveCI):
@@ -203,6 +162,14 @@ def _hw_general_matrix(curve: CurveCI):
     return np.array(cols, DTYPE).T
 
 
+def _derivative_matrix(curve: CurveCI, src_degrees):
+    """Matrix of the tuple (xi_l) in degrees src_degrees to the tuple over j
+    of sum_l (d f_l / dX_j) * xi_l, on stacked coefficient vectors."""
+    return np.vstack([np.hstack([tmul_matrix(partial_derivative(f, j), m)
+                                 for f, m in zip(curve.polys, src_degrees)])
+                      for j in range(curve.nvars)])
+
+
 def u_generator(curve: CurveCI):
     """Generator of the one-dimensional relation space behind the duality,
     as a tuple of T-classes (one per defining form), first nonzero
@@ -213,22 +180,14 @@ def u_generator(curve: CurveCI):
     src_degrees = [n + 1 - 2 * d - f.degree for f in curve.polys]
     sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = []
-    # derivative conditions, one row block per variable
-    for j in range(nvars):
-        row = []
-        for f, m in zip(curve.polys, src_degrees):
-            row.append(_tmul_matrix(partial_derivative(f, j), m))
-        blocks.append(np.hstack(row))
+    blocks = [_derivative_matrix(curve, src_degrees)]
     if n >= 3:
         # membership of each component in the curve's dual module
         for ell, m in enumerate(src_degrees):
             for f in curve.polys:
-                if TClass.basis_size(nvars, m + f.degree) == 0:
-                    continue
                 block = np.zeros((TClass.basis_size(nvars, m + f.degree),
                                   int(offsets[-1])), DTYPE)
-                block[:, offsets[ell]:offsets[ell + 1]] = _tmul_matrix(f, m)
+                block[:, offsets[ell]:offsets[ell + 1]] = tmul_matrix(f, m)
                 blocks.append(block)
     kernel = null_space(field, np.vstack(blocks))
     if kernel.shape[0] != 1:
@@ -258,62 +217,34 @@ def psi_matrix(curve: CurveCI, A_phi, kappa, u):
 
 def _psi_plane(curve: CurveCI, kappa, u):
     field, p, d = curve.field, curve.field.p, curve.d
-    md = monomial_basis(3, d - 3).monomials
-    big = monomial_basis(3, 2 * d - 3).monomials
-    g, c = len(md), len(big)
-    fp2 = curve._power(0, p - 2)
-    fb = fp2.basis
+    md = exponent_array(3, d - 3)
+    big = exponent_array(3, 2 * d - 3)
     # rows of B: coordinates of m_j * u in the degree -2d piece
-    B = np.zeros((g, c), DTYPE)
-    for j, mj in enumerate(md):
-        B[j] = t_multiply(GradedPoly.monomial(field, 3, mj), u[0]).coeffs
-    if rank(field, B) != g:
+    B = gather(u[0], md[:, None] + big[None])
+    if rank(field, B) != len(md):
         raise SingularCurveError("duality pairing is degenerate")
-    C = np.zeros((g, c), DTYPE)
-    for j, mj in enumerate(md):
-        for i, Mi in enumerate(big):
-            e = tuple(p * a + (p - 1) - b for a, b in zip(mj, Mi))
-            pos = fb.index.get(e)
-            if pos is not None:
-                C[j, i] = fp2.coeffs[pos]
+    # C[j, i] = coefficient of X^(p*m_j + p - 1 - M_i) in f^(p-2)
+    C = gather(curve._power(0, p - 2), p * md[:, None] + (p - 1) - big[None])
     K = field.matmul(kappa, C)
-    _assert_second_operator_relations(curve, K)
+    _assert_tuple_relations(curve, K.T)
     # transpose(A_psi) . B = kappa . C
     return solve_matrix(field, B.T, K.T)
-
-
-def _assert_second_operator_relations(curve: CurveCI, K):
-    """Each solved class must be annihilated by every partial derivative."""
-    field, nvars, d = curve.field, curve.nvars, curve.d
-    for row in K:
-        xi = TClass(field, nvars, -2 * d, row)
-        for f in curve.polys:
-            for j in range(nvars):
-                if not t_multiply(partial_derivative(f, j), xi).is_zero():
-                    raise InternalInvariantError(
-                        "second operator image violates the derivative relations")
 
 
 def _psi_general(curve: CurveCI, kappa, u):
     field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
-    g = qb.dim
-    pairing = _pairing_matrix(curve, qb)
-    mu = _u_multiplication_matrix(curve, u)
     cols = []
     for kap in kappa:
         tau_kap = field.frob(kap, -1)
         vec = field.matmul(tau_kap[None, :], qb.rows)[0]
         t = TClass(field, nvars, -d, vec).frobenius()
-        parts = []
-        for ell, f in enumerate(curve.polys):
-            xi = t_multiply(curve._product_pm1_over(ell), t)
-            _assert_in_dual_module(curve, xi)
-            parts.append(xi.coeffs)
-        xi_vec = np.concatenate(parts)
-        _assert_tuple_relations(curve, xi_vec, u)
-        gvec = solve_matrix(field, mu, xi_vec)
-        cols.append(field.matmul(pairing, gvec[:, None])[:, 0])
+        xi = tuple(t_multiply(curve._product_pm1_over(ell), t)
+                   for ell in range(len(curve.polys)))
+        for comp in xi:
+            _assert_in_dual_module(curve, comp)
+        _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])
+        cols.append(theta_apply(curve, u, xi))
     return np.array(cols, DTYPE).T
 
 
@@ -324,77 +255,55 @@ def _assert_in_dual_module(curve: CurveCI, xi: TClass):
                 "second operator image left the curve's dual module")
 
 
-def _assert_tuple_relations(curve: CurveCI, xi_vec, u):
-    field, nvars, d, n = curve.field, curve.nvars, curve.d, curve.n
-    src_degrees = [-d - f.degree for f in curve.polys]
-    sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    for j in range(nvars):
-        acc = TClass.zero(field, nvars, -d - 1)
-        for ell, (f, m) in enumerate(zip(curve.polys, src_degrees)):
-            xi = TClass(field, nvars, m, xi_vec[offsets[ell]:offsets[ell + 1]])
-            acc = acc + t_multiply(partial_derivative(f, j), xi)
-        if not acc.is_zero():
-            raise InternalInvariantError(
-                "second operator image violates the derivative relations")
-
-
-def _pairing_matrix(curve: CurveCI, qb: Subspace):
-    """pairing[i, k] = coefficient of the all-(-1) class in mono_k * q_i."""
-    field, nvars, d, n = curve.field, curve.nvars, curve.d, curve.n
-    monos = monomial_basis(nvars, d - n - 1).monomials
-    P = np.zeros((qb.dim, len(monos)), DTYPE)
-    for k, mono in enumerate(monos):
-        mp = GradedPoly.monomial(field, nvars, mono)
-        for i, row in enumerate(qb.rows):
-            out = t_multiply(mp, TClass(field, nvars, -d, row))
-            P[i, k] = out.coeffs[0] if out.coeffs.size else 0
-    if rank(field, P) != qb.dim:
-        raise SingularCurveError("duality pairing is degenerate")
-    return P
-
-
-def _u_multiplication_matrix(curve: CurveCI, u):
-    """Matrix of g -> g*u from degree d-n-1 forms into the stacked tuple."""
-    field, nvars, d, n = curve.field, curve.nvars, curve.d, curve.n
-    monos = monomial_basis(nvars, d - n - 1).monomials
-    cols = []
-    for mono in monos:
-        mp = GradedPoly.monomial(field, nvars, mono)
-        cols.append(np.concatenate([t_multiply(mp, comp).coeffs for comp in u]))
-    return np.array(cols, DTYPE).T
+def _assert_tuple_relations(curve: CurveCI, xi_cols):
+    """Each column, a stacked tuple in degrees -d - deg f_l, must satisfy
+    sum_l (d f_l / dX_j) * xi_l = 0 for every j."""
+    M = _derivative_matrix(curve, [-curve.d - f.degree for f in curve.polys])
+    if curve.field.matmul(M, xi_cols).any():
+        raise InternalInvariantError(
+            "second operator image violates the derivative relations")
 
 
 def theta_apply(curve: CurveCI, u, xi):
     """Coordinates in the dual of the Q basis of a tuple class xi,
     through the perfect pairing fixed by the generator u."""
-    field = curve.field
+    field, nvars, k = curve.field, curve.nvars, curve.d - curve.n - 1
     qb = ci_q_basis(curve)
-    mu = _u_multiplication_matrix(curve, u)
+    monos = exponent_array(nvars, k)
+    # column j of mu: the stacked tuple monos[j] * u
+    mu = np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]
+                           + monos[None]) for comp in u])
+    if rank(field, mu) != qb.dim:
+        raise SingularCurveError("duality pairing is degenerate")
     xi_vec = np.concatenate([comp.coeffs for comp in xi])
-    gvec = solve_matrix(field, mu, xi_vec)
-    pairing = _pairing_matrix(curve, qb)
-    return field.matmul(pairing, gvec[:, None])[:, 0]
+    # the pairing of the degree d-n-1 monomials against the Q basis is qb.rows
+    return field.matmul(qb.rows, solve_matrix(field, mu, xi_vec)[:, None])[:, 0]
 
 
 class HWTriple:
     """Hasse-Witt data: the operator matrix, the echelon basis of its linear
     null space, and the second operator's matrix on the twisted kernel."""
 
-    __slots__ = ("field", "g", "A_phi", "kappa", "A_psi", "fast_tag")
+    __slots__ = ("field", "g", "A_phi", "kappa", "A_psi")
 
-    def __init__(self, field: GF, g: int, A_phi, kappa, A_psi, fast_tag: str):
+    def __init__(self, field: GF, g: int, A_phi, kappa, A_psi):
         self.field = field
         self.g = g
         self.A_phi = np.asarray(A_phi, DTYPE)
         self.kappa = np.asarray(kappa, DTYPE).reshape(-1, g)
         self.A_psi = np.asarray(A_psi, DTYPE).reshape(g, -1)
-        self.fast_tag = fast_tag
         self.validate()
 
     @property
     def h(self) -> int:
         return self.kappa.shape[0]
+
+    @property
+    def fast_tag(self) -> str:
+        """ordinary (h = 0), superspecial (first operator zero) or interesting."""
+        if self.h == 0:
+            return "ordinary"
+        return "interesting" if self.A_phi.any() else "superspecial"
 
     def validate(self):
         field, g, h = self.field, self.g, self.h
@@ -423,16 +332,8 @@ def hw_triple(curve: CurveCI, check_smooth: bool = True) -> HWTriple:
     g = genus(curve)
     A_phi = hasse_witt_matrix(curve)
     kappa = null_space(field, A_phi)
-    h = kappa.shape[0]
-    if h == 0:
-        tag = "ordinary"
-    elif not A_phi.any():
-        tag = "superspecial"
-    else:
-        tag = "interesting"
-    if h:
-        u = u_generator(curve)
-        A_psi = psi_matrix(curve, A_phi, kappa, u)
+    if kappa.shape[0]:
+        A_psi = psi_matrix(curve, A_phi, kappa, u_generator(curve))
     else:
         A_psi = np.zeros((g, 0), DTYPE)
-    return HWTriple(field, g, A_phi, kappa, A_psi, tag)
+    return HWTriple(field, g, A_phi, kappa, A_psi)

@@ -11,6 +11,12 @@ A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
 Laurent monomials with every exponent <= -1, any product hitting a
 non-negative exponent being discarded. It is stored through the bijection
 e -> -e-1 onto ordinary monomials of degree -m-(n+1).
+
+Every multiplication or coefficient matrix is one ``gather``: the
+coefficients of a form or of a shifted T-class read off its cube at an array
+of exponent differences, 0 wherever a difference has a negative entry. In
+shifted exponents s*t sends source monomial a to target c with coefficient
+s[a - c], so ``tmul_matrix`` and ``t_multiply`` are a gather and a matmul.
 """
 
 from __future__ import annotations
@@ -354,14 +360,10 @@ class TClass:
         out = TClass.zero(self.field, self.nvars, p * self.degree)
         if out.coeffs.size == 0:
             return out
-        out_basis = out.basis
-        coeffs = out.coeffs.copy()
-        frobbed = self.field.frob(self.coeffs, 1)
-        for s, c in zip(self.basis.monomials, frobbed):
-            if c:
-                target = tuple(p * x + p - 1 for x in s)
-                coeffs[out_basis.index[target]] = int(c)
-        return TClass(self.field, self.nvars, out.degree, coeffs)
+        cube = np.zeros(out.basis.cube_shape, DTYPE)
+        tails = p * exponent_array(self.nvars, self.shifted_degree)[:, 1:] + p - 1
+        cube[tuple(tails.T)] = self.field.frob(self.coeffs, 1)
+        return TClass(self.field, self.nvars, out.degree, cube.reshape(-1)[out.basis.flat_idx])
 
     def __str__(self):
         parts = []
@@ -376,38 +378,44 @@ class TClass:
         return f"TClass(degree={self.degree}: {self})"
 
 
+@lru_cache(maxsize=None)
+def exponent_array(nvars: int, degree: int):
+    """Read-only (len, nvars) array of the degree's monomials in basis order;
+    empty for a negative degree."""
+    if degree < 0:
+        return np.zeros((0, nvars), np.intp)
+    exps = np.array(monomial_basis(nvars, degree).monomials, np.intp)
+    exps.flags.writeable = False
+    return exps
+
+
+def gather(x, exps):
+    """Coefficients of a GradedPoly, or of a TClass in shifted exponents, at
+    an integer array of exponent tuples along the last axis; 0 wherever a
+    tuple has a negative entry. Every tuple must have x's (shifted) degree."""
+    exps = np.asarray(exps)
+    # row-major position in the cube, whose sides are all degree + 1
+    flat = exps[..., 1:] @ (x.basis.degree + 1) ** np.arange(x.nvars - 2, -1, -1)
+    valid = exps.min(axis=-1) >= 0
+    return np.where(valid, x._cube().take(flat, mode="clip"), 0)
+
+
+def tmul_matrix(s: GradedPoly, src_degree: int):
+    """Matrix of t -> s*t from the degree src_degree piece of T."""
+    src = exponent_array(s.nvars, -src_degree - s.nvars)
+    tgt = exponent_array(s.nvars, -src_degree - s.degree - s.nvars)
+    return gather(s, src[None] - tgt[:, None])
+
+
 def t_multiply(s: GradedPoly, t: TClass) -> TClass:
-    """Module action of the polynomial ring on T: convolve, then discard
-    every monomial with a non-negative exponent."""
+    """Module action of the polynomial ring on T: the product with every
+    monomial that hits a non-negative exponent discarded. This is
+    tmul_matrix(s, t.degree) applied to t, gathering only the columns on the
+    support of t (Frobenius images are sparse in a large source piece)."""
     if s.field != t.field or s.nvars != t.nvars:
         raise ConstraintError("polynomial and T-class live over different rings")
-    field, nvars = s.field, s.nvars
-    deg_out = s.degree + t.degree
-    out = TClass.zero(field, nvars, deg_out)
-    if out.coeffs.size == 0 or t.is_zero() or s.is_zero():
-        return out
-    d_out = out.shifted_degree
-    t_cube = t._cube()
-    n_axes = nvars - 1
-    if field.m == 1:
-        acc = np.zeros((d_out + 1,) * n_axes, DTYPE)
-        for e, c in zip(s.basis.monomials, s.coeffs):
-            if c:
-                window = tuple(slice(x, x + d_out + 1) for x in e[1:])
-                acc += int(c) * t_cube[window]
-        cube = acc % field.p
-    else:
-        m = field.m
-        t_digits = field.decode(t_cube)
-        planes = np.zeros((d_out + 1,) * n_axes + (2 * m - 1,), DTYPE)
-        s_digits = field.decode(s.coeffs)
-        for e, cd in zip(s.basis.monomials, s_digits):
-            if cd.any():
-                window = tuple(slice(x, x + d_out + 1) for x in e[1:])
-                win = t_digits[window]
-                for i in range(m):
-                    if cd[i]:
-                        planes[..., i:i + m] += int(cd[i]) * win
-        cube = field.reduce_digit_planes(planes)
-    return TClass(field, nvars, deg_out,
-                  np.ascontiguousarray(cube).reshape(-1)[out.basis.flat_idx])
+    support = np.flatnonzero(t.coeffs)
+    src = exponent_array(s.nvars, t.shifted_degree)[support]
+    tgt = exponent_array(s.nvars, t.shifted_degree - s.degree)
+    image = s.field.matmul(gather(s, src[None] - tgt[:, None]), t.coeffs[support, None])
+    return TClass(s.field, s.nvars, s.degree + t.degree, image[:, 0])

@@ -96,3 +96,17 @@ def integer_power_terms(terms: dict, k: int) -> dict:
                 nxt[e] = nxt.get(e, 0) + c1 * c2
         cur = nxt
     return cur
+
+
+def laurent_product_terms(field, form_terms: dict, class_terms: dict) -> dict:
+    """Product of a form and a dual-module class, both given as
+    {exponent tuple: code}: multiply every pair of monomials and keep the
+    Laurent monomials whose exponents are all <= -1. Independent oracle for
+    t_multiply."""
+    out = {}
+    for es, cs in form_terms.items():
+        for et, ct in class_terms.items():
+            e = tuple(a + b for a, b in zip(es, et))
+            if max(e) <= -1:
+                out[e] = int(field.add(out.get(e, 0), field.mul(cs, ct)))
+    return {e: c for e, c in out.items() if c}

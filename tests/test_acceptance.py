@@ -123,7 +123,7 @@ def test_criterion_5b_invariances(F5, golden_curve, golden_triple):
         c = int(rng.integers(1, 5))
         d = int(rng.integers(1, 5))
         scaled = HWTriple(F5, g, F5.scale_int(c, t.A_phi), t.kappa,
-                          F5.scale_int(d, t.A_psi), t.fast_tag)
+                          F5.scale_int(d, t.A_psi))
         base = classify(t)
         assert classify(scaled).weyl == base.weyl
         assert classify(assemble_dm(t, scan="ascending")).weyl == \
@@ -135,7 +135,7 @@ def test_criterion_5b_invariances(F5, golden_curve, golden_triple):
         lam = int(rng.integers(1, 5))
         scaled_u = tuple(comp.scale(lam) for comp in u)
         psi = psi_matrix(golden_curve, golden_triple.A_phi, golden_triple.kappa, scaled_u)
-        t = HWTriple(F5, 3, golden_triple.A_phi, golden_triple.kappa, psi, "interesting")
+        t = HWTriple(F5, 3, golden_triple.A_phi, golden_triple.kappa, psi)
         assert classify(t).weyl == base.weyl
     print("ACCEPTANCE 5b (scaling and complement invariance): PASS")
 

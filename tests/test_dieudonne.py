@@ -19,12 +19,12 @@ def test_assemble_golden(golden_triple):
 def test_assemble_ordinary_and_superspecial(F5):
     # ordinary: empty kernel forces the complement to be everything
     A_phi = np.array([[1, 0], [0, 2]])
-    t = HWTriple(F5, 2, A_phi, np.zeros((0, 2), int), np.zeros((2, 0), int), "ordinary")
+    t = HWTriple(F5, 2, A_phi, np.zeros((0, 2), int), np.zeros((2, 0), int))
     dm = assemble_dm(t)
     assert dm.A_F.tolist() == [[1, 0], [0, 2], [0, 0], [0, 0]]
     # superspecial: zero operator forces kernel coordinates everywhere
     A_psi = np.array([[1, 2], [3, 4]])
-    t2 = HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int), A_psi, "superspecial")
+    t2 = HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int), A_psi)
     dm2 = assemble_dm(t2)
     assert dm2.A_F.tolist() == [[0, 0], [0, 0], [3, 4], [1, 2]]
 

@@ -29,11 +29,11 @@ def test_final_type_golden(F5, golden_triple):
 
 def test_final_type_extremes(F5):
     A_phi = np.array([[1, 2], [0, 3]])
-    to = HWTriple(F5, 2, A_phi, np.zeros((0, 2), int), np.zeros((2, 0), int), "ordinary")
+    to = HWTriple(F5, 2, A_phi, np.zeros((0, 2), int), np.zeros((2, 0), int))
     dmo = assemble_dm(to)
     assert final_type_from_AF(dmo.A_F, dmo.gram, F5).values == (0, 1, 2, 2, 2)
     ts = HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int),
-                  np.array([[1, 0], [0, 1]]), "superspecial")
+                  np.array([[1, 0], [0, 1]]))
     dms = assemble_dm(ts)
     assert final_type_from_AF(dms.A_F, dms.gram, F5).values == (0, 0, 0, 1, 2)
 
@@ -121,7 +121,7 @@ def test_scaling_invariance(F5):
         c = int(rng.integers(1, 5))
         d = int(rng.integers(1, 5))
         scaled = HWTriple(F5, g, F5.scale_int(c, t.A_phi), t.kappa,
-                          F5.scale_int(d, t.A_psi), t.fast_tag)
+                          F5.scale_int(d, t.A_psi))
         assert classify(scaled).weyl == classify(t).weyl
         count += 1
 

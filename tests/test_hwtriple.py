@@ -143,12 +143,41 @@ def test_theta_apply_plane_dual_basis(F5, golden_curve):
         assert np.array_equal(coords, expected)
 
 
-def test_plane_and_general_paths_agree(F5, golden_curve, golden_triple):
-    A_gen = _hw_general_matrix(golden_curve)
-    assert np.array_equal(A_gen, golden_triple.A_phi)
-    kappa = null_space(F5, A_gen)
-    psi_gen = _psi_general(golden_curve, kappa, u_generator(golden_curve))
-    assert np.array_equal(psi_gen, golden_triple.A_psi)
+def test_theta_apply_rejects_degenerate_pairing(golden_curve, ci_23_curve):
+    for curve in (golden_curve, ci_23_curve):
+        zero = tuple(TClass.zero(curve.field, curve.nvars, comp.degree)
+                     for comp in u_generator(curve))
+        with pytest.raises(SingularCurveError, match="duality pairing is degenerate"):
+            theta_apply(curve, zero, zero)
+
+
+def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
+    """The general complete-intersection path, run on plane curves, gives
+    the plane path's triple: the golden quartic plus seeded random smooth
+    quartics and quintics."""
+    rng = np.random.default_rng(11)
+    curves = [golden_curve]
+    for field in (F5, F7, F9):
+        for d in (4, 5):
+            if d % field.p == 0:
+                continue
+            size = len(monomial_basis(3, d))
+            for _ in range(8):
+                curve = plane_curve(field, GradedPoly(
+                    field, 3, d, field.random_elements(rng, (size,))))
+                if plane_smoothness_check(curve):
+                    curves.append(curve)
+    with_kernel = 0
+    for curve in curves:
+        t = hw_triple(curve)
+        A_gen = _hw_general_matrix(curve)
+        assert np.array_equal(A_gen, t.A_phi)
+        kappa = null_space(curve.field, A_gen)
+        if kappa.shape[0]:
+            with_kernel += 1
+            psi_gen = _psi_general(curve, kappa, u_generator(curve))
+            assert np.array_equal(psi_gen, t.A_psi)
+    assert (len(curves), with_kernel) == (36, 6)
 
 
 def test_triple_invariants_random_smooth_curves():

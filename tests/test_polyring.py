@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_TERMS, integer_power_terms
+from conftest import GOLDEN_TERMS, integer_power_terms, laurent_product_terms
 from eotypes import (ConstraintError, GradedPoly, TClass, coeff_of, field_new,
                      monomial_basis, partial_derivative, poly_mul, poly_pow,
-                     t_multiply)
+                     t_multiply, tmul_matrix)
 
 
 def test_basis_fixtures():
@@ -180,3 +180,40 @@ def test_t_multiply_extension_field(F4):
     out = t_multiply(x0, tc)
     # t*(t+1) = t^2 + t = 1
     assert out == TClass.from_laurent_terms(F4, 3, {(-1, -1, -1): 1})
+
+
+def _laurent_terms(t: TClass) -> dict:
+    if t.coeffs.size == 0:
+        return {}
+    return {tuple(-x - 1 for x in s): int(c)
+            for s, c in zip(t.basis.monomials, t.coeffs) if c}
+
+
+@pytest.mark.parametrize("field_name", ["F5", "F4", "F9"])
+def test_t_multiply_matches_laurent_oracle(field_name, request):
+    field = request.getfixturevalue(field_name)
+    rng = np.random.default_rng(41)
+    checked = 0
+    for nvars in (3, 4):
+        # (form degree, class degree); the last pair has an empty target piece
+        for s_deg, t_deg in ((0, -nvars), (1, -nvars - 2), (2, -nvars - 4),
+                             (3, -nvars - 3), (2, -nvars - 1)):
+            size = TClass.basis_size(nvars, t_deg)
+            s = GradedPoly(field, nvars, s_deg,
+                           field.random_elements(rng, (len(monomial_basis(nvars, s_deg)),)))
+            t = TClass(field, nvars, t_deg, field.random_elements(rng, (size,)))
+            s_terms = {e: int(c) for e, c in zip(s.basis.monomials, s.coeffs) if c}
+            expected = laurent_product_terms(field, s_terms, _laurent_terms(t))
+            assert _laurent_terms(t_multiply(s, t)) == expected
+            assert t_multiply(GradedPoly.zero(field, nvars, s_deg), t).is_zero()
+            assert t_multiply(s, TClass.zero(field, nvars, t_deg)).is_zero()
+            M = tmul_matrix(s, t_deg)
+            assert M.shape == (TClass.basis_size(nvars, t_deg + s_deg), size)
+            for k in range(size):
+                unit = np.zeros(size, np.int64)
+                unit[k] = 1
+                column = TClass(field, nvars, s_deg + t_deg, M[:, k])
+                assert _laurent_terms(column) == laurent_product_terms(
+                    field, s_terms, _laurent_terms(TClass(field, nvars, t_deg, unit)))
+            checked += 1
+    assert checked == 10
