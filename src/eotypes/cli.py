@@ -2,8 +2,8 @@
 machine-readable reports, batch census and the built-in self-test.
 
 Commands: eotype, hw, classify-dm, scan, selftest.
-Exit codes: 2 parse error, 3 constraint violation, 4 singular curve,
-5 internal invariant violation.
+Exit codes: 2 parse error, 3 constraint violation or unreadable/unwritable
+file, 4 singular curve, 5 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import time
 
 import numpy as np
 
+from . import golden
 from .dieudonne import PolarizedDM, enumerate_polarized_dms, assemble_dm, full_fv_matrices
 from .eoclass import (EOResult, classify, final_type_from_FV, weyl_from_final_type,
                       weyl_word)
@@ -429,32 +430,26 @@ def cmd_scan(args) -> int:
 def _golden_checks(corrupt: bool = False):
     """(name, expected, actual) triples for the worked fixture curve."""
     F5 = field_new(5)
-    f = parse_poly("X0^4+X1^4+X2^4+X0^3*X1+X0*X1^2*X2-X1^2*X2^2+3*X1*X2^3", 3, F5)
-    curve = CurveCI(F5, [f])
+    curve = CurveCI(F5, [parse_poly(golden.GOLDEN_TEXT, 3, F5)])
     triple = hw_triple(curve)
     dm = assemble_dm(triple)
     full_F, full_V = full_fv_matrices(dm)
     result = classify(triple)
-    expected_hw = [[0, 4, 1], [0, 2, 3], [0, 2, 3]]
-    if corrupt:
-        expected_hw = [[1, 4, 1], [0, 2, 3], [0, 2, 3]]
+    expected_hw = [[1, 4, 1]] + golden.GOLDEN_HW[1:] if corrupt else golden.GOLDEN_HW
     yield ("hasse-witt matrix", expected_hw, triple.A_phi.tolist())
-    yield ("kernel basis", [[1, 0, 0], [0, 1, 1]], triple.kappa.tolist())
-    yield ("second operator on e_0", [3, 1, 3], triple.A_psi[:, 0].tolist())
-    yield ("second operator on e_1+e_2", [3, 3, 1], triple.A_psi[:, 1].tolist())
-    expected_AF = (np.array([[0, -1, 1], [0, -3, 3], [0, -3, 3],
-                             [3, 1, 0], [1, 3, 0], [3, 3, 0]]) % 5).tolist()
-    yield ("frobenius block", expected_AF, dm.A_F.tolist())
-    expected_V = (np.array([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0],
-                            [0, 0, 0, 0, 0, 0], [0, 0, 0, 3, 3, 1],
-                            [-3, -3, -1, -3, -3, -1], [-3, -1, -3, 0, 0, 0]]) % 5).tolist()
-    yield ("verschiebung matrix", expected_V, full_V.tolist())
-    yield ("final type", [0, 0, 1, 1, 2, 2, 3], list(result.final_type.values))
-    yield ("weyl coset", [1, 4, 2, 5, 3, 6], list(result.weyl.one_line))
-    yield ("weyl word", "s3*s2", weyl_word(result.weyl))
-    yield ("p-rank", 0, result.p_rank)
-    yield ("a-number", 2, result.a_number)
-    yield ("stratum dimension", 2, result.stratum_dim)
+    yield ("kernel basis", golden.GOLDEN_KAPPA, triple.kappa.tolist())
+    yield ("second operator on e_0", golden.GOLDEN_PSI_COLS[0], triple.A_psi[:, 0].tolist())
+    yield ("second operator on e_1+e_2", golden.GOLDEN_PSI_COLS[1],
+           triple.A_psi[:, 1].tolist())
+    yield ("frobenius block", golden.GOLDEN_AF, dm.A_F.tolist())
+    yield ("verschiebung matrix", golden.GOLDEN_V, full_V.tolist())
+    yield ("final type", list(golden.GOLDEN_FINAL_TYPE), list(result.final_type.values))
+    yield ("weyl coset", list(golden.GOLDEN_WEYL), list(result.weyl.one_line))
+    yield ("weyl word", golden.GOLDEN_WEYL_WORD, weyl_word(result.weyl))
+    p_rank, a_number, stratum_dim = golden.GOLDEN_INVARIANTS
+    yield ("p-rank", p_rank, result.p_rank)
+    yield ("a-number", a_number, result.a_number)
+    yield ("stratum dimension", stratum_dim, result.stratum_dim)
     F7 = field_new(7)
     cubic7 = classify(CurveCI(F7, [parse_poly("x^3+y^3+z^3", 3, F7)]))
     yield ("fermat cubic over GF(7)", "ordinary", cubic7.fast_tag)
@@ -553,6 +548,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except ConstraintError as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT
 
 

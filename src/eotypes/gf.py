@@ -8,6 +8,16 @@ exact and fast; ``FieldElem`` is a thin scalar wrapper for convenience.
 
 Arrays of codes are treated as immutable: operations always return fresh
 arrays.
+
+For m > 1 one matrix defines the field: ``_red``, whose row t holds the
+digits of x^(m+t) modulo the modulus. Products reduce through it, and the
+rest derives from products: the Frobenius sigma has the digits of x^(p*j)
+as column j, and inverses are a^(q-2). A monic modulus is accepted iff
+sigma^m = 1 (so the ring is reduced and its factor degrees divide m) and
+sigma fixes only a line (so there is one factor): Berlekamp's test. The
+default modulus is the first accepted one in code order. Supported:
+p < 2^31, with one product's unreduced digit planes fitting int64; longer
+sums raise ``ConstraintError``.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import numpy as np
 from .errors import ConstraintError
 
 DTYPE = np.int64
+_INT64_MAX = int(np.iinfo(DTYPE).max)
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -45,175 +56,63 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# -- dense univariate arithmetic over Z/p, used only for modulus handling --
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_mod(a, mod, p):
-    # mod is monic
-    a = list(a)
-    dm = len(mod) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1] % p
-        if c:
-            off = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[off + i] = (a[off + i] - c * mod[i]) % p
-        a.pop()
-    return _trim(a)
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_mod(base, mod, p)
-    while e > 0:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), mod, p)
-        base = _poly_mod(_poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        inv_lead = pow(b[-1], p - 2, p)
-        monic = [(c * inv_lead) % p for c in b]
-        a, b = b, _poly_mod(a, monic, p)
-    return a
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_divmod(a, b, p):
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = (a[k + len(b) - 1] * inv_lead) % p
-        q[k] = c
-        if c:
-            for i, bi in enumerate(b):
-                a[k + i] = (a[k + i] - c * bi) % p
-    return _trim(q), _trim(a[:len(b) - 1])
-
-
-def _int_egcd(a, b):
-    # returns (g, x) with x*a == g (mod b)
-    old_r, r = a, b
-    old_x, x = 1, 0
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-    return old_r, old_x
-
-
-def _is_irreducible(coeffs, p):
-    """gcd test: a monic f of degree m is irreducible over Z/p iff
-    gcd(f, x^(p^k) - x) is constant for every k <= m/2."""
-    m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] % p != 1:
-        return False
-    if coeffs[0] % p == 0:  # x divides f
-        return m == 1
-    for k in range(1, m // 2 + 1):
-        xq = _poly_powmod([0, 1], p ** k, coeffs, p)
-        xq = list(xq) + [0] * (2 - len(xq))
-        diff = _trim([xq[0] % p, (xq[1] - 1) % p] + xq[2:])
-        if len(_poly_gcd(coeffs, diff, p)) > 1:
-            return False
-    return True
-
-
 class GF:
     """The field GF(p^m), with vectorized arithmetic on code arrays."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
         if not is_prime(p):
             raise ConstraintError(f"p = {p} is not prime")
+        if p >= 1 << 31:
+            raise ConstraintError(f"p = {p} is too large: int64 arithmetic needs p < 2^31")
         if m < 1:
             raise ConstraintError(f"extension degree m = {m} must be >= 1")
-        self.p = int(p)
-        self.m = int(m)
-        self.q = p ** m
-        if m == 1:
-            self.modulus = None
-        else:
-            if modulus is None:
-                modulus = self._find_modulus()
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != m + 1 or modulus[-1] != 1:
-                raise ConstraintError(
-                    f"modulus must be monic of degree {m} "
-                    f"(got coefficient list of length {len(modulus)})")
-            if not _is_irreducible(list(modulus), p):
-                raise ConstraintError(f"modulus {modulus} is reducible over Z/{p}")
-            self.modulus = modulus
+        p, m = int(p), int(m)
+        self.p, self.m, self.q = p, m, p ** m
+        # Most terms one sum of products may hold: a digit plane gathers m
+        # products per term, and the m-1 high planes pass through _red unreduced.
+        self.max_terms = _INT64_MAX // (m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2)
+        if self.q > _INT64_MAX or self.max_terms < 1:
+            raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         self._ppow = np.array([p ** i for i in range(m)], DTYPE)
+        self.modulus = None
         if m > 1:
-            self._red = self._reduction_matrix()
-            self._frob_mats = self._frobenius_matrices()
-        if self.p <= 1 << 16:
-            inv = np.zeros(self.p, DTYPE)
-            for i in range(1, self.p):
-                inv[i] = pow(i, self.p - 2, self.p)
-            self._inv_table = inv
-        else:
-            self._inv_table = None
+            if modulus is None:
+                candidates = (tuple((code // p ** i) % p for i in range(m)) + (1,)
+                              for code in range(self.q))
+            else:
+                modulus = tuple(int(c) % p for c in modulus)
+                if len(modulus) != m + 1 or modulus[-1] != 1:
+                    raise ConstraintError(
+                        f"modulus must be monic of degree {m} "
+                        f"(got coefficient list of length {len(modulus)})")
+                candidates = [modulus]
+            if not self._install_first_irreducible(candidates):
+                raise ConstraintError(f"modulus {modulus} is reducible over Z/{p}")
+        self._inv_table = (self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
+                           if self.q <= 1 << 16 else None)
 
-    def _find_modulus(self):
-        # first irreducible monic polynomial, coefficient tuples ordered
-        # lexicographically from the degree-(m-1) coefficient down
+    def _install_first_irreducible(self, candidates) -> bool:
+        """Make the first irreducible monic candidate the modulus, with its
+        _red and Frobenius matrices; False if no candidate is irreducible."""
+        from .semilinear import rank
         p, m = self.p, self.m
-        for code in range(p ** m):
-            coeffs = [(code // p ** i) % p for i in range(m)] + [1]
-            if _is_irreducible(coeffs, p):
-                return tuple(coeffs)
-        raise RuntimeError("unreachable")  # pragma: no cover
-
-    def _reduction_matrix(self):
-        # row t = coefficients of x^(m+t) mod modulus, t = 0..m-2
-        p, m = self.p, self.m
-        rows = []
-        cur = _poly_mod([0] * m + [1], self.modulus, p)
-        for _ in range(m - 1):
-            rows.append(list(cur) + [0] * (m - len(cur)))
-            cur = _poly_mod([0] + list(cur), self.modulus, p)
-        return np.array(rows, DTYPE).reshape(m - 1, m)
-
-    def _frobenius_matrices(self):
-        # mats[k] maps coefficient columns through sigma^k, x -> x^(p^k)
-        p, m = self.p, self.m
-        sigma = np.zeros((m, m), DTYPE)
-        for j in range(m):
-            col = _poly_powmod([0] * j + [1], p, self.modulus, p)
-            for i, c in enumerate(col):
-                sigma[i, j] = c
-        mats = [np.eye(m, dtype=DTYPE)]
-        for _ in range(m - 1):
-            mats.append((sigma @ mats[-1]) % p)
-        return mats
+        prime_field, eye = GF(p), np.eye(m, dtype=DTYPE)
+        for modulus in candidates:
+            # x^m = -(c_0 + ... + c_(m-1) x^(m-1)), then x^(m+t+1) = x * x^(m+t)
+            rows = [np.array([-c % p for c in modulus[:m]], DTYPE)]
+            for _ in range(m - 2):
+                prev = rows[-1]
+                rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
+            self.modulus, self._red = modulus, np.array(rows, DTYPE)
+            # the code of x^j is p^j
+            sigma = self.decode(self.pow_int(self._ppow, p)).T
+            powers = [eye]
+            for _ in range(m):
+                powers.append(sigma @ powers[-1] % p)
+            self._frob_mats = powers[:m]
+            if np.array_equal(powers[m], eye) and rank(prime_field, (sigma - eye) % p) == m - 1:
+                return True
+        return False
 
     # -- element codecs ----------------------------------------------------
 
@@ -268,8 +167,7 @@ class GF:
         planes = np.zeros(da.shape[:-1] + (2 * m - 1,), DTYPE)
         for i in range(m):
             planes[..., i:i + m] += da[..., i:i + 1] * db
-        digits = planes[..., :m] + planes[..., m:] @ self._red
-        return self.encode(digits)
+        return self.reduce_digit_planes(planes)
 
     def scale_int(self, c, a):
         """Multiply codes by an integer scalar or array (image of c mod p)."""
@@ -281,52 +179,30 @@ class GF:
 
     def reduce_digit_planes(self, planes):
         """Collapse integer digit planes (trailing axis of length 2m-1,
-        indexing powers of the field generator) back to element codes."""
+        indexing powers of the field generator) back to element codes.
+        This is the one reduction modulo the modulus."""
         m = self.m
         planes = np.asarray(planes, DTYPE)
         if m == 1:
             return planes[..., 0] % self.p
-        digits = planes[..., :m] + planes[..., m:] @ self._red
-        return self.encode(digits)
+        return self.encode(planes[..., :m] + planes[..., m:] @ self._red)
 
     def inv_scalar(self, code):
-        """Inverse of a single element, by extended Euclid on the modulus."""
+        """Inverse of a single element: a table lookup, or a^(q-2)."""
         code = int(code)
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")
-        p = self.p
-        if self.m == 1:
-            if self._inv_table is not None:
-                return int(self._inv_table[code])
-            # extended Euclid on (p, code)
-            g, x = _int_egcd(code % p, p)
-            if g != 1:  # pragma: no cover - p prime
-                raise ZeroDivisionError("not invertible")
-            return x % p
-        a = _trim([(code // p ** i) % p for i in range(self.m)])
-        r0, r1 = list(self.modulus), a
-        t0, t1 = [], [1]
-        while r1:
-            q, rem = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-        # r0 is a nonzero constant gcd since the modulus is irreducible
-        c_inv = pow(r0[0], p - 2, p)
-        t0 = [(c * c_inv) % p for c in t0]
-        t0 = t0 + [0] * (self.m - len(t0))
-        return int(self.encode(np.array(t0[:self.m], DTYPE)))
+        if self._inv_table is not None:
+            return int(self._inv_table[code])
+        return int(self.pow_int(code, self.q - 2))
 
     def inv(self, a):
         a = np.asarray(a, DTYPE)
-        if self.m == 1 and self._inv_table is not None:
-            if np.any(a == 0):
-                raise ZeroDivisionError("0 has no inverse")
+        if np.any(a == 0):
+            raise ZeroDivisionError("0 has no inverse")
+        if self._inv_table is not None:
             return self._inv_table[a]
-        out = np.empty_like(a)
-        flat_in, flat_out = a.reshape(-1), out.reshape(-1)
-        for i, c in enumerate(flat_in):
-            flat_out[i] = self.inv_scalar(int(c))
-        return out
+        return self.pow_int(a, self.q - 2)
 
     def pow_int(self, a, e: int):
         if e < 0:
@@ -352,6 +228,9 @@ class GF:
     def matmul(self, A, B):
         A = np.asarray(A, DTYPE)
         B = np.asarray(B, DTYPE)
+        if A.shape[1] > self.max_terms:
+            raise ConstraintError(
+                f"a product summing {A.shape[1]} terms overflows int64 over {self!r}")
         if self.m == 1:
             return (A @ B) % self.p
         da, db = self.decode(A), self.decode(B)
@@ -360,8 +239,7 @@ class GF:
         for i in range(m):
             for j in range(m):
                 planes[..., i + j] += da[..., i] @ db[..., j]
-        digits = planes[..., :m] + planes[..., m:] @ self._red
-        return self.encode(digits)
+        return self.reduce_digit_planes(planes)
 
     def random_elements(self, rng, shape):
         return rng.integers(0, self.q, size=shape, dtype=DTYPE)
@@ -374,11 +252,12 @@ class GF:
         return ",".join(str(int(d)) for d in self.decode(np.asarray(code, DTYPE)))
 
     def parse_element(self, text: str) -> int:
-        parts = [int(t) for t in text.split(",")]
+        # reduced first: an entry beyond int64 would not fit the digit array
+        parts = [int(t) % self.p for t in text.split(",")]
         if self.m == 1:
             if len(parts) != 1:
                 raise ConstraintError(f"expected a single integer, got {text!r}")
-            return parts[0] % self.p
+            return parts[0]
         if len(parts) > self.m:
             raise ConstraintError(f"element {text!r} has more than m={self.m} coefficients")
         parts = parts + [0] * (self.m - len(parts))

@@ -10,6 +10,7 @@ path multiplies classes through the dual module directly.
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
 from math import prod
 
 import numpy as np
@@ -51,37 +52,71 @@ class CurveCI:
         self.d = sum(self.degrees)
         if n == 2 and self.d < 3:
             raise ConstraintError("a plane curve must have degree >= 3")
-        self._cache = {}
 
     def __repr__(self):
         return f"CurveCI(P^{self.n}, degrees={self.degrees}, {self.field!r})"
 
-    def _power(self, i: int, e: int) -> GradedPoly:
-        key = ("pow", i, e)
-        if key not in self._cache:
-            self._cache[key] = poly_pow(self.polys[i], e)
-        return self._cache[key]
+    @cached_property
+    def _powers_pm2(self):
+        """f_i^(p-2) for each defining form."""
+        return tuple(poly_pow(f, self.field.p - 2) for f in self.polys)
 
+    @cached_property
+    def _powers_pm1(self):
+        """f_i^(p-1), each formed as f_i * f_i^(p-2)."""
+        return tuple(poly_mul(f, fp) for f, fp in zip(self.polys, self._powers_pm2))
+
+    @cached_property
     def _product_pm1(self) -> GradedPoly:
         """(f_1 ... f_(n-1))^(p-1)."""
-        key = "prod_pm1"
-        if key not in self._cache:
-            acc = self._power(0, self.field.p - 1)
-            for i in range(1, len(self.polys)):
-                acc = poly_mul(acc, self._power(i, self.field.p - 1))
-            self._cache[key] = acc
-        return self._cache[key]
+        return reduce(poly_mul, self._powers_pm1)
 
-    def _product_pm1_over(self, ell: int) -> GradedPoly:
-        """(f_1 ... f_(n-1))^(p-1) / f_ell."""
-        key = ("prod_over", ell)
-        if key not in self._cache:
-            acc = self._power(ell, self.field.p - 2)
-            for i in range(len(self.polys)):
-                if i != ell:
-                    acc = poly_mul(acc, self._power(i, self.field.p - 1))
-            self._cache[key] = acc
-        return self._cache[key]
+    @cached_property
+    def _products_pm1_over(self):
+        """(f_1 ... f_(n-1))^(p-1) / f_ell, for each ell."""
+        pm1, pm2 = self._powers_pm1, self._powers_pm2
+        return tuple(reduce(poly_mul, pm1[:ell] + pm2[ell:ell + 1] + pm1[ell + 1:])
+                     for ell in range(len(self.polys)))
+
+    @cached_property
+    def q_basis(self) -> Subspace:
+        """Echelon basis of Q: the joint kernel of multiplication by each f_i
+        on the degree -d piece of the dual module."""
+        field, nvars, d = self.field, self.nvars, self.d
+        blocks = np.vstack([tmul_matrix(f, -d) for f in self.polys])
+        sub = Subspace.span(field, null_space(field, blocks),
+                            ambient=TClass.basis_size(nvars, -d))
+        if self.n == 2 and sub.dim != (d - 1) * (d - 2) // 2:
+            raise InternalInvariantError("plane curve Q space has wrong dimension")
+        return sub
+
+    @cached_property
+    def u(self):
+        """Generator of the one-dimensional relation space behind the
+        duality, as a tuple of T-classes (one per defining form), first
+        nonzero coordinate normalized to 1."""
+        field, nvars, d, n = self.field, self.nvars, self.d, self.n
+        src_degrees = [n + 1 - 2 * d - f.degree for f in self.polys]
+        sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        blocks = [_derivative_matrix(self, src_degrees)]
+        if n >= 3:
+            # membership of each component in the curve's dual module
+            for ell, m in enumerate(src_degrees):
+                for f in self.polys:
+                    block = np.zeros((TClass.basis_size(nvars, m + f.degree),
+                                      int(offsets[-1])), DTYPE)
+                    block[:, offsets[ell]:offsets[ell + 1]] = tmul_matrix(f, m)
+                    blocks.append(block)
+        kernel = null_space(field, np.vstack(blocks))
+        if kernel.shape[0] != 1:
+            raise SingularCurveError(
+                f"curve fails smoothness necessary condition: dim U = {kernel.shape[0]} != 1")
+        vec = kernel[0]
+        first = int(np.nonzero(vec)[0][0])
+        vec = field.mul(vec, field.inv_scalar(int(vec[first])))
+        return tuple(TClass(field, nvars, m, vec[offsets[i]:offsets[i + 1]])
+                     for i, m in enumerate(src_degrees))
 
 
 def plane_curve(field: GF, f: GradedPoly) -> CurveCI:
@@ -120,19 +155,8 @@ def plane_smoothness_check(curve: CurveCI) -> bool:
 
 
 def ci_q_basis(curve: CurveCI) -> Subspace:
-    """Echelon basis of Q: the joint kernel of multiplication by each f_i
-    on the degree -d piece of the dual module."""
-    if "q_basis" in curve._cache:
-        return curve._cache["q_basis"]
-    field, nvars, d = curve.field, curve.nvars, curve.d
-    blocks = np.vstack([tmul_matrix(f, -d) for f in curve.polys])
-    sub = Subspace.span(field, null_space(field, blocks), ambient=TClass.basis_size(nvars, -d))
-    if curve.n == 2:
-        expected = (d - 1) * (d - 2) // 2
-        if sub.dim != expected:
-            raise InternalInvariantError("plane curve Q space has wrong dimension")
-    curve._cache["q_basis"] = sub
-    return sub
+    """Echelon basis of Q, computed once per curve (``CurveCI.q_basis``)."""
+    return curve.q_basis
 
 
 def hasse_witt_matrix(curve: CurveCI):
@@ -145,15 +169,14 @@ def hasse_witt_matrix(curve: CurveCI):
 def _hw_plane_matrix(curve: CurveCI):
     p = curve.field.p
     md = exponent_array(3, curve.d - 3)
-    fp1 = poly_mul(curve.polys[0], curve._power(0, p - 2))
     # A[i, j] = coefficient of X^(p*m_j + p - 1 - m_i) in f^(p-1)
-    return gather(fp1, p * md[None] + (p - 1) - md[:, None])
+    return gather(curve._powers_pm1[0], p * md[None] + (p - 1) - md[:, None])
 
 
 def _hw_general_matrix(curve: CurveCI):
     field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
-    F = curve._product_pm1()
+    F = curve._product_pm1
     cols = []
     for row in qb.rows:
         t = TClass(field, nvars, -d, row)
@@ -171,35 +194,8 @@ def _derivative_matrix(curve: CurveCI, src_degrees):
 
 
 def u_generator(curve: CurveCI):
-    """Generator of the one-dimensional relation space behind the duality,
-    as a tuple of T-classes (one per defining form), first nonzero
-    coordinate normalized to 1."""
-    if "u" in curve._cache:
-        return curve._cache["u"]
-    field, nvars, d, n = curve.field, curve.nvars, curve.d, curve.n
-    src_degrees = [n + 1 - 2 * d - f.degree for f in curve.polys]
-    sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    blocks = [_derivative_matrix(curve, src_degrees)]
-    if n >= 3:
-        # membership of each component in the curve's dual module
-        for ell, m in enumerate(src_degrees):
-            for f in curve.polys:
-                block = np.zeros((TClass.basis_size(nvars, m + f.degree),
-                                  int(offsets[-1])), DTYPE)
-                block[:, offsets[ell]:offsets[ell + 1]] = tmul_matrix(f, m)
-                blocks.append(block)
-    kernel = null_space(field, np.vstack(blocks))
-    if kernel.shape[0] != 1:
-        raise SingularCurveError(
-            f"curve fails smoothness necessary condition: dim U = {kernel.shape[0]} != 1")
-    vec = kernel[0]
-    first = int(np.nonzero(vec)[0][0])
-    vec = field.mul(vec, field.inv_scalar(int(vec[first])))
-    u = tuple(TClass(field, nvars, m, vec[offsets[i]:offsets[i + 1]])
-              for i, m in enumerate(src_degrees))
-    curve._cache["u"] = u
-    return u
+    """The duality's relation-space generator, computed once (``CurveCI.u``)."""
+    return curve.u
 
 
 def psi_matrix(curve: CurveCI, A_phi, kappa, u):
@@ -224,7 +220,7 @@ def _psi_plane(curve: CurveCI, kappa, u):
     if rank(field, B) != len(md):
         raise SingularCurveError("duality pairing is degenerate")
     # C[j, i] = coefficient of X^(p*m_j + p - 1 - M_i) in f^(p-2)
-    C = gather(curve._power(0, p - 2), p * md[:, None] + (p - 1) - big[None])
+    C = gather(curve._powers_pm2[0], p * md[:, None] + (p - 1) - big[None])
     K = field.matmul(kappa, C)
     _assert_tuple_relations(curve, K.T)
     # transpose(A_psi) . B = kappa . C
@@ -239,8 +235,7 @@ def _psi_general(curve: CurveCI, kappa, u):
         tau_kap = field.frob(kap, -1)
         vec = field.matmul(tau_kap[None, :], qb.rows)[0]
         t = TClass(field, nvars, -d, vec).frobenius()
-        xi = tuple(t_multiply(curve._product_pm1_over(ell), t)
-                   for ell in range(len(curve.polys)))
+        xi = tuple(t_multiply(F, t) for F in curve._products_pm1_over)
         for comp in xi:
             _assert_in_dual_module(curve, comp)
         _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])

@@ -85,6 +85,11 @@ def _conv_int(ca, cb):
 
 
 def _conv_field(field: GF, ca, cb):
+    # an output entry sums at most one product per nonzero of the sparser cube
+    terms = min(np.count_nonzero(ca), np.count_nonzero(cb))
+    if terms > field.max_terms:
+        raise ConstraintError(
+            f"a product summing {terms} terms overflows int64 over {field!r}")
     if field.m == 1:
         return _conv_int(ca, cb) % field.p
     m = field.m

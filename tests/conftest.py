@@ -1,8 +1,9 @@
-import numpy as np
 import pytest
 
 from eotypes import CurveCI, GradedPoly, field_new, hw_triple
 
+# The worked quartic written as terms, independently of its text in
+# eotypes.golden; its known values live there too.
 GOLDEN_TERMS = {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1, (3, 1, 0): 1,
                 (1, 2, 1): 1, (0, 2, 2): -1, (0, 1, 3): 3}
 
@@ -15,20 +16,6 @@ GOLDEN_U_SHIFTED = {
     (3, 4, 5): 2, (3, 3, 6): 1, (2, 6, 4): 4, (2, 5, 5): 1, (2, 4, 6): 2,
     (1, 6, 5): 2, (1, 5, 6): 1,
 }
-
-GOLDEN_HW = [[0, 4, 1], [0, 2, 3], [0, 2, 3]]
-GOLDEN_KAPPA = [[1, 0, 0], [0, 1, 1]]
-GOLDEN_PSI_COLS = [[3, 1, 3], [3, 3, 1]]
-GOLDEN_AF = (np.array([[0, -1, 1], [0, -3, 3], [0, -3, 3],
-                       [3, 1, 0], [1, 3, 0], [3, 3, 0]]) % 5).tolist()
-GOLDEN_V = (np.array([[0, 0, 0, 0, 0, 0],
-                      [0, 0, 0, 0, 0, 0],
-                      [0, 0, 0, 0, 0, 0],
-                      [0, 0, 0, 3, 3, 1],
-                      [-3, -3, -1, -3, -3, -1],
-                      [-3, -1, -3, 0, 0, 0]]) % 5).tolist()
-GOLDEN_FINAL_TYPE = (0, 0, 1, 1, 2, 2, 3)
-GOLDEN_WEYL = (1, 4, 2, 5, 3, 6)
 
 
 @pytest.fixture(scope="session")

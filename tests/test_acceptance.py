@@ -10,9 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import (GOLDEN_AF, GOLDEN_FINAL_TYPE, GOLDEN_KAPPA,
-                      GOLDEN_PSI_COLS, GOLDEN_V, GOLDEN_WEYL,
-                      integer_power_terms)
+from conftest import integer_power_terms
 from eotypes import (GradedPoly, HWTriple, assemble_dm, ci_q_basis,
                      classify, enumerate_polarized_dms, field_new,
                      final_type_from_AF, final_type_from_FV,
@@ -22,13 +20,15 @@ from eotypes import (GradedPoly, HWTriple, assemble_dm, ci_q_basis,
                      symplectic_perp, t_multiply, u_generator, validate_dm,
                      weyl_from_final_type, weyl_word)
 from eotypes.cli import parse_poly, run_scan
+from eotypes.golden import (GOLDEN_AF, GOLDEN_FINAL_TYPE, GOLDEN_KAPPA, GOLDEN_PSI_COLS,
+                            GOLDEN_TEXT, GOLDEN_V, GOLDEN_WEYL, GOLDEN_WEYL_WORD)
 from eotypes.semilinear import Subspace, TwistedMap, twisted_image, twisted_kernel, twisted_preimage
 
 
 def test_criterion_1_golden_example(F5):
     """Worked quartic over GF(5): every displayed quantity, exactly."""
     start = time.perf_counter()
-    f = parse_poly("X0^4+X1^4+X2^4+X0^3*X1+X0*X1^2*X2-X1^2*X2^2+3*X1*X2^3", 3, F5)
+    f = parse_poly(GOLDEN_TEXT, 3, F5)
     curve = plane_curve(F5, f)
     triple = hw_triple(curve)
     dm = assemble_dm(triple)
@@ -43,7 +43,7 @@ def test_criterion_1_golden_example(F5):
     assert full_V.tolist() == GOLDEN_V
     assert result.final_type.values == GOLDEN_FINAL_TYPE
     assert result.weyl.one_line == GOLDEN_WEYL
-    assert weyl_word(result.weyl) == "s3*s2"
+    assert weyl_word(result.weyl) == GOLDEN_WEYL_WORD
     assert result.p_rank == 0 and result.a_number == 2 and result.stratum_dim == 2
     assert elapsed < 1.0, f"golden example took {elapsed:.3f}s"
     print(f"\nACCEPTANCE 1 (golden example, {elapsed * 1000:.0f} ms): PASS")
@@ -87,10 +87,10 @@ def test_criterion_3_superspecial_detection(F7):
 
 
 def test_criterion_4_oracle_enumeration():
-    """Module census realizes exactly 2^g classes at g = 1, 2, 3."""
+    """Module census realizes exactly 2^g classes at g = 1, 2, 3, 4."""
     start = time.perf_counter()
     field = field_new(2)
-    for g, expected in ((1, 2), (2, 4), (3, 8)):
+    for g, expected in ((1, 2), (2, 4), (3, 8), (4, 16)):
         outs = set()
         for mod in enumerate_polarized_dms(g):
             ft = final_type_from_FV(mod["F"], mod["V"], field)

@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_AF, GOLDEN_WEYL
 from eotypes import GradedPoly, PolyParseError, monomial_basis
 from eotypes.cli import (build_report, main, parse_poly, read_dm_file,
                          render_poly, validate_report)
-
-GOLDEN_TEXT = "X0^4+X1^4+X2^4+X0^3*X1+X0*X1^2*X2-X1^2*X2^2+3*X1*X2^3"
+from eotypes.golden import GOLDEN_AF, GOLDEN_TEXT, GOLDEN_WEYL, GOLDEN_WEYL_WORD
 
 
 def test_parse_golden(F5, golden_poly):
@@ -64,7 +62,7 @@ def test_cmd_eotype_json(capsys):
     assert report["weyl_one_line"] == list(GOLDEN_WEYL)
     assert report["hasse_witt"] == [[0, 4, 1], [0, 2, 3], [0, 2, 3]]
     assert report["a_number"] == 2 and report["p_rank"] == 0
-    assert report["weyl_word"] == "s3*s2"
+    assert report["weyl_word"] == GOLDEN_WEYL_WORD
     assert report["fast_tag"] == "interesting"
 
 
@@ -117,6 +115,26 @@ def test_classify_dm_bad_file(tmp_path, capsys):
     path2.write_text("2 5 1\n1 0\n")
     assert main(["classify-dm", str(path2)]) == 2
     capsys.readouterr()
+
+
+def test_classify_dm_p_beyond_int64_range(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("1 3037000493 1\n0\n1\n")
+    assert main(["classify-dm", str(path)]) == 3
+    capsys.readouterr()
+
+
+def test_classify_dm_missing_file(tmp_path, capsys):
+    assert main(["classify-dm", str(tmp_path / "absent.txt")]) == 3
+    err = capsys.readouterr().err
+    assert "absent.txt" in err and len(err.strip().splitlines()) == 1
+
+
+def test_out_path_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "absent" / "report.txt"
+    assert main(["eotype", "--p", "7", "--f", "x^3+y^3+z^3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "report.txt" in err and len(err.strip().splitlines()) == 1
 
 
 def test_scan_deterministic(tmp_path):

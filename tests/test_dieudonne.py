@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_AF, GOLDEN_V
 from eotypes import (ConstraintError, HWTriple, KraftWord, PolarizedDM,
                      assemble_dm, classify, dm_to_hw, enumerate_polarized_dms,
                      field_new, full_fv_matrices, random_hw_triple, rank,
                      standard_gram, standard_module, symplectic_perp,
                      validate_dm, validate_unpolarized)
 from eotypes.dieudonne import _block_diag
+from eotypes.golden import GOLDEN_AF, GOLDEN_V
 from eotypes.semilinear import Subspace
 
 

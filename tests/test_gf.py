@@ -46,9 +46,15 @@ def test_reducible_modulus_rejected():
         field_new(3, 2, (2, 0, 1))  # x^2 + 2 = (x-1)(x+1)
 
 
+# The extension-field benchmark outcomes depend on these choices.
+DEFAULT_MODULI = {(2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+                  (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (5, 2): (2, 0, 1),
+                  (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1), (31, 2): (1, 0, 1)}
+
+
 def test_default_modulus_deterministic():
-    assert field_new(2, 2).modulus == (1, 1, 1)
-    assert field_new(3, 2).modulus == (1, 0, 1)
+    for (p, m), modulus in DEFAULT_MODULI.items():
+        assert field_new(p, m).modulus == modulus, (p, m)
     assert field_new(2, 3).modulus == field_new(2, 3).modulus
     # a user-supplied equivalent gives an equal field
     assert field_new(3, 2, (1, 0, 1)) == field_new(3, 2)
@@ -81,11 +87,72 @@ def test_field_axioms_random(F9):
         assert int(F9.mul(code, F9.inv_scalar(code))) == 1
 
 
-def test_inverse_by_euclid_f25():
-    F25 = field_new(5, 2)
-    for code in range(1, 25):
-        inv = F25.inv_scalar(code)
-        assert int(F25.mul(code, inv)) == 1
+def _gauss_irreducible_count(p, m):
+    mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+    return sum(mobius[d] * p ** (m // d) for d in mobius if m % d == 0) // m
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_accepted_moduli_match_gauss_count(p, m):
+    accepted = 0
+    for code in range(p ** m):
+        modulus = [(code // p ** i) % p for i in range(m)] + [1]
+        try:
+            field_new(p, m, modulus)
+        except ConstraintError:
+            continue
+        accepted += 1
+    assert accepted == _gauss_irreducible_count(p, m)
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 2), (31, 2)])
+def test_inverse_and_frobenius_exhaustive(p, m):
+    F = field_new(p, m)
+    a = np.arange(1, F.q)
+    assert np.all(F.mul(a, F.inv(a)) == 1)
+    assert all(int(F.mul(c, F.inv_scalar(c))) == 1 for c in a)
+    assert np.array_equal(F.frob(a), F.pow_int(a, p))
+
+
+def test_inverse_by_power_without_table():
+    # q > 2^16: no inverse table, inverses are a^(q-2)
+    F = field_new(101, 3)
+    assert F.modulus == (1, 1, 0, 1)
+    a = F.random_elements(np.random.default_rng(3), (300,))
+    a = a[a != 0]
+    assert np.all(F.mul(a, F.inv(a)) == 1)
+    assert all(int(F.mul(c, F.inv_scalar(c))) == 1 for c in a[:20])
+    assert np.array_equal(F.pow_int(F.pow_int(a, -1), -1), a)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(np.array([1, 0]))
+
+
+def test_int64_range_enforced():
+    with pytest.raises(ConstraintError):
+        field_new(4294967311)  # (-1)*(-1) used to wrap
+    with pytest.raises(ConstraintError):
+        field_new(3037000493)  # a 2x2 matmul used to wrap
+    with pytest.raises(ConstraintError):
+        field_new(2097143, 2)  # one product's digit planes overflow through _red
+    F = field_new(2147483647)
+    minus_one = np.full((2, 2), F.p - 1)
+    assert F.matmul(minus_one, minus_one).tolist() == [[2, 2], [2, 2]]
+    with pytest.raises(ConstraintError):
+        F.matmul(np.full((2, 3), F.p - 1), np.full((3, 2), F.p - 1))
+
+
+@pytest.mark.parametrize("p", [65521, 32749])
+def test_matmul_exact_up_to_max_terms(p):
+    # worst-case digits through the digit planes and _red, at the bound
+    F = field_new(p, 2)
+    k = F.max_terms
+    assert 1 <= k < 1 << 20
+    row = np.full((1, k), F.q - 1)
+    expected = int(F.scale_int(k, F.mul(F.q - 1, F.q - 1)))
+    assert int(F.matmul(row, row.T)[0, 0]) == expected
+    with pytest.raises(ConstraintError):
+        F.matmul(np.full((1, k + 1), F.q - 1), np.full((k + 1, 1), F.q - 1))
 
 
 def test_inverse_of_zero_raises(F5, F9):
@@ -119,6 +186,7 @@ def test_format_parse(F5, F9):
     assert F9.format_element(5) == "2,1"
     assert F9.parse_element("2,1") == 5
     assert F9.parse_element("2") == 2
+    assert F9.parse_element(f"{10 ** 30},1") == 10 ** 30 % 3 + 3
     with pytest.raises(ConstraintError):
         F9.parse_element("1,2,3")
 

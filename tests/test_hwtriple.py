@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS,
-                      GOLDEN_U_SHIFTED, integer_power_terms)
+from conftest import GOLDEN_U_SHIFTED, integer_power_terms
 from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
                      TClass, ci_q_basis, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
+from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
 from eotypes.hwtriple import _hw_general_matrix, _psi_general
 from eotypes.semilinear import null_space
 

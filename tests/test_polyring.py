@@ -45,6 +45,18 @@ def test_poly_mul_ctx_mismatch(F5, F7):
         poly_mul(a, b)
 
 
+def test_poly_mul_int64_bound():
+    # at p = 2^31 - 1 one int64 sum holds two products of residues
+    F = field_new(2147483647)
+    two = GradedPoly.from_terms(F, 3, {(1, 0, 0): 1, (0, 1, 0): -1})
+    assert poly_mul(two, two) == GradedPoly.from_terms(
+        F, 3, {(2, 0, 0): 1, (1, 1, 0): -2, (0, 2, 0): 1})
+    # the X0^2*X1^2 coefficient of this square sums three products
+    three = GradedPoly.from_terms(F, 3, {(2, 0, 0): -1, (1, 1, 0): -1, (0, 2, 0): -1})
+    with pytest.raises(ConstraintError):
+        poly_mul(three, three)
+
+
 def test_golden_power_against_integer_oracle(F5, golden_poly):
     f4 = poly_pow(golden_poly, 4)
     oracle = integer_power_terms(GOLDEN_TERMS, 4)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_HW
 from eotypes import (ConstraintError, InternalInvariantError, Subspace,
                      TwistedMap, independent_subset, null_space,
                      rank, rref, solve_matrix, standard_gram, symplectic_perp,
                      twisted_image, twisted_kernel, twisted_preimage)
+from eotypes.golden import GOLDEN_HW
 
 
 def test_twisted_kernel_fixtures(F5, F4):
