@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
+import os
 import sys
 import time
 
@@ -269,25 +271,42 @@ def _curve_from_args(args, field: GF) -> CurveCI:
 
 @contextlib.contextmanager
 def _output(args):
-    """The --out file, closed on exit, or stdout when --out is absent."""
-    if getattr(args, "out", None):
-        with open(args.out, "w", newline="") as fh:
-            yield fh
-    else:
+    """Stdout, or a buffer for the --out file when it is given. The file is
+    opened before the block runs, so an unwritable path fails before any
+    work, and written only when the block succeeds: a failing command leaves
+    an existing file as it was and creates none."""
+    path = getattr(args, "out", None)
+    if not path:
         yield sys.stdout
+        return
+    try:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, os.O_WRONLY), False
+    with os.fdopen(fd, "w", newline="") as fh:
+        buf = io.StringIO()
+        try:
+            yield buf
+        except BaseException:
+            if created:
+                os.remove(path)
+            raise
+        fh.write(buf.getvalue())
+        if fh.seekable():
+            fh.truncate()
 
 
 def cmd_eotype(args) -> int:
-    field = _field_from_args(args)
-    curve = _curve_from_args(args, field)
-    t0 = time.perf_counter()
-    triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
-    t1 = time.perf_counter()
-    result = classify(triple)
-    t2 = time.perf_counter()
-    report = build_report(curve, triple, result, {
-        "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0})
     with _output(args) as out:
+        field = _field_from_args(args)
+        curve = _curve_from_args(args, field)
+        t0 = time.perf_counter()
+        triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
+        t1 = time.perf_counter()
+        result = classify(triple)
+        t2 = time.perf_counter()
+        report = build_report(curve, triple, result, {
+            "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0})
         if args.json:
             json.dump(report, out, indent=2)
             out.write("\n")
@@ -297,10 +316,10 @@ def cmd_eotype(args) -> int:
 
 
 def cmd_hw(args) -> int:
-    field = _field_from_args(args)
-    curve = _curve_from_args(args, field)
-    triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
     with _output(args) as out:
+        field = _field_from_args(args)
+        curve = _curve_from_args(args, field)
+        triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
         if args.json:
             payload = {
                 "p": field.p,
@@ -358,10 +377,10 @@ def read_dm_file(path: str):
 
 
 def cmd_classify_dm(args) -> int:
-    field, A_F = read_dm_file(args.file)
-    dm = PolarizedDM(field, A_F)
-    result = classify(dm)
     with _output(args) as out:
+        field, A_F = read_dm_file(args.file)
+        dm = PolarizedDM(field, A_F)
+        result = classify(dm)
         if args.json:
             payload = {
                 "p": field.p,

@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
-from .polyring import (GradedPoly, TClass, exponent_array, gather, partial_derivative,
-                       poly_mul, poly_pow, t_multiply, tmul_matrix)
+from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, exponent_array, gather,
+                       partial_derivative, poly_mul, poly_pow, power_work_bytes, t_multiply,
+                       tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
 
@@ -52,6 +53,13 @@ class CurveCI:
         self.d = sum(self.degrees)
         if n == 2 and self.d < 3:
             raise ConstraintError("a plane curve must have degree >= 3")
+        # p*d bounds the degree of every cube the curve builds: f^(p-2),
+        # (f_1...f_(n-1))^(p-1) and the Frobenius images of degree -p*d
+        work = power_work_bytes(field, nvars, field.p * self.d)
+        if work > WORK_BUDGET_BYTES:
+            raise ConstraintError(
+                f"the powers of this curve need about {work / 2 ** 30:.3g} GiB, above the "
+                f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
 
     def __repr__(self):
         return f"CurveCI(P^{self.n}, degrees={self.degrees}, {self.field!r})"
@@ -63,7 +71,8 @@ class CurveCI:
 
     @cached_property
     def _powers_pm1(self):
-        """f_i^(p-1), each formed as f_i * f_i^(p-2)."""
+        """f_i^(p-1), each formed as f_i * f_i^(p-2); the general path only
+        (the plane path reads the coefficients it needs off f^(p-2))."""
         return tuple(poly_mul(f, fp) for f, fp in zip(self.polys, self._powers_pm2))
 
     @cached_property
@@ -167,10 +176,16 @@ def hasse_witt_matrix(curve: CurveCI):
 
 
 def _hw_plane_matrix(curve: CurveCI):
-    p = curve.field.p
+    field, p = curve.field, curve.field.p
+    f = curve.polys[0]
     md = exponent_array(3, curve.d - 3)
-    # A[i, j] = coefficient of X^(p*m_j + p - 1 - m_i) in f^(p-1)
-    return gather(curve._powers_pm1[0], p * md[None] + (p - 1) - md[:, None])
+    g = len(md)
+    support = np.flatnonzero(f.coeffs)
+    # A[i, j] = coefficient of e_ij = p*m_j + p - 1 - m_i in f^(p-1) = f * f^(p-2),
+    # that is sum over the terms c_t X^t of f of c_t [f^(p-2)]_(e_ij - t)
+    e = p * md[None] + (p - 1) - md[:, None]
+    shifted = gather(curve._powers_pm2[0], e[:, :, None] - exponent_array(3, f.degree)[support])
+    return field.matmul(shifted.reshape(g * g, -1), f.coeffs[support, None]).reshape(g, g)
 
 
 def _hw_general_matrix(curve: CurveCI):

@@ -4,8 +4,22 @@ negatively graded dual classes in which Hasse-Witt data live.
 A homogeneous polynomial of degree D in variables X_0..X_n is a coefficient
 vector over the degree-D monomials in graded-lex order (X_0 largest).
 Multiplication goes through a dense "cube" representation indexed by the
-exponents of X_1..X_n (X_0 is implied by homogeneity), so products are plain
-integer convolutions reduced mod p.
+exponents of X_1..X_n (X_0 is implied by homogeneity): a product is the
+convolution of the factors' digit planes (m of them over GF(p^m)), taken in
+balanced residues of absolute value at most p/2 and reduced once at the end.
+
+The convolution is a floating-point FFT (numpy's rfftn/irfftn over lengths
+2^a 3^b 5^c) rounded to integers, used only when an a-priori bound proves the
+rounding exact. Percival's bound on the error of every output entry of a
+transform of size N = 2^n is ||a||*||b||*((6 + 3*sqrt(5))*n + sqrt(5))*eps
+for twiddle factors accurate to eps = 2^-53; it is taken as
+16*(log2(N) + 1)*eps*||a||*||b||, with ||a|| <= sqrt(terms)*max|entry| summed
+over the digit planes, and must stay below 1/4. That also keeps every exact
+entry below 2^53, so the rounded floats are the integers. A rounding
+residual of 1/4 or more at run time is an ``InternalInvariantError``. Where
+the bound fails (large p), the product is the exact int64 window loop
+``_conv_int``, one shifted add per nonzero. On both paths a sum of more than
+``GF.max_terms`` products is refused with ``ConstraintError``.
 
 A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
 Laurent monomials with every exponent <= -1, any product hitting a
@@ -22,18 +36,32 @@ s[a - c], so ``tmul_matrix`` and ``t_multiply`` are a gather and a matmul.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConstraintError, InternalInvariantError
 from .gf import DTYPE, GF, FieldElem
 
 
-class MonomialBasis:
-    """All exponent tuples of a fixed total degree, graded-lex descending."""
+# Largest working set, in bytes, that one product of exponent cubes may
+# need; a curve whose power would exceed it is refused before any arithmetic.
+WORK_BUDGET_BYTES = 1 << 30
 
-    __slots__ = ("nvars", "degree", "monomials", "index", "cube_shape", "flat_idx")
+# Float64 unit roundoff, and the constant of the FFT error bound (see the
+# module docstring).
+_EPS = 2.0 ** -53
+_FFT_ERROR_CONSTANT = 16
+
+
+class MonomialBasis:
+    """All exponent tuples of a fixed total degree, graded-lex descending.
+
+    ``exps`` is the read-only (len, nvars) array of them and ``flat_idx``
+    their positions in the cube; the tuple list ``monomials`` and the dict
+    ``index`` are built on first use only."""
+
+    __slots__ = ("nvars", "degree", "exps", "cube_shape", "flat_idx", "_monomials", "_index")
 
     def __init__(self, nvars: int, degree: int):
         if nvars < 1:
@@ -42,29 +70,50 @@ class MonomialBasis:
             raise ConstraintError("degree must be >= 0")
         self.nvars = nvars
         self.degree = degree
-        self.monomials = tuple(_exponents(nvars, degree))
-        self.index = {e: i for i, e in enumerate(self.monomials)}
         self.cube_shape = (degree + 1,) * (nvars - 1)
-        if nvars == 1:
-            self.flat_idx = np.zeros(1, dtype=np.intp)
-        else:
-            tails = np.array([e[1:] for e in self.monomials], dtype=np.intp)
-            self.flat_idx = np.ravel_multi_index(tails.T, self.cube_shape)
+        if 8 * prod(self.cube_shape) > WORK_BUDGET_BYTES:
+            raise ConstraintError(
+                f"the degree-{degree} cube in {nvars} variables exceeds the "
+                f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
+        tails = _tail_exponents(nvars - 1, degree)
+        exps = np.hstack([degree - tails.sum(axis=1, keepdims=True), tails])
+        exps.flags.writeable = False
+        self.exps = exps
+        self.flat_idx = tails @ (degree + 1) ** np.arange(nvars - 2, -1, -1, dtype=np.intp)
+        self._monomials = self._index = None
+
+    @property
+    def monomials(self):
+        if self._monomials is None:
+            self._monomials = tuple(map(tuple, self.exps.tolist()))
+        return self._monomials
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.monomials)}
+        return self._index
 
     def __len__(self):
-        return len(self.monomials)
+        return len(self.exps)
 
     def __repr__(self):
         return f"MonomialBasis(nvars={self.nvars}, degree={self.degree}, size={len(self)})"
 
 
-def _exponents(nvars, degree):
-    if nvars == 1:
-        yield (degree,)
-        return
-    for e0 in range(degree, -1, -1):
-        for rest in _exponents(nvars - 1, degree - e0):
-            yield (e0,) + rest
+def _tail_exponents(k: int, degree: int):
+    """All k-tuples of sum <= degree, by ascending sum and graded-lex
+    descending within a sum. The tuples of sum s are (s - |r|, r) for the
+    rows r of the (k-1)-tuple array of sum <= s, which is a prefix of it."""
+    rows = np.zeros((1, 0), np.intp)
+    for j in range(k):
+        # prefix length for each sum s: the number of j-tuples of sum <= s
+        lens = np.array([comb(s + j, j) for s in range(degree + 1)], np.intp)
+        sums = np.repeat(np.arange(degree + 1, dtype=np.intp), lens)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        prefix = rows[np.arange(len(sums)) - starts]
+        rows = np.hstack([(sums - prefix.sum(axis=1))[:, None], prefix])
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -84,22 +133,104 @@ def _conv_int(ca, cb):
     return out
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms without
+    Bluestein's algorithm."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_shape(out_shape):
+    return tuple(_fast_len(n) for n in out_shape)
+
+
+def _fft_error_bound(da, db, out_shape) -> float:
+    """A-priori bound on the error of every entry of the FFT product of the
+    digit planes da and db (leading axis): Percival's bound with each
+    plane's norm bounded by sqrt(terms) * max |entry|."""
+    def norm(planes):
+        return sum(np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max()) for x in planes)
+    log_n = np.log2(prod(_fft_shape(out_shape)))
+    return norm(da) * norm(db) * _EPS * _FFT_ERROR_CONSTANT * (log_n + 1)
+
+
+def _conv_fft(da, db, out_shape):
+    """Product planes of the digit planes da and db (leading axis, m each)
+    by floating-point FFT; None where the a-priori bound does not prove the
+    rounding exact. Squaring (db is da) transforms once."""
+    if _fft_error_bound(da, db, out_shape) >= 0.25:
+        return None
+    fshape = _fft_shape(out_shape)
+    axes = tuple(range(1, da.ndim))
+    A = np.fft.rfftn(da, fshape, axes=axes)
+    B = A if db is da else np.fft.rfftn(db, fshape, axes=axes)
+    m = len(da)
+    spec = np.zeros((2 * m - 1,) + A.shape[1:], A.dtype)
+    for i in range(m):
+        for j in range(m):
+            spec[i + j] += A[i] * B[j]
+    out = np.fft.irfftn(spec, fshape, axes=axes)[(slice(None),) + tuple(map(slice, out_shape))]
+    rounded = np.rint(out)
+    if np.abs(out - rounded).max() >= 0.25:
+        raise InternalInvariantError(
+            "FFT convolution left a rounding residual of 1/4 or more inside its error bound")
+    return rounded.astype(DTYPE)
+
+
+def _conv_window(da, db, out_shape):
+    """Product planes of the digit planes da and db by the exact window loop."""
+    m = len(da)
+    planes = np.zeros((2 * m - 1,) + out_shape, DTYPE)
+    for i in range(m):
+        for j in range(m):
+            planes[i + j] += _conv_int(da[i], db[j])
+    return planes
+
+
+def _digit_planes(field: GF, cube):
+    """Balanced digits of a code cube, plane axis first: residues of
+    absolute value at most p/2."""
+    digits = np.moveaxis(field.decode(cube), -1, 0)
+    return digits - field.p * (digits > field.p // 2)
+
+
 def _conv_field(field: GF, ca, cb):
+    """Product of two dense exponent cubes of codes; pass the same array
+    twice to square."""
     # an output entry sums at most one product per nonzero of the sparser cube
     terms = min(np.count_nonzero(ca), np.count_nonzero(cb))
     if terms > field.max_terms:
         raise ConstraintError(
             f"a product summing {terms} terms overflows int64 over {field!r}")
-    if field.m == 1:
-        return _conv_int(ca, cb) % field.p
-    m = field.m
-    da, db = field.decode(ca), field.decode(cb)
+    if ca.ndim == 0:
+        return field.mul(ca, cb)
+    da = _digit_planes(field, ca)
+    db = da if cb is ca else _digit_planes(field, cb)
     out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
-    planes = np.zeros(out_shape + (2 * m - 1,), DTYPE)
-    for i in range(m):
-        for j in range(m):
-            planes[..., i + j] += _conv_int(da[..., i], db[..., j])
-    return field.reduce_digit_planes(planes)
+    planes = _conv_fft(da, db, out_shape)
+    if planes is None:
+        planes = _conv_window(da, db, out_shape)
+    return field.reduce_digit_planes(np.moveaxis(planes, 0, -1))
+
+
+def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
+    """Peak bytes of a product of exponent cubes ending in degree `degree`,
+    in 8-byte words per cell of the padded transform: 4m-1 spectra (complex,
+    half the last axis), four arrays of 2m-1 output planes (real, rounded,
+    residual, integer) and four of m input digit planes."""
+    cells = prod(_fft_shape((degree + 1,) * (nvars - 1)))
+    m = field.m
+    return 8 * cells * ((4 * m - 1) + 4 * (2 * m - 1) + 4 * m)
 
 
 class GradedPoly:
@@ -226,22 +357,25 @@ class GradedPoly:
 
 def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
     a._check_compatible(b)
-    cube = _conv_field(a.field, a._cube(), b._cube())
+    ca = a._cube()
+    cube = _conv_field(a.field, ca, ca if b is a else b._cube())
     return GradedPoly._from_cube(a.field, a.nvars, a.degree + b.degree, cube)
 
 
 def poly_pow(a: GradedPoly, e: int) -> GradedPoly:
+    """a^e by square-and-multiply on exponent cubes."""
     if e < 0:
         raise ConstraintError("negative exponent")
-    result = GradedPoly.from_terms(a.field, a.nvars, {(0,) * a.nvars: 1})
-    base = a
-    while e > 0:
-        if e & 1:
-            result = poly_mul(result, base)
-        if e > 1:
-            base = poly_mul(base, base)
-        e >>= 1
-    return result
+    if e == 0:
+        return GradedPoly.from_terms(a.field, a.nvars, {(0,) * a.nvars: 1})
+    result, base, k = None, a._cube(), e
+    while k:
+        if k & 1:
+            result = base if result is None else _conv_field(a.field, result, base)
+        k >>= 1
+        if k:
+            base = _conv_field(a.field, base, base)
+    return GradedPoly._from_cube(a.field, a.nvars, a.degree * e, result)
 
 
 def partial_derivative(a: GradedPoly, j: int) -> GradedPoly:
@@ -383,15 +517,12 @@ class TClass:
         return f"TClass(degree={self.degree}: {self})"
 
 
-@lru_cache(maxsize=None)
 def exponent_array(nvars: int, degree: int):
     """Read-only (len, nvars) array of the degree's monomials in basis order;
     empty for a negative degree."""
     if degree < 0:
         return np.zeros((0, nvars), np.intp)
-    exps = np.array(monomial_basis(nvars, degree).monomials, np.intp)
-    exps.flags.writeable = False
-    return exps
+    return monomial_basis(nvars, degree).exps
 
 
 def gather(x, exps):

@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from eotypes import GradedPoly, PolyParseError, monomial_basis
+from eotypes import GradedPoly, PolyParseError, cli, monomial_basis
 from eotypes.cli import (build_report, main, parse_poly, read_dm_file,
                          render_poly, validate_report)
 from eotypes.golden import GOLDEN_AF, GOLDEN_TEXT, GOLDEN_WEYL, GOLDEN_WEYL_WORD
@@ -198,3 +199,37 @@ def test_extension_field_flags(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ext_degree"] == 2 and report["genus"] == 3
     validate_report(report)
+
+
+def test_eotype_beyond_work_budget_exits_fast(capsys):
+    t0 = time.perf_counter()
+    assert main(["eotype", "--p", "1000003", "--f", "x^4+y^4+z^4"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "work budget" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def computed(*args, **kwargs):
+        raise AssertionError("the curve was computed before --out was opened")
+    monkeypatch.setattr(cli, "hw_triple", computed)
+    out = tmp_path / "absent" / "report.txt"
+    for command in ("eotype", "hw"):
+        assert main([command, "--p", "101", "--f", "x^4+y^4+z^4+x*y^2*z",
+                     "--out", str(out)]) == 3
+    assert "report.txt" in capsys.readouterr().err
+
+
+def test_failing_curve_leaves_out_file_untouched(tmp_path, capsys):
+    fresh = tmp_path / "fresh.txt"
+    for command in ("eotype", "hw"):
+        assert main([command, "--p", "5", "--f", "X0^4+X1^4", "--out", str(fresh)]) == 4
+        assert not fresh.exists()
+    kept = tmp_path / "kept.txt"
+    kept.write_text("earlier report\n")
+    assert main(["eotype", "--p", "5", "--f", "X0^4+X1^4", "--out", str(kept)]) == 4
+    assert kept.read_text() == "earlier report\n"
+    # a success replaces all of a longer earlier content
+    kept.write_text("x" * 10000)
+    assert main(["eotype", "--p", "5", "--f", GOLDEN_TEXT, "--json", "--out", str(kept)]) == 0
+    validate_report(json.loads(kept.read_text()))
+    capsys.readouterr()

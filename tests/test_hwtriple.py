@@ -8,7 +8,8 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
-from eotypes.hwtriple import _hw_general_matrix, _psi_general
+from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general
+from eotypes.polyring import gather, poly_mul
 from eotypes.semilinear import null_space
 
 
@@ -269,3 +270,26 @@ def test_extension_field_curve_pipeline(F9):
             final_type_from_FV(full_F, full_V, F9) == res.final_type
         tags.append(t.fast_tag)
     assert "interesting" in tags
+
+
+@pytest.mark.parametrize("p,m,degrees", [(5, 1, (4, 6)), (31, 1, (4, 5)), (3, 2, (4, 5))])
+def test_hw_plane_matrix_matches_full_product(p, m, degrees):
+    """The coefficient-only Hasse-Witt matrix equals the gather from the
+    full product f * f^(p-2) it replaces (GF(5) takes sextics for quintics,
+    since 5 divides 5)."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(97 * p + m)
+    for d in degrees:
+        md = monomial_basis(3, d - 3).exps
+        for _ in range(4):
+            curve = plane_curve(field, GradedPoly(
+                field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),))))
+            full = poly_mul(curve.polys[0], curve._powers_pm2[0])
+            expected = gather(full, p * md[None] + (p - 1) - md[:, None])
+            assert np.array_equal(_hw_plane_matrix(curve), expected)
+
+
+def test_curve_beyond_work_budget_refused():
+    big = field_new(1000003)
+    with pytest.raises(ConstraintError, match="work budget"):
+        fermat_curve(big, 4)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN_TERMS, integer_power_terms, laurent_product_terms
-from eotypes import (ConstraintError, GradedPoly, TClass, coeff_of, field_new,
-                     monomial_basis, partial_derivative, poly_mul, poly_pow,
+from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass, coeff_of,
+                     field_new, monomial_basis, partial_derivative, poly_mul, poly_pow,
                      t_multiply, tmul_matrix)
+from eotypes.polyring import (MonomialBasis, _conv_fft, _conv_field, _conv_window,
+                              _digit_planes, _fft_error_bound, power_work_bytes)
 
 
 def test_basis_fixtures():
@@ -229,3 +231,124 @@ def test_t_multiply_matches_laurent_oracle(field_name, request):
                     field, s_terms, _laurent_terms(TClass(field, nvars, t_deg, unit)))
             checked += 1
     assert checked == 10
+
+
+def _lex_descending_exponents(nvars, degree):
+    """Oracle: every exponent tuple of the degree, sorted graded-lex descending."""
+    from itertools import product
+    return sorted((e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree),
+                  reverse=True)
+
+
+def test_basis_matches_sorted_oracle():
+    for nvars in (1, 2, 3, 4, 5):
+        for degree in range(7):
+            basis = MonomialBasis(nvars, degree)
+            expected = _lex_descending_exponents(nvars, degree)
+            assert basis.exps.tolist() == [list(e) for e in expected]
+            assert not basis.exps.flags.writeable
+            assert basis.monomials == tuple(expected)
+            assert all(basis.index[e] == i for i, e in enumerate(expected))
+            tails = np.array([e[1:] for e in expected], np.intp).reshape(len(expected), -1)
+            cube_shape = (degree + 1,) * (nvars - 1)
+            assert basis.flat_idx.tolist() == (
+                np.ravel_multi_index(tails.T, cube_shape).tolist() if nvars > 1 else [0])
+
+
+def test_basis_beyond_work_budget_refused():
+    with pytest.raises(ConstraintError, match="work budget"):
+        MonomialBasis(3, 100000)
+
+
+def _random_planes(field, rng, shape, density):
+    codes = field.random_elements(rng, shape) * (rng.random(shape) < density)
+    return codes, _digit_planes(field, codes)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2, 2), (7, 3), (31, 2)])
+def test_fft_convolution_matches_window_loop(p, m):
+    """The FFT product planes equal the exact window loop's, bit for bit,
+    on seeded cubes with 1 to 4 axes, for squares and distinct factors."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(1000 * p + m)
+    cases = 0
+    for axes in (1, 2, 3, 4):
+        side = {1: 40, 2: 12, 3: 6, 4: 4}[axes]
+        for density in (0.1, 0.5, 1.0):
+            shape_a = tuple(int(s) for s in rng.integers(1, side + 1, axes))
+            shape_b = tuple(int(s) for s in rng.integers(1, side + 1, axes))
+            ca, da = _random_planes(field, rng, shape_a, density)
+            cb, db = _random_planes(field, rng, shape_b, density)
+            for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
+                out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
+                exact = _conv_window(dx, dy, out_shape)
+                fast = _conv_fft(dx, dy, out_shape)
+                assert fast is not None and np.array_equal(fast, exact)
+                assert np.array_equal(_conv_field(field, x, y),
+                                      field.reduce_digit_planes(np.moveaxis(exact, 0, -1)))
+                cases += 1
+    assert cases == 24
+
+
+@pytest.mark.parametrize("axes", [1, 2])
+def test_fft_convolution_just_inside_bound(axes):
+    """Dense cubes of full-size balanced residues over GF(1000003), grown
+    until one more step would leave the a-priori bound, stay exact."""
+    field = field_new(1000003)
+    half = (field.p - 1) // 2
+    rng = np.random.default_rng(axes)
+    side = 1
+    while True:
+        out_shape = (2 * side + 1,) * axes
+        trial = np.full((1,) + (side + 1,) * axes, half, np.int64)
+        if _fft_error_bound(trial, trial, out_shape) >= 0.25:
+            break
+        side += 1
+    out_shape = (2 * side - 1,) * axes
+    for signs in (np.ones((1,) + (side,) * axes, np.int64),
+                  rng.choice([-1, 1], (1,) + (side,) * axes)):
+        da = half * signs
+        db = half * rng.choice([-1, 1], da.shape)
+        assert 0.1 < _fft_error_bound(da, db, out_shape) < 0.25
+        for x, y in ((da, db), (da, da)):
+            fast = _conv_fft(x, y, out_shape)
+            assert fast is not None and np.array_equal(fast, _conv_window(x, y, out_shape))
+
+
+def test_fft_refused_above_bound_takes_window_path():
+    # at p = 2^31 - 1 two products of full-size residues already break the bound
+    field = field_new(2147483647)
+    a = GradedPoly.from_terms(field, 3, {(1, 0, 0): field.p // 2, (0, 1, 0): -(field.p // 2)})
+    da = _digit_planes(field, a._cube())
+    out_shape = tuple(2 * s - 1 for s in a._cube().shape)
+    h = field.p // 2
+    # Percival's bound as documented: 16 (log2 N + 1) eps ||a|| ||b||, N = 3 x 3
+    expected = 16 * (np.log2(9) + 1) * 2.0 ** -53 * (np.sqrt(2) * h) ** 2
+    assert _fft_error_bound(da, da, out_shape) == pytest.approx(expected, rel=1e-12)
+    assert expected >= 0.25
+    assert _conv_fft(da, da, out_shape) is None
+    assert poly_mul(a, a) == GradedPoly.from_terms(
+        field, 3, {(2, 0, 0): h * h, (1, 1, 0): -2 * h * h, (0, 2, 0): h * h})
+
+
+def test_fft_perturbed_inverse_transform_raises(monkeypatch, golden_poly):
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: irfftn(*args, **kw) + 0.3)
+    with pytest.raises(InternalInvariantError, match="rounding residual"):
+        poly_pow(golden_poly, 3)
+
+
+def test_power_work_estimate_bounds_measured_peak():
+    import tracemalloc
+    for p, m, d in ((31, 1, 4), (7, 3, 5), (31, 2, 4)):
+        field = field_new(p, m)
+        f = GradedPoly(field, 3, d, field.random_elements(np.random.default_rng(p), (
+            len(monomial_basis(3, d)),)))
+        monomial_basis(3, (p - 2) * d)
+        tracemalloc.start()
+        try:
+            poly_pow(f, p - 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= power_work_bytes(field, 3, (p - 2) * d)
