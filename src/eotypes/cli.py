@@ -173,6 +173,10 @@ def render_poly(poly: GradedPoly) -> str:
 
 # -- reports ------------------------------------------------------------------
 
+# The value of the optional report field "smoothness": it is present only
+# when --skip-smoothness bypassed the plane smoothness check.
+SMOOTHNESS_SKIPPED = "skipped"
+
 _REPORT_FIELDS = {
     "p": int,
     "ext_degree": int,
@@ -199,6 +203,8 @@ def validate_report(report: dict) -> None:
             raise InternalInvariantError(f"report field {key!r} has the wrong type")
     if len(report["final_type"]) != 2 * report["genus"] + 1:
         raise InternalInvariantError("final_type length must be 2g+1")
+    if report.get("smoothness", SMOOTHNESS_SKIPPED) != SMOOTHNESS_SKIPPED:
+        raise InternalInvariantError("report field 'smoothness' can only say it was skipped")
     if json.loads(json.dumps(report)) != report:
         raise InternalInvariantError("report does not round-trip through JSON")
 
@@ -209,7 +215,10 @@ def _matrix_entries(field: GF, M):
     return [[[int(d) for d in field.decode(np.asarray(x))] for x in row] for row in M]
 
 
-def build_report(curve: CurveCI, triple, result: EOResult, timings: dict) -> dict:
+def build_report(curve: CurveCI, triple, result: EOResult, timings: dict, *,
+                 smoothness_skipped: bool = False) -> dict:
+    """The report of a classified curve. A curve whose smoothness was not
+    checked gets the extra field "smoothness": "skipped"."""
     field = curve.field
     report = {
         "p": field.p,
@@ -227,6 +236,8 @@ def build_report(curve: CurveCI, triple, result: EOResult, timings: dict) -> dic
         "fast_tag": result.fast_tag,
         "timings": timings,
     }
+    if smoothness_skipped:
+        report["smoothness"] = SMOOTHNESS_SKIPPED
     validate_report(report)
     return report
 
@@ -236,6 +247,8 @@ def _print_report(report: dict, out):
           (f"^{report['ext_degree']})" if report["ext_degree"] > 1 else ")"), file=out)
     print(f"curve: degrees {report['degrees']} in P^{report['n']}, genus {report['genus']}",
           file=out)
+    if "smoothness" in report:
+        print(f"smoothness: {report['smoothness']}", file=out)
     print("hasse-witt matrix:", file=out)
     for row in report["hasse_witt"]:
         print("  " + " ".join(str(x) for x in row), file=out)
@@ -306,7 +319,8 @@ def cmd_eotype(args) -> int:
         result = classify(triple)
         t2 = time.perf_counter()
         report = build_report(curve, triple, result, {
-            "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0})
+            "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0},
+            smoothness_skipped=args.skip_smoothness)
         if args.json:
             json.dump(report, out, indent=2)
             out.write("\n")
@@ -332,10 +346,14 @@ def cmd_hw(args) -> int:
                 "kernel_basis": _matrix_entries(field, triple.kappa),
                 "second_operator": _matrix_entries(field, triple.A_psi),
             }
+            if args.skip_smoothness:
+                payload["smoothness"] = SMOOTHNESS_SKIPPED
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
             print(f"genus {triple.g}, tag {triple.fast_tag}", file=out)
+            if args.skip_smoothness:
+                print(f"smoothness: {SMOOTHNESS_SKIPPED}", file=out)
             print("hasse-witt matrix:", file=out)
             for row in triple.A_phi:
                 print("  " + " ".join(field.format_element(x) for x in row), file=out)

@@ -15,9 +15,17 @@ rest derives from products: the Frobenius sigma has the digits of x^(p*j)
 as column j, and inverses are a^(q-2). A monic modulus is accepted iff
 sigma^m = 1 (so the ring is reduced and its factor degrees divide m) and
 sigma fixes only a line (so there is one factor): Berlekamp's test. The
-default modulus is the first accepted one in code order. Supported:
-p < 2^31, with one product's unreduced digit planes fitting int64; longer
-sums raise ``ConstraintError``.
+default modulus is the first accepted one in code order; a candidate with
+a root in GF(p) is skipped before the test.
+
+The product rule lives in ``mul_digits``, the unreduced product of two
+*digit views* (the codes themselves for m = 1, their digits otherwise): the
+2m-1 product planes folded through _red, with no reduction mod p. On digits
+in [0, p) every entry it returns lies in [0, term_bound], term_bound =
+m*(1 + (m-1)*(p-1))*(p-1)^2. ``mul`` reduces it to codes, and row reduction
+subtracts it unreduced. Supported: p < 2^31, with term_bound within int64;
+a sum of more than max_terms = INT64_MAX // term_bound products raises
+``ConstraintError``.
 """
 
 from __future__ import annotations
@@ -68,12 +76,15 @@ class GF:
             raise ConstraintError(f"extension degree m = {m} must be >= 1")
         p, m = int(p), int(m)
         self.p, self.m, self.q = p, m, p ** m
-        # Most terms one sum of products may hold: a digit plane gathers m
-        # products per term, and the m-1 high planes pass through _red unreduced.
-        self.max_terms = _INT64_MAX // (m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2)
+        # Largest entry of one unreduced product of digits in [0, p): a digit
+        # plane gathers m products, and the m-1 high planes pass through _red.
+        self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
+        # Most terms one sum of products may hold.
+        self.max_terms = _INT64_MAX // self.term_bound
         if self.q > _INT64_MAX or self.max_terms < 1:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         self._ppow = np.array([p ** i for i in range(m)], DTYPE)
+        self._eye = np.eye(m, dtype=DTYPE)
         self.modulus = None
         if m > 1:
             if modulus is None:
@@ -96,8 +107,20 @@ class GF:
         _red and Frobenius matrices; False if no candidate is irreducible."""
         from .semilinear import rank
         p, m = self.p, self.m
-        prime_field, eye = GF(p), np.eye(m, dtype=DTYPE)
+        prime_field, eye = GF(p), self._eye
+        xs, high = np.arange(p, dtype=DTYPE), None
         for modulus in candidates:
+            # A root in GF(p) makes a candidate reducible. The candidate is
+            # g(x) + c_0 with g = x^m + ... + c_1 x, so it has one iff -c_0
+            # is a value of g; those values serve every candidate sharing g.
+            if modulus[1:] != high:
+                high, g = modulus[1:], np.zeros(p, DTYPE)
+                for c in reversed(high):
+                    g = (g * xs + c) % p
+                values = np.zeros(p, bool)
+                values[g * xs % p] = True
+            if values[-modulus[0] % p]:
+                continue
             # x^m = -(c_0 + ... + c_(m-1) x^(m-1)), then x^(m+t+1) = x * x^(m+t)
             rows = [np.array([-c % p for c in modulus[:m]], DTYPE)]
             for _ in range(m - 2):
@@ -134,40 +157,64 @@ class GF:
         """Image of an integer under the canonical map Z -> GF(p^m)."""
         return int(c) % self.p
 
+    # -- digit views ---------------------------------------------------------
+
+    def digit_view(self, codes):
+        """The codes themselves for m = 1; their digits, a trailing axis of
+        length m, otherwise. Entries of a digit view may leave [0, p)."""
+        if self.m == 1:
+            return np.asarray(codes, DTYPE)
+        return self.decode(codes)
+
+    def from_digit_view(self, digits):
+        """Codes of a digit view, reducing its entries mod p."""
+        if self.m == 1:
+            return np.asarray(digits, DTYPE) % self.p
+        return self.encode(digits)
+
+    def mul_digits(self, a, b):
+        """Unreduced product of two digit views, broadcast against each
+        other. For entries in [0, p) each result entry lies in
+        [0, term_bound]."""
+        if self.m == 1:
+            return a * b
+        m = self.m
+        planes = np.zeros(np.broadcast(a, b).shape[:-1] + (2 * m - 1,), DTYPE)
+        for i in range(m):
+            planes[..., i:i + m] += a[..., i:i + 1] * b
+        return self._fold(planes)
+
+    def mul_outer(self, a, b):
+        """Unreduced products of every element of digit view a with every
+        element of b, shape (len(a), len(b)) plus the digit axis: the same
+        integers as mul_digits(a[:, None], b[None]). Over GF(p^m) the
+        product is linear in a's digits, so it is one matrix product of a
+        with the products x^i * b."""
+        if self.m == 1:
+            return np.multiply.outer(a, b)
+        m = self.m
+        basis_times_b = self.mul_digits(self._eye[:, None], b)
+        return (a @ basis_times_b.reshape(m, -1)).reshape(len(a), len(b), m)
+
+    def _fold(self, planes):
+        """Digit planes -> digits, through _red: the one reduction modulo
+        the modulus. Nothing is reduced mod p."""
+        m = self.m
+        return planes[..., :m] + planes[..., m:] @ self._red
+
     # -- arithmetic on code arrays -----------------------------------------
 
     def add(self, a, b):
-        a = np.asarray(a, DTYPE)
-        b = np.asarray(b, DTYPE)
-        if self.m == 1:
-            return (a + b) % self.p
-        return self.encode(self.decode(a) + self.decode(b))
+        return self.from_digit_view(self.digit_view(a) + self.digit_view(b))
 
     def sub(self, a, b):
-        a = np.asarray(a, DTYPE)
-        b = np.asarray(b, DTYPE)
-        if self.m == 1:
-            return (a - b) % self.p
-        return self.encode(self.decode(a) - self.decode(b))
+        return self.from_digit_view(self.digit_view(a) - self.digit_view(b))
 
     def neg(self, a):
-        a = np.asarray(a, DTYPE)
-        if self.m == 1:
-            return (-a) % self.p
-        return self.encode(-self.decode(a))
+        return self.from_digit_view(-self.digit_view(a))
 
     def mul(self, a, b):
-        a = np.asarray(a, DTYPE)
-        b = np.asarray(b, DTYPE)
-        if self.m == 1:
-            return (a * b) % self.p
-        da, db = self.decode(a), self.decode(b)
-        da, db = np.broadcast_arrays(da, db)
-        m = self.m
-        planes = np.zeros(da.shape[:-1] + (2 * m - 1,), DTYPE)
-        for i in range(m):
-            planes[..., i:i + m] += da[..., i:i + 1] * db
-        return self.reduce_digit_planes(planes)
+        return self.from_digit_view(self.mul_digits(self.digit_view(a), self.digit_view(b)))
 
     def scale_int(self, c, a):
         """Multiply codes by an integer scalar or array (image of c mod p)."""
@@ -179,13 +226,11 @@ class GF:
 
     def reduce_digit_planes(self, planes):
         """Collapse integer digit planes (trailing axis of length 2m-1,
-        indexing powers of the field generator) back to element codes.
-        This is the one reduction modulo the modulus."""
-        m = self.m
+        indexing powers of the field generator) back to element codes."""
         planes = np.asarray(planes, DTYPE)
-        if m == 1:
+        if self.m == 1:
             return planes[..., 0] % self.p
-        return self.encode(planes[..., :m] + planes[..., m:] @ self._red)
+        return self.encode(self._fold(planes))
 
     def inv_scalar(self, code):
         """Inverse of a single element: a table lookup, or a^(q-2)."""

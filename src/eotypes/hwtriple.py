@@ -11,15 +11,15 @@ path multiplies classes through the dual module directly.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from math import prod
+from math import comb, prod
 
 import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
 from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, exponent_array, gather,
-                       partial_derivative, poly_mul, poly_pow, power_work_bytes, t_multiply,
-                       tmul_matrix)
+                       linalg_work_bytes, partial_derivative, poly_mul, poly_pow,
+                       power_work_bytes, t_multiply, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
 
@@ -55,11 +55,7 @@ class CurveCI:
             raise ConstraintError("a plane curve must have degree >= 3")
         # p*d bounds the degree of every cube the curve builds: f^(p-2),
         # (f_1...f_(n-1))^(p-1) and the Frobenius images of degree -p*d
-        work = power_work_bytes(field, nvars, field.p * self.d)
-        if work > WORK_BUDGET_BYTES:
-            raise ConstraintError(
-                f"the powers of this curve need about {work / 2 ** 30:.3g} GiB, above the "
-                f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
+        _check_work("powers", power_work_bytes(field, nvars, field.p * self.d))
 
     def __repr__(self):
         return f"CurveCI(P^{self.n}, degrees={self.degrees}, {self.field!r})"
@@ -92,6 +88,9 @@ class CurveCI:
         """Echelon basis of Q: the joint kernel of multiplication by each f_i
         on the degree -d piece of the dual module."""
         field, nvars, d = self.field, self.nvars, self.d
+        rows = sum(TClass.basis_size(nvars, f.degree - d) for f in self.polys)
+        _check_work("Q space", linalg_work_bytes(
+            field, nvars, rows, TClass.basis_size(nvars, -d)))
         blocks = np.vstack([tmul_matrix(f, -d) for f in self.polys])
         sub = Subspace.span(field, null_space(field, blocks),
                             ambient=TClass.basis_size(nvars, -d))
@@ -108,6 +107,11 @@ class CurveCI:
         src_degrees = [n + 1 - 2 * d - f.degree for f in self.polys]
         sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rows = nvars * TClass.basis_size(nvars, n - 2 * d)
+        if n >= 3:
+            rows += sum(TClass.basis_size(nvars, m + f.degree)
+                        for m in src_degrees for f in self.polys)
+        _check_work("relation space", linalg_work_bytes(field, nvars, rows, int(offsets[-1])))
         blocks = [_derivative_matrix(self, src_degrees)]
         if n >= 3:
             # membership of each component in the curve's dual module
@@ -126,6 +130,13 @@ class CurveCI:
         vec = field.mul(vec, field.inv_scalar(int(vec[first])))
         return tuple(TClass(field, nvars, m, vec[offsets[i]:offsets[i + 1]])
                      for i, m in enumerate(src_degrees))
+
+
+def _check_work(what: str, work: int):
+    if work > WORK_BUDGET_BYTES:
+        raise ConstraintError(
+            f"the {what} of this curve would need about {work / 2 ** 30:.3g} GiB, above the "
+            f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
 
 
 def plane_curve(field: GF, f: GradedPoly) -> CurveCI:
@@ -157,6 +168,10 @@ def plane_smoothness_check(curve: CurveCI) -> bool:
     if curve.n != 2:
         raise ConstraintError("smoothness check only implemented for plane curves")
     f = curve.polys[0]
+    # one row per monomial of degree 3d-5, one column per partial derivative
+    # and monomial of degree 2d-4
+    _check_work("smoothness check", linalg_work_bytes(
+        curve.field, 3, comb(3 * f.degree - 3, 2), 3 * comb(2 * f.degree - 2, 2)))
     target = exponent_array(3, 3 * f.degree - 5)
     diffs = target[:, None] - exponent_array(3, 2 * f.degree - 4)[None]
     cols = np.hstack([gather(partial_derivative(f, j), diffs) for j in range(3)])
@@ -181,6 +196,7 @@ def _hw_plane_matrix(curve: CurveCI):
     md = exponent_array(3, curve.d - 3)
     g = len(md)
     support = np.flatnonzero(f.coeffs)
+    _check_work("Hasse-Witt matrix", linalg_work_bytes(field, 3, g * g, len(support)))
     # A[i, j] = coefficient of e_ij = p*m_j + p - 1 - m_i in f^(p-1) = f * f^(p-2),
     # that is sum over the terms c_t X^t of f of c_t [f^(p-2)]_(e_ij - t)
     e = p * md[None] + (p - 1) - md[:, None]

@@ -44,8 +44,9 @@ from .errors import ConstraintError, InternalInvariantError
 from .gf import DTYPE, GF, FieldElem
 
 
-# Largest working set, in bytes, that one product of exponent cubes may
-# need; a curve whose power would exceed it is refused before any arithmetic.
+# Largest working set, in bytes, that one product of exponent cubes or one
+# coefficient matrix may need; a curve that would exceed it is refused
+# before the arithmetic starts.
 WORK_BUDGET_BYTES = 1 << 30
 
 # Float64 unit roundoff, and the constant of the FFT error bound (see the
@@ -231,6 +232,15 @@ def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
     cells = prod(_fft_shape((degree + 1,) * (nvars - 1)))
     m = field.m
     return 8 * cells * ((4 * m - 1) + 4 * (2 * m - 1) + 4 * m)
+
+
+def linalg_work_bytes(field: GF, nvars: int, rows: int, cols: int) -> int:
+    """Peak bytes of gathering a rows x cols coefficient matrix and reducing
+    (or multiplying) it, in 8-byte words per entry: nvars exponent
+    differences and one code for the gather, then the m digits of rref's
+    digit view and at most 2m-1 words of one elimination step's products."""
+    m = field.m
+    return 8 * rows * cols * (nvars + 1 + m + 2 * m - 1)
 
 
 class GradedPoly:

@@ -8,6 +8,20 @@ Hasse-Witt kernel extraction and the canonical-flag construction.
 Every subspace is normalized to reduced row echelon form on creation, so
 subspace equality is literal equality of basis matrices and all downstream
 choices ("maximal independent subset in input order") are deterministic.
+
+``rref`` is one elimination loop on the *digit view* of the matrix: the code
+array itself over GF(p), its digits (rows, cols, m) over GF(p^m). An entry
+is reduced mod p only where it is read: the pivot column before the pivot
+search, and the pivot row before it is scaled by the pivot's inverse. The
+elimination subtracts the unreduced products of that column and row
+(``GF.mul_outer``) from the trailing columns, with no reduction. Headroom:
+the view starts in [0, p), and a step subtracts products of digits in
+[0, p), each in [0, term_bound], so after k steps every entry lies in
+[-k*term_bound, p). A full reduction mod p every ``max_terms`` =
+INT64_MAX // term_bound steps keeps it within int64. Between full
+reductions an entry only falls or is overwritten from [0, p), so one at or
+above p can only have wrapped; each full reduction and the end of the loop
+check for that.
 """
 
 from __future__ import annotations
@@ -20,30 +34,44 @@ from .gf import DTYPE, GF
 
 def rref(field: GF, M):
     """Reduced row echelon form. Returns (R, pivot column tuple)."""
-    M = np.array(M, DTYPE)
+    M = np.asarray(M, DTYPE)
     if M.ndim != 2:
         raise ConstraintError("rref expects a matrix")
-    nrows, ncols = M.shape
-    r = 0
-    pivots = []
-    for c in range(ncols):
+    p, nrows = field.p, M.shape[0]
+    D = field.digit_view(M) % p
+    pivots, steps = [], 0
+    for c in range(M.shape[1]):
+        r = len(pivots)
         if r == nrows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        col = D[:, c] % p
+        codes = field.from_digit_view(col[r:])
+        nz = codes.nonzero()[0]
         if nz.size == 0:
             continue
+        if steps == field.max_terms:
+            _check_headroom(D, p)
+            D %= p
+            steps = 0
         i = r + int(nz[0])
         if i != r:
-            M[[r, i]] = M[[i, r]]
-        M[r] = field.mul(M[r], field.inv_scalar(int(M[r, c])))
-        others = np.nonzero(M[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            M[others] = field.sub(M[others],
-                                  field.mul(M[others, c][:, None], M[r][None, :]))
+            D[[r, i]] = D[[i, r]]
+            col[[r, i]] = col[[i, r]]
+        inv = field.digit_view(field.inv_scalar(codes[nz[0]]))
+        row = field.mul_digits(D[r, c:] % p, inv) % p
+        D[:, c:] -= field.mul_outer(col, row)
+        D[r, c:] = row
         pivots.append(c)
-        r += 1
-    return M[:r], tuple(pivots)
+        steps += 1
+    _check_headroom(D, p)
+    return field.from_digit_view(D[:len(pivots)]), tuple(pivots)
+
+
+def _check_headroom(D, p):
+    """Raise if an entry of the digit view has wrapped past the bottom of
+    int64: no other way leads to an entry at or above p."""
+    if D.size and D.max() >= p:
+        raise InternalInvariantError("row reduction exceeded its int64 headroom")
 
 
 def rank(field: GF, M) -> int:

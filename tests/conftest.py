@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
 from eotypes import CurveCI, GradedPoly, field_new, hw_triple
+from eotypes.errors import ConstraintError
+from eotypes.gf import DTYPE
 
 # The worked quartic written as terms, independently of its text in
 # eotypes.golden; its known values live there too.
@@ -97,3 +100,33 @@ def laurent_product_terms(field, form_terms: dict, class_terms: dict) -> dict:
             if max(e) <= -1:
                 out[e] = int(field.add(out.get(e, 0), field.mul(cs, ct)))
     return {e: c for e, c in out.items() if c}
+
+
+def rref_oracle(field, M):
+    """Row reduction with every row operation through field.mul and
+    field.sub, so every entry is reduced as it is written: the independent
+    oracle of semilinear.rref's differential tests."""
+    M = np.array(M, DTYPE)
+    if M.ndim != 2:
+        raise ConstraintError("rref expects a matrix")
+    nrows, ncols = M.shape
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(M[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        M[r] = field.mul(M[r], field.inv_scalar(int(M[r, c])))
+        others = np.nonzero(M[:, c])[0]
+        others = others[others != r]
+        if others.size:
+            M[others] = field.sub(M[others],
+                                  field.mul(M[others, c][:, None], M[r][None, :]))
+        pivots.append(c)
+        r += 1
+    return M[:r], tuple(pivots)

@@ -65,6 +65,7 @@ def test_cmd_eotype_json(capsys):
     assert report["a_number"] == 2 and report["p_rank"] == 0
     assert report["weyl_word"] == GOLDEN_WEYL_WORD
     assert report["fast_tag"] == "interesting"
+    assert "smoothness" not in report  # a checked curve's report is unchanged
 
 
 def test_cmd_eotype_text(capsys):
@@ -206,6 +207,46 @@ def test_eotype_beyond_work_budget_exits_fast(capsys):
     assert main(["eotype", "--p", "1000003", "--f", "x^4+y^4+z^4"]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert "work budget" in capsys.readouterr().err
+
+
+def test_linear_algebra_beyond_work_budget_exits_fast(capsys):
+    # the smoothness matrix of a degree-301 plane curve would be 1.59 TiB
+    t0 = time.perf_counter()
+    assert main(["eotype", "--p", "5", "--f", "x^301+y^301+z^301"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "smoothness check" in err and "work budget" in err
+
+
+NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
+
+
+def test_skipped_smoothness_is_recorded(capsys):
+    assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC]) == 4
+    capsys.readouterr()
+    assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    validate_report(report)
+    assert report["smoothness"] == "skipped"
+    assert report["genus"] == 1 and report["fast_tag"] == "ordinary"
+    assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness"]) == 0
+    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()
+    assert main(["hw", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["smoothness"] == "skipped"
+    assert main(["hw", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness"]) == 0
+    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()
+    assert main(["hw", "--p", "5", "--f", GOLDEN_TEXT]) == 0
+    assert "smoothness" not in capsys.readouterr().out
+
+
+def test_report_smoothness_field_only_says_skipped(golden_curve, golden_triple):
+    from eotypes import classify
+    from eotypes.errors import InternalInvariantError
+    result = classify(golden_triple)
+    report = build_report(golden_curve, golden_triple, result, {}, smoothness_skipped=True)
+    assert report["smoothness"] == "skipped"
+    with pytest.raises(InternalInvariantError):
+        validate_report(dict(report, smoothness="checked"))
 
 
 def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):

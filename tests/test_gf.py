@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,28 @@ def test_scale_int_broadcast(F9):
             expect = int(F9.add(expect, a[i]))
         # w mod p acts by repeated addition
         assert int(out[i]) == expect
+
+
+def test_default_modulus_search_is_fast():
+    # 102 of GF(101^3)'s first 103 candidates have a root in GF(101)
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        F = field_new(101, 3)
+        times.append(time.perf_counter() - t0)
+    assert F.modulus == (1, 1, 0, 1)
+    assert min(times) < 0.010
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2147483647, 1), (2, 4), (7, 3), (31, 2), (101, 3)])
+def test_unreduced_products(p, m):
+    F = field_new(p, m)
+    rng = np.random.default_rng(p + m)
+    a, b = F.random_elements(rng, (7,)), F.random_elements(rng, (5,))
+    da, db = F.digit_view(a), F.digit_view(b)
+    table = F.mul_digits(da[:, None], db[None])
+    assert np.array_equal(F.mul_outer(da, db), table)
+    assert np.array_equal(F.from_digit_view(table), F.mul(a[:, None], b[None]))
+    # digits of q - 1 are all p - 1, the largest the products can see
+    top = F.mul_digits(F.digit_view(F.q - 1), F.digit_view(F.q - 1))
+    assert 0 <= table.min() and max(table.max(), top.max()) <= F.term_bound

@@ -7,6 +7,7 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
+from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
 from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general
 from eotypes.polyring import gather, poly_mul
@@ -293,3 +294,39 @@ def test_curve_beyond_work_budget_refused():
     big = field_new(1000003)
     with pytest.raises(ConstraintError, match="work budget"):
         fermat_curve(big, 4)
+
+
+def _ci_24_curve(field, quadric):
+    """A (2,4) curve in P^3: its Q is a kernel in a nonempty matrix, where
+    that of a plane or a (2,3) curve is the whole degree -d piece."""
+    quartic = GradedPoly.from_terms(field, 4, {(4, 0, 0, 0): 1, (0, 4, 0, 0): 1,
+                                               (0, 0, 4, 0): 1, (0, 0, 0, 4): 1})
+    return CurveCI(field, [quadric, quartic])
+
+
+def test_linear_algebra_budget_sizes_the_matrices_it_guards(monkeypatch, F5, ci_23_curve):
+    # each estimate must be taken on the shape of the matrix then gathered
+    estimated, reduced = [], []
+    monkeypatch.setattr(hwtriple, "linalg_work_bytes",
+                        lambda field, nvars, rows, cols: estimated.append((rows, cols)) or 0)
+    for name in ("null_space", "rank"):
+        original = getattr(hwtriple, name)
+        monkeypatch.setattr(hwtriple, name, lambda field, M, original=original:
+                            reduced.append(np.shape(M)) or original(field, M))
+    plane = fermat_curve(F5, 4)
+    plane_smoothness_check(plane)
+    for curve in (plane, CurveCI(F5, ci_23_curve.polys), _ci_24_curve(F5, ci_23_curve.polys[0])):
+        curve.q_basis
+        curve.u
+    assert estimated == reduced and (1, 10) in estimated
+
+
+def test_linear_algebra_beyond_work_budget_refused(monkeypatch, F5, ci_23_curve):
+    plane = fermat_curve(F5, 4)
+    curve = CurveCI(F5, ci_23_curve.polys)
+    curve_24 = _ci_24_curve(F5, ci_23_curve.polys[0])
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", 100)
+    for compute in (lambda: plane_smoothness_check(plane), lambda: curve_24.q_basis,
+                    lambda: curve.u, lambda: hasse_witt_matrix(plane)):
+        with pytest.raises(ConstraintError, match="work budget"):
+            compute()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from conftest import rref_oracle
 
 from eotypes import (ConstraintError, InternalInvariantError, Subspace,
-                     TwistedMap, independent_subset, null_space,
+                     TwistedMap, field_new, independent_subset, null_space,
                      rank, rref, solve_matrix, standard_gram, symplectic_perp,
                      twisted_image, twisted_kernel, twisted_preimage)
 from eotypes.golden import GOLDEN_HW
@@ -136,3 +137,58 @@ def test_extension_field_twisted_kernel(F4):
     f = TwistedMap(F4, M, 1)
     img = f.apply(k.rows[0])
     assert not img.any()
+
+
+DIFFERENTIAL_FIELDS = [(2, 1), (5, 1), (101, 1), (2 ** 31 - 1, 1), (2, 2), (3, 2),
+                       (7, 3), (31, 2), (2, 4), (101, 3)]
+
+
+def _differential_matrices(F, rng):
+    """Random, rank-deficient, zero-column, all-zero and empty matrices."""
+    out = [np.zeros((0, 4), np.int64), np.zeros((4, 0), np.int64),
+           np.zeros((0, 0), np.int64), np.zeros((3, 5), np.int64),
+           F.random_elements(rng, (24, 32)), F.random_elements(rng, (32, 24))]
+    for _ in range(6):
+        rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+        out.append(F.random_elements(rng, (rows, cols)))
+        k = int(rng.integers(1, min(rows, cols) + 1))
+        A, B = F.random_elements(rng, (rows, k)), F.random_elements(rng, (k, cols))
+        # of rank at most k; summed term by term, since GF(2^31 - 1) refuses
+        # a matmul of more than two terms
+        product = np.zeros((rows, cols), np.int64)
+        for t in range(k):
+            product = F.add(product, F.mul(A[:, t, None], B[None, t]))
+        out.append(product)
+        with_zero_columns = np.zeros((rows, cols + 3), np.int64)
+        keep = np.sort(rng.choice(cols + 3, cols, replace=False))
+        with_zero_columns[:, keep] = product
+        out.append(with_zero_columns)
+        out.append(np.vstack([product, product[::-1]]))
+    return out
+
+
+@pytest.mark.parametrize("p,m", DIFFERENTIAL_FIELDS)
+def test_rref_matches_oracle(p, m):
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for M in _differential_matrices(F, rng):
+        R, pivots = rref(F, M)
+        R_oracle, pivots_oracle = rref_oracle(F, M)
+        assert R.dtype == R_oracle.dtype and R.shape == R_oracle.shape
+        assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
+
+
+def test_rref_headroom_schedule():
+    # GF(2^31 - 1) allows two unreduced steps between full reductions. At
+    # step s the pivot is 1, every other entry of the pivot column is p - 1
+    # or just below it and the pivot row's other entries are p - 1, so each
+    # step subtracts nearly term_bound from every trailing entry: three
+    # steps without a reduction would pass below int64.
+    F = field_new(2 ** 31 - 1)
+    assert F.max_terms == 2
+    i, j = np.indices((8, 12))
+    M = np.where(i == j, i + 1, np.minimum(i, j) - 1) % F.p
+    R, pivots = rref(F, M)
+    R_oracle, pivots_oracle = rref_oracle(F, M)
+    assert pivots == tuple(range(8))
+    assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
