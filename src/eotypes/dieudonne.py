@@ -23,7 +23,7 @@ class PolarizedDM:
     """2g-dimensional module with Frobenius matrix A_F on the first-half
     coordinates (columns independent), over the standard alternating form."""
 
-    __slots__ = ("field", "g", "A_F", "gram", "_full")
+    __slots__ = ("field", "g", "A_F", "gram")
 
     def __init__(self, field: GF, A_F):
         A_F = np.asarray(A_F, DTYPE)
@@ -36,12 +36,6 @@ class PolarizedDM:
         self.g = g
         self.A_F = A_F
         self.gram = standard_gram(field, g)
-        self._full = None
-
-    def full_matrices(self):
-        if self._full is None:
-            self._full = full_fv_matrices(self)
-        return self._full
 
     def __repr__(self):
         return f"PolarizedDM(g={self.g}, {self.field!r})"
@@ -112,28 +106,22 @@ def validate_dm(full_F, full_V, gram, field: GF):
         violations.append("form not alternating")
     if rank(field, gram) != n:
         violations.append("form degenerate")
-    fmap = TwistedMap(field, full_F, 1)
-    vmap = TwistedMap(field, full_V, -1)
-    full = Subspace.full(field, n)
-    ker_f = twisted_kernel(fmap)
-    ker_v = twisted_kernel(vmap)
-    if ker_f != twisted_image(vmap, full):
-        violations.append("Ker F != Im V")
-    if ker_v != twisted_image(fmap, full):
-        violations.append("Ker V != Im F")
+    violations += validate_unpolarized(full_F, full_V, field)
     lhs = field.matmul(full_F.T, gram)
     rhs = field.frob(field.matmul(gram, full_V), 1)
     if not np.array_equal(lhs, rhs):
         violations.append("b(Fx,y) != b(x,Vy)^p")
-    for name, ker in (("Ker F", ker_f), ("Ker V", ker_v)):
+    for name, ker in (("Ker F", twisted_kernel(TwistedMap(field, full_F, 1))),
+                      ("Ker V", twisted_kernel(TwistedMap(field, full_V, -1)))):
         if 2 * ker.dim != n or not ker.is_subspace_of(symplectic_perp(ker, gram)):
             violations.append(f"{name} not maximal isotropic")
     return violations
 
 
 def validate_unpolarized(full_F, full_V, field: GF):
-    """Kernel-image axioms only, for modules carried without a form
-    (the cyclic standard modules are classified through F and V alone)."""
+    """Kernel-image axioms only, for modules carried without a form (the
+    cyclic standard modules are classified through F and V alone); the
+    first of validate_dm's checks on a polarized module."""
     full_F = np.asarray(full_F, DTYPE)
     full_V = np.asarray(full_V, DTYPE)
     n = full_F.shape[0]

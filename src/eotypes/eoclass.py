@@ -289,11 +289,11 @@ def superspecial_result(g: int) -> EOResult:
         FinalType([max(0, i - g) for i in range(2 * g + 1)]), "superspecial")
 
 
-def classify(obj, check_smooth: bool = True) -> EOResult:
+def classify(obj) -> EOResult:
     """End-to-end classification of a curve, a Hasse-Witt triple, or a
     polarized Dieudonne module."""
     if isinstance(obj, CurveCI):
-        return classify(hw_triple(obj, check_smooth=check_smooth))
+        return classify(hw_triple(obj))
     if isinstance(obj, HWTriple):
         return _classify_triple(obj)
     if isinstance(obj, PolarizedDM):

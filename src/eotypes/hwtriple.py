@@ -131,6 +131,11 @@ class CurveCI:
         return tuple(TClass(field, nvars, m, vec[offsets[i]:offsets[i + 1]])
                      for i, m in enumerate(src_degrees))
 
+    @cached_property
+    def mu(self):
+        """Pairing matrix of the generator u (``pairing_matrix``)."""
+        return pairing_matrix(self, self.u)
+
 
 def _check_work(what: str, work: int):
     if work > WORK_BUDGET_BYTES:
@@ -244,18 +249,15 @@ def psi_matrix(curve: CurveCI, A_phi, kappa, u):
 
 def _psi_plane(curve: CurveCI, kappa, u):
     field, p, d = curve.field, curve.field.p, curve.d
+    mu = pairing_matrix(curve, u)
     md = exponent_array(3, d - 3)
     big = exponent_array(3, 2 * d - 3)
-    # rows of B: coordinates of m_j * u in the degree -2d piece
-    B = gather(u[0], md[:, None] + big[None])
-    if rank(field, B) != len(md):
-        raise SingularCurveError("duality pairing is degenerate")
     # C[j, i] = coefficient of X^(p*m_j + p - 1 - M_i) in f^(p-2)
     C = gather(curve._powers_pm2[0], p * md[:, None] + (p - 1) - big[None])
     K = field.matmul(kappa, C)
     _assert_tuple_relations(curve, K.T)
-    # transpose(A_psi) . B = kappa . C
-    return solve_matrix(field, B.T, K.T)
+    # transpose(A_psi) . transpose(mu) = kappa . C
+    return solve_matrix(field, mu, K.T)
 
 
 def _psi_general(curve: CurveCI, kappa, u):
@@ -290,17 +292,23 @@ def _assert_tuple_relations(curve: CurveCI, xi_cols):
             "second operator image violates the derivative relations")
 
 
+def pairing_matrix(curve: CurveCI, u):
+    """Matrix mu whose column j is the stacked tuple monos[j] * u (degree
+    d-n-1 monomials); a rank other than g raises ``SingularCurveError``."""
+    field, nvars, k = curve.field, curve.nvars, curve.d - curve.n - 1
+    monos = exponent_array(nvars, k)
+    mu = np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]
+                           + monos[None]) for comp in u])
+    if rank(field, mu) != genus(curve):
+        raise SingularCurveError("duality pairing is degenerate")
+    return mu
+
+
 def theta_apply(curve: CurveCI, u, xi):
     """Coordinates in the dual of the Q basis of a tuple class xi,
     through the perfect pairing fixed by the generator u."""
-    field, nvars, k = curve.field, curve.nvars, curve.d - curve.n - 1
-    qb = ci_q_basis(curve)
-    monos = exponent_array(nvars, k)
-    # column j of mu: the stacked tuple monos[j] * u
-    mu = np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]
-                           + monos[None]) for comp in u])
-    if rank(field, mu) != qb.dim:
-        raise SingularCurveError("duality pairing is degenerate")
+    field, qb = curve.field, ci_q_basis(curve)
+    mu = curve.mu if u is curve.u else pairing_matrix(curve, u)
     xi_vec = np.concatenate([comp.coeffs for comp in xi])
     # the pairing of the degree d-n-1 monomials against the Q basis is qb.rows
     return field.matmul(qb.rows, solve_matrix(field, mu, xi_vec)[:, None])[:, 0]
@@ -356,6 +364,8 @@ def hw_triple(curve: CurveCI, check_smooth: bool = True) -> HWTriple:
     if curve.n == 2 and check_smooth and not plane_smoothness_check(curve):
         raise SingularCurveError("the plane curve is singular")
     g = genus(curve)
+    if curve.n >= 3:
+        curve.mu  # dim U = 1 and a perfect pairing: necessary, also at h = 0
     A_phi = hasse_witt_matrix(curve)
     kappa = null_space(field, A_phi)
     if kappa.shape[0]:

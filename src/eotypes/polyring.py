@@ -9,17 +9,21 @@ convolution of the factors' digit planes (m of them over GF(p^m)), taken in
 balanced residues of absolute value at most p/2 and reduced once at the end.
 
 The convolution is a floating-point FFT (numpy's rfftn/irfftn over lengths
-2^a 3^b 5^c) rounded to integers, used only when an a-priori bound proves the
-rounding exact. Percival's bound on the error of every output entry of a
-transform of size N = 2^n is ||a||*||b||*((6 + 3*sqrt(5))*n + sqrt(5))*eps
-for twiddle factors accurate to eps = 2^-53; it is taken as
-16*(log2(N) + 1)*eps*||a||*||b||, with ||a|| <= sqrt(terms)*max|entry| summed
-over the digit planes, and must stay below 1/4. That also keeps every exact
-entry below 2^53, so the rounded floats are the integers. A rounding
-residual of 1/4 or more at run time is an ``InternalInvariantError``. Where
-the bound fails (large p), the product is the exact int64 window loop
-``_conv_int``, one shifted add per nonzero. On both paths a sum of more than
-``GF.max_terms`` products is refused with ``ConstraintError``.
+2^a 3^b 5^c) rounded to integers. Percival's bound on the error of every
+output entry of a transform of size N = 2^n is
+||a||*||b||*((6 + 3*sqrt(5))*n + sqrt(5))*eps for twiddle factors accurate
+to eps = 2^-53; it is taken as 16*(log2(N) + 1)*eps*||a||*||b||, with
+||a|| <= sqrt(terms)*max|entry| summed over the planes transformed, and must
+stay below 1/4. That also keeps every exact entry below 2^47, so the rounded
+floats are the integers; a rounding residual of 1/4 or more at run time is
+an ``InternalInvariantError``. Where the digit planes fail the bound (large
+p), each balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a)
+of k bits that pass it: limb products land on digit i+j, limb a+b in the
+frequency domain, and the rounded limb planes P_t recombine by Horner's rule
+from the top limb. A sum of more than ``GF.max_terms`` products is refused
+with ``ConstraintError``, so for odd p every exact entry E of a digit plane
+has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial Horner sum
+lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never splits.
 
 A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
 Laurent monomials with every exponent <= -1, any product hitting a
@@ -36,6 +40,7 @@ s[a - c], so ``tmul_matrix`` and ``t_multiply`` are a gather and a matmul.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb, prod
 
 import numpy as np
@@ -122,18 +127,6 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree)
 
 
-def _conv_int(ca, cb):
-    """Exact integer convolution of two dense exponent cubes."""
-    out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
-    out = np.zeros(out_shape, DTYPE)
-    if np.count_nonzero(ca) > np.count_nonzero(cb):
-        ca, cb = cb, ca
-    for idx in np.argwhere(ca):
-        window = tuple(slice(int(i), int(i) + s) for i, s in zip(idx, cb.shape))
-        out[window] += ca[tuple(idx)] * cb
-    return out
-
-
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms without
     Bluestein's algorithm."""
@@ -157,44 +150,61 @@ def _fft_shape(out_shape):
 
 def _fft_error_bound(da, db, out_shape) -> float:
     """A-priori bound on the error of every entry of the FFT product of the
-    digit planes da and db (leading axis): Percival's bound with each
-    plane's norm bounded by sqrt(terms) * max |entry|."""
+    planes da and db (leading axis): Percival's bound with each plane's norm
+    bounded by sqrt(terms) * max |entry|."""
     def norm(planes):
         return sum(np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max()) for x in planes)
     log_n = np.log2(prod(_fft_shape(out_shape)))
     return norm(da) * norm(db) * _EPS * _FFT_ERROR_CONSTANT * (log_n + 1)
 
 
+def _limb_split(da, db, out_shape):
+    """(k, limbs, la, lb): the digit planes da and db as the fewest limbs of
+    k bits whose FFT product the a-priori bound proves exact. Limb a of
+    digit i is plane i*limbs + a of la: x = sum_a x_a 2^(k*a), every limb but
+    the top one balanced in [-2^(k-1), 2^(k-1)). One limb is da itself."""
+    def split(x):
+        out = []
+        for _ in range(limbs - 1):
+            out.append(((x + (1 << (k - 1))) & ((1 << k) - 1)) - (1 << (k - 1)))
+            x = (x - out[-1]) >> k
+        return np.stack(out + [x], axis=1).reshape((-1,) + x.shape[1:])
+
+    limbs, k, la, lb = 1, 0, da, db
+    while _fft_error_bound(la, lb, out_shape) >= 0.25:
+        bits = int(max(np.abs(da).max(), np.abs(db).max())).bit_length()
+        if limbs >= bits:
+            raise ConstraintError("no limb width makes this product an exact FFT convolution")
+        limbs += 1
+        k = -(-bits // limbs)
+        la = split(da)
+        lb = la if db is da else split(db)
+    return k, limbs, la, lb
+
+
 def _conv_fft(da, db, out_shape):
     """Product planes of the digit planes da and db (leading axis, m each)
-    by floating-point FFT; None where the a-priori bound does not prove the
-    rounding exact. Squaring (db is da) transforms once."""
-    if _fft_error_bound(da, db, out_shape) >= 0.25:
-        return None
+    by floating-point FFT of their limb planes (``_limb_split``): the
+    product of digits i, j and limbs a, b lands on digit i+j, limb a+b, and
+    the limbs recombine by shifts. Squaring (db is da) transforms once."""
+    k, limbs, la, lb = _limb_split(da, db, out_shape)
     fshape = _fft_shape(out_shape)
-    axes = tuple(range(1, da.ndim))
-    A = np.fft.rfftn(da, fshape, axes=axes)
-    B = A if db is da else np.fft.rfftn(db, fshape, axes=axes)
-    m = len(da)
-    spec = np.zeros((2 * m - 1,) + A.shape[1:], A.dtype)
-    for i in range(m):
-        for j in range(m):
-            spec[i + j] += A[i] * B[j]
+    axes = tuple(range(1, la.ndim))
+    A = np.fft.rfftn(la, fshape, axes=axes)
+    B = A if lb is la else np.fft.rfftn(lb, fshape, axes=axes)
+    m, width = len(da), 2 * limbs - 1
+    spec = np.zeros(((2 * m - 1) * width,) + A.shape[1:], A.dtype)
+    for (i, a), (j, b) in product(product(range(m), range(limbs)), repeat=2):
+        spec[(i + j) * width + a + b] += A[i * limbs + a] * B[j * limbs + b]
     out = np.fft.irfftn(spec, fshape, axes=axes)[(slice(None),) + tuple(map(slice, out_shape))]
     rounded = np.rint(out)
     if np.abs(out - rounded).max() >= 0.25:
         raise InternalInvariantError(
             "FFT convolution left a rounding residual of 1/4 or more inside its error bound")
-    return rounded.astype(DTYPE)
-
-
-def _conv_window(da, db, out_shape):
-    """Product planes of the digit planes da and db by the exact window loop."""
-    m = len(da)
-    planes = np.zeros((2 * m - 1,) + out_shape, DTYPE)
-    for i in range(m):
-        for j in range(m):
-            planes[i + j] += _conv_int(da[i], db[j])
+    limb_planes = rounded.astype(DTYPE).reshape((2 * m - 1, width) + out_shape)
+    planes = limb_planes[:, -1]
+    for t in range(width - 2, -1, -1):
+        planes = (planes << k) + limb_planes[:, t]
     return planes
 
 
@@ -218,17 +228,17 @@ def _conv_field(field: GF, ca, cb):
     da = _digit_planes(field, ca)
     db = da if cb is ca else _digit_planes(field, cb)
     out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
-    planes = _conv_fft(da, db, out_shape)
-    if planes is None:
-        planes = _conv_window(da, db, out_shape)
-    return field.reduce_digit_planes(np.moveaxis(planes, 0, -1))
+    return field.reduce_digit_planes(np.moveaxis(_conv_fft(da, db, out_shape), 0, -1))
 
 
 def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
     """Peak bytes of a product of exponent cubes ending in degree `degree`,
     in 8-byte words per cell of the padded transform: 4m-1 spectra (complex,
     half the last axis), four arrays of 2m-1 output planes (real, rounded,
-    residual, integer) and four of m input digit planes."""
+    residual, integer) and four of m input digit planes. One limb per digit
+    is all any curve within the work budget needs: with +-p/2 in every digit
+    of every monomial of both factors the bound is at most about 0.02 (a
+    plane cubic over GF(1151)), below the 1/4 that calls for a second."""
     cells = prod(_fft_shape((degree + 1,) * (nvars - 1)))
     m = field.m
     return 8 * cells * ((4 * m - 1) + 4 * (2 * m - 1) + 4 * m)
@@ -339,11 +349,6 @@ class GradedPoly:
         code = c.code if isinstance(c, FieldElem) else self.field.from_int(c)
         return GradedPoly(self.field, self.nvars, self.degree,
                           self.field.mul(self.coeffs, code))
-
-    def frobenius_coeffs(self, k: int = 1) -> "GradedPoly":
-        """Apply sigma^k to every coefficient (exponents unchanged)."""
-        return GradedPoly(self.field, self.nvars, self.degree,
-                          self.field.frob(self.coeffs, k))
 
     def __str__(self):
         parts = []
@@ -478,13 +483,8 @@ class TClass:
             coeffs[basis.index[s]] = int(field.add(coeffs[basis.index[s]], code))
         return cls(field, nvars, out.degree, coeffs)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def _cube(self):
-        cube = np.zeros(self.basis.cube_shape, DTYPE)
-        cube.reshape(-1)[self.basis.flat_idx] = self.coeffs
-        return cube
+    # a form's zero test and dense cube, over the shifted basis
+    is_zero, _cube = GradedPoly.is_zero, GradedPoly._cube
 
     def __add__(self, other):
         if (self.field != other.field or self.nvars != other.nvars

@@ -1,7 +1,10 @@
+import itertools
+from math import prod
+
 import numpy as np
 import pytest
 
-from eotypes import CurveCI, GradedPoly, field_new, hw_triple
+from eotypes import CurveCI, GradedPoly, field_new, hw_triple, partial_derivative
 from eotypes.errors import ConstraintError
 from eotypes.gf import DTYPE
 
@@ -130,3 +133,46 @@ def rref_oracle(field, M):
         pivots.append(c)
         r += 1
     return M[:r], tuple(pivots)
+
+
+def conv_oracle(da, db, out_shape):
+    """Product planes of the digit planes da and db (leading axis, m each)
+    by the exact int64 window loop: one shifted add of the other cube per
+    nonzero entry. The independent oracle of polyring's FFT products."""
+    m = len(da)
+    planes = np.zeros((2 * m - 1,) + tuple(out_shape), DTYPE)
+    for i in range(m):
+        for j in range(m):
+            x, y = da[i], db[j]
+            if np.count_nonzero(x) > np.count_nonzero(y):
+                x, y = y, x
+            for idx in np.argwhere(x):
+                window = tuple(slice(int(s), int(s) + n) for s, n in zip(idx, y.shape))
+                planes[(i + j,) + window] += x[tuple(idx)] * y
+    return planes
+
+
+def rational_singular_points(curve):
+    """Every GF(p)-rational point of P^n where all defining forms vanish and
+    their Jacobian has rank below n-1, by brute force over the normalized
+    representatives (first nonzero coordinate 1). Prime fields only."""
+    field, nvars = curve.field, curve.nvars
+    if field.m != 1:
+        raise ConstraintError("the singular-point oracle takes a prime field")
+    p = field.p
+    points = [pt for pt in itertools.product(range(p), repeat=nvars)
+              if any(pt) and pt[next(i for i, x in enumerate(pt) if x)] == 1]
+
+    def value(f, pt):
+        return sum(int(c) * prod(pow(x, int(e), p) for x, e in zip(pt, row))
+                   for row, c in zip(f.basis.exps, f.coeffs) if c) % p
+
+    jacobian = [[partial_derivative(f, j) for j in range(nvars)] for f in curve.polys]
+    singular = []
+    for pt in points:
+        if any(value(f, pt) for f in curve.polys):
+            continue
+        jac = [[value(df, pt) for df in row] for row in jacobian]
+        if len(rref_oracle(field, jac)[1]) < len(curve.polys):
+            singular.append(pt)
+    return singular

@@ -82,6 +82,14 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_space_curve_on_reducible_quadric_exits_singular(capsys):
+    # x*y = 0 splits the curve into two plane cubics meeting in three points;
+    # the ordinary path now checks dim U = 1 as well
+    assert main(["eotype", "--p", "7", "--n", "3", "--f", "x*y",
+                 "--f2", "X0^3+X1^3+X2^3+X3^3"]) == 4
+    assert "dim U = 3" in capsys.readouterr().err
+
+
 def test_skip_smoothness_flag(capsys):
     # singular input sneaks past the check but trips the rank-1 relation space
     code = main(["eotype", "--p", "5", "--f", "X0^4+X1^4", "--skip-smoothness"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_U_SHIFTED, integer_power_terms
+from conftest import GOLDEN_U_SHIFTED, integer_power_terms, rational_singular_points
 from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
                      TClass, ci_q_basis, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
@@ -330,3 +330,34 @@ def test_linear_algebra_beyond_work_budget_refused(monkeypatch, F5, ci_23_curve)
                     lambda: curve.u, lambda: hasse_witt_matrix(plane)):
         with pytest.raises(ConstraintError, match="work budget"):
             compute()
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_ci_23_rational_singular_point_rejected(p):
+    """Seeded (2,3) curves in P^3, every other one forced singular at
+    (1:0:0:0) (no X0^2 in the quadric, no X0^3 or X0^2*X_i in the cubic).
+    Every curve with a GF(p)-rational singular point, which a brute-force
+    search finds, raises SingularCurveError through dim U or the pairing,
+    also where h = 0. The check is necessary, not a certificate; for these
+    seeds the curves without one all classify."""
+    field = field_new(p)
+    rng = np.random.default_rng(p)
+    b2, b3 = monomial_basis(4, 2), monomial_basis(4, 3)
+    singular = 0
+    for draw in range(6):
+        c2 = field.random_elements(rng, (len(b2),))
+        c3 = field.random_elements(rng, (len(b3),))
+        if draw % 2 == 0:
+            c2[b2.index[(2, 0, 0, 0)]] = 0
+            for e in ((3, 0, 0, 0), (2, 1, 0, 0), (2, 0, 1, 0), (2, 0, 0, 1)):
+                c3[b3.index[e]] = 0
+        curve = CurveCI(field, [GradedPoly(field, 4, 2, c2), GradedPoly(field, 4, 3, c3)])
+        points = rational_singular_points(curve)
+        assert draw % 2 or (1, 0, 0, 0) in points
+        if points:
+            singular += 1
+            with pytest.raises(SingularCurveError, match="dim U|pairing"):
+                hw_triple(curve)
+        else:
+            assert hw_triple(curve).g == 4
+    assert singular >= 3

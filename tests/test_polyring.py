@@ -1,12 +1,17 @@
+from math import comb, prod
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_TERMS, integer_power_terms, laurent_product_terms
+from conftest import GOLDEN_TERMS, conv_oracle, integer_power_terms, laurent_product_terms
 from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass, coeff_of,
                      field_new, monomial_basis, partial_derivative, poly_mul, poly_pow,
                      t_multiply, tmul_matrix)
-from eotypes.polyring import (MonomialBasis, _conv_fft, _conv_field, _conv_window,
-                              _digit_planes, _fft_error_bound, power_work_bytes)
+from eotypes.gf import is_prime
+from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, _conv_fft, _conv_field,
+                              _digit_planes, _fft_error_bound, _fft_shape, _limb_split,
+                              power_work_bytes)
 
 
 def test_basis_fixtures():
@@ -260,34 +265,62 @@ def test_basis_beyond_work_budget_refused():
         MonomialBasis(3, 100000)
 
 
-def _random_planes(field, rng, shape, density):
+def _random_planes(field, rng, shape, density, max_nonzeros=None):
+    """Seeded codes of the given density, and their digit planes; with
+    max_nonzeros, only the first that many nonzeros are kept."""
     codes = field.random_elements(rng, shape) * (rng.random(shape) < density)
+    if max_nonzeros is not None:
+        codes = codes * (np.cumsum(codes != 0).reshape(shape) <= max_nonzeros)
     return codes, _digit_planes(field, codes)
 
 
-@pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2, 2), (7, 3), (31, 2)])
+@pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2, 2), (7, 3), (31, 2), (1048573, 1),
+                                 (2147483647, 1), (1048573, 2)])
 def test_fft_convolution_matches_window_loop(p, m):
     """The FFT product planes equal the exact window loop's, bit for bit,
-    on seeded cubes with 1 to 4 axes, for squares and distinct factors."""
+    on seeded cubes with 1 to 4 axes, for squares and distinct factors.
+    The first factor keeps at most GF.max_terms nonzeros, which thins it
+    over GF(2^31-1) and GF(1048573^2) only. The three large fields split their digits into several limbs
+    wherever the one-limb bound fails; the small ones never do."""
     field = field_new(p, m)
     rng = np.random.default_rng(1000 * p + m)
-    cases = 0
+    cases = limbs = 0
     for axes in (1, 2, 3, 4):
         side = {1: 40, 2: 12, 3: 6, 4: 4}[axes]
         for density in (0.1, 0.5, 1.0):
             shape_a = tuple(int(s) for s in rng.integers(1, side + 1, axes))
             shape_b = tuple(int(s) for s in rng.integers(1, side + 1, axes))
-            ca, da = _random_planes(field, rng, shape_a, density)
+            ca, da = _random_planes(field, rng, shape_a, density, field.max_terms)
             cb, db = _random_planes(field, rng, shape_b, density)
             for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
                 out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
-                exact = _conv_window(dx, dy, out_shape)
-                fast = _conv_fft(dx, dy, out_shape)
-                assert fast is not None and np.array_equal(fast, exact)
+                exact = conv_oracle(dx, dy, out_shape)
+                assert np.array_equal(_conv_fft(dx, dy, out_shape), exact)
                 assert np.array_equal(_conv_field(field, x, y),
                                       field.reduce_digit_planes(np.moveaxis(exact, 0, -1)))
+                limbs = max(limbs, _limb_split(dx, dy, out_shape)[1])
                 cases += 1
-    assert cases == 24
+    assert cases == 24 and (limbs > 1) == (p > 1000)
+
+
+def test_limb_split_degree_30_forms_match_window_loop():
+    """Two seeded degree-30 ternary forms over GF(1048573): the one-limb
+    bound is about 3.1, two limbs of 10 bits bring it far below 1/4, and
+    the product is the window loop's, bit for bit."""
+    field = field_new(1048573)
+    rng = np.random.default_rng(30)
+    size = len(monomial_basis(3, 30))
+    a, b = (GradedPoly(field, 3, 30, field.random_elements(rng, (size,))) for _ in range(2))
+    da, db = _digit_planes(field, a._cube()), _digit_planes(field, b._cube())
+    out_shape = (61, 61)
+    assert 3 < _fft_error_bound(da, db, out_shape) < 3.3
+    k, limbs, la, lb = _limb_split(da, db, out_shape)
+    assert (k, limbs) == (10, 2)
+    assert _fft_error_bound(la, lb, out_shape) < 0.25
+    exact = conv_oracle(da, db, out_shape)
+    assert np.array_equal(_conv_fft(da, db, out_shape), exact)
+    assert np.array_equal(poly_mul(a, b)._cube(),
+                          field.reduce_digit_planes(np.moveaxis(exact, 0, -1)))
 
 
 @pytest.mark.parametrize("axes", [1, 2])
@@ -311,12 +344,13 @@ def test_fft_convolution_just_inside_bound(axes):
         db = half * rng.choice([-1, 1], da.shape)
         assert 0.1 < _fft_error_bound(da, db, out_shape) < 0.25
         for x, y in ((da, db), (da, da)):
-            fast = _conv_fft(x, y, out_shape)
-            assert fast is not None and np.array_equal(fast, _conv_window(x, y, out_shape))
+            assert _limb_split(x, y, out_shape)[1] == 1
+            assert np.array_equal(_conv_fft(x, y, out_shape), conv_oracle(x, y, out_shape))
 
 
-def test_fft_refused_above_bound_takes_window_path():
-    # at p = 2^31 - 1 two products of full-size residues already break the bound
+def test_fft_above_one_limb_bound_splits_limbs():
+    # at p = 2^31 - 1 two products of full-size residues already break the
+    # one-limb bound; the fewest limbs that satisfy it give the exact product
     field = field_new(2147483647)
     a = GradedPoly.from_terms(field, 3, {(1, 0, 0): field.p // 2, (0, 1, 0): -(field.p // 2)})
     da = _digit_planes(field, a._cube())
@@ -326,9 +360,51 @@ def test_fft_refused_above_bound_takes_window_path():
     expected = 16 * (np.log2(9) + 1) * 2.0 ** -53 * (np.sqrt(2) * h) ** 2
     assert _fft_error_bound(da, da, out_shape) == pytest.approx(expected, rel=1e-12)
     assert expected >= 0.25
-    assert _conv_fft(da, da, out_shape) is None
+    k, limbs, la, lb = _limb_split(da, da, out_shape)
+    assert lb is la and (k, limbs) == (15, 2)
+    assert _fft_error_bound(la, la, out_shape) < 0.25
+    # the low limb is balanced, and the limbs recombine to the digits
+    assert np.abs(la[0]).max() <= 1 << (k - 1)
+    assert np.array_equal(la[0] + (la[1] << k), da[0])
+    assert np.array_equal(_conv_fft(da, da, out_shape), conv_oracle(da, da, out_shape))
     assert poly_mul(a, a) == GradedPoly.from_terms(
         field, 3, {(2, 0, 0): h * h, (1, 1, 0): -2 * h * h, (0, 2, 0): h * h})
+
+
+def test_budget_admitted_products_need_one_limb():
+    """The worst-case product of any curve the work budget admits has one
+    limb: both factors carry +-p/2 in every digit of every monomial, their
+    degrees split the largest admitted output degree p*d evenly (the term
+    count is log-concave in the degree), over every admitted field size,
+    ambient dimension and prime. The worst bound, about 0.02, belongs to a
+    plane cubic over GF(1151); its actual cubes give one limb."""
+    worst = (0.0,)
+    for nvars in range(3, 8):
+        k = nvars - 1
+        d_min = 3 if nvars == 3 else 2 * (nvars - 2)
+        for m in range(1, 63):
+            fake = SimpleNamespace(m=m)
+            p = 2
+            while power_work_bytes(fake, nvars, p * d_min) <= WORK_BUDGET_BYTES:
+                if is_prime(p) and p ** m < 2 ** 63:
+                    d = d_min
+                    while power_work_bytes(fake, nvars, p * (d + 1)) <= WORK_BUDGET_BYTES:
+                        d += 1
+                    half = -(-p * d // 2)
+                    norm = m * (p // 2) * np.sqrt(comb(half + k, k))
+                    log_n = np.log2(prod(_fft_shape((p * d + 1,) * k)))
+                    bound = norm ** 2 * 2.0 ** -53 * 16 * (log_n + 1)
+                    worst = max(worst, (bound, nvars, m, p, d))
+                p += 1
+    assert worst[1:] == (3, 1, 1151, 3) and 0.02 < worst[0] < 0.025
+    # the cubes themselves, the halves of degree 1727 and 1726
+    field = field_new(1151)
+    da, db = (np.where(np.add.outer(np.arange(e + 1), np.arange(e + 1)) <= e,
+                       field.p // 2, 0)[None] for e in (1727, 1726))
+    out_shape = (3454, 3454)
+    assert _fft_error_bound(da, db, out_shape) <= worst[0]
+    assert _limb_split(da, db, out_shape)[1] == 1
+    assert power_work_bytes(field, 3, 3 * 1151) <= WORK_BUDGET_BYTES
 
 
 def test_fft_perturbed_inverse_transform_raises(monkeypatch, golden_poly):
