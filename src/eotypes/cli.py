@@ -158,12 +158,7 @@ def parse_poly(text: str, nvars: int, ctx: GF) -> GradedPoly:
                 f"polynomial is not homogeneous: term of degree {d} after degree {degree}")
         key = tuple(e)
         exps[key] = exps.get(key, 0) + sign * coef
-    poly = GradedPoly.zero(ctx, nvars, degree)
-    coeffs = poly.coeffs.copy()
-    basis = poly.basis
-    for e, c in exps.items():
-        coeffs[basis.index[e]] = ctx.from_int(c)
-    return GradedPoly(ctx, nvars, degree, coeffs)
+    return GradedPoly.from_terms(ctx, nvars, exps)
 
 
 def render_poly(poly: GradedPoly) -> str:
@@ -422,10 +417,12 @@ def cmd_classify_dm(args) -> int:
 def run_scan(p: int, d: int, count: int, seed: int, out) -> dict:
     """Sample random degree-d plane forms, classify the smooth ones, and
     write a deterministic histogram as CSV."""
+    if count < 0 or seed < 0:
+        raise ConstraintError(f"count and seed must be non-negative, got {count} and {seed}")
     field = field_new(p)
     basis = monomial_basis(3, d)
     rng = np.random.default_rng(seed)
-    hist = {}
+    hist, results = {}, {}  # per Weyl coset: count, and one result
     singular = 0
     for index in range(count):
         coeffs = rng.integers(0, p, size=len(basis), dtype=np.int64)
@@ -439,18 +436,16 @@ def run_scan(p: int, d: int, count: int, seed: int, out) -> dict:
         except InternalInvariantError:
             print(f"internal error at sample index {index}", file=sys.stderr)
             raise
-        hist[result.weyl.one_line] = hist.get(result.weyl.one_line, 0) + 1
+        w = result.weyl.one_line
+        hist[w] = hist.get(w, 0) + 1
+        results.setdefault(w, result)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["weyl_one_line", "final_type", "p_rank", "a_number",
                      "stratum_dim", "count"])
-    from .eoclass import WeylCoset, final_type_from_weyl, invariants_from_weyl
-    for w_line in sorted(hist):
-        w = WeylCoset(w_line)
-        ft = final_type_from_weyl(w)
-        p_rank, a_number, dim = invariants_from_weyl(w, w.g)
-        writer.writerow([" ".join(map(str, w_line)),
-                         " ".join(map(str, ft.values)),
-                         p_rank, a_number, dim, hist[w_line]])
+    for w in sorted(hist):
+        res = results[w]
+        writer.writerow([" ".join(map(str, w)), " ".join(map(str, res.final_type.values)),
+                         res.p_rank, res.a_number, res.stratum_dim, hist[w]])
     writer.writerow(["SINGULAR", "", "", "", "", singular])
     writer.writerow(["TOTAL", "", "", "", "", count])
     return {"hist": hist, "singular": singular}

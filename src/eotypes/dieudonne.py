@@ -14,9 +14,9 @@ import numpy as np
 from .errors import ConstraintError
 from .gf import DTYPE, GF
 from .hwtriple import HWTriple
-from .semilinear import (Subspace, TwistedMap, null_space, rank, solve_matrix,
-                         standard_gram, symplectic_perp, twisted_image,
-                         twisted_kernel)
+from .semilinear import (Subspace, TwistedMap, independent_subset, null_space,
+                         rank, solve_matrix, standard_gram, symplectic_perp,
+                         twisted_image, twisted_kernel)
 
 
 class PolarizedDM:
@@ -45,7 +45,11 @@ def assemble_dm(triple: HWTriple, scan: str = "descending") -> PolarizedDM:
     """Build the module of a triple: pick a complement of the kernel out of
     standard basis vectors (scanned in descending index order by default),
     route complement coordinates through the first operator and kernel
-    coordinates through the second, writing dual rows bottom-up."""
+    coordinates through the second, writing dual rows bottom-up.
+
+    The complement is the basis vectors that raise the rank after the
+    kernel basis, read off as pivot columns by ``independent_subset``; the
+    kernel rows are independent, so they are its first h pivots."""
     field, g, h = triple.field, triple.g, triple.h
     if scan == "descending":
         order = range(g - 1, -1, -1)
@@ -53,20 +57,11 @@ def assemble_dm(triple: HWTriple, scan: str = "descending") -> PolarizedDM:
         order = range(g)
     else:
         raise ConstraintError(f"unknown scan order {scan!r}")
-    current = Subspace.span(field, triple.kappa, ambient=g)
-    complement = []
-    for i in order:
-        if len(complement) == g - h:
-            break
-        e = np.zeros(g, DTYPE)
-        e[i] = 1
-        if not current.contains(e):
-            complement.append(i)
-            current = Subspace.span(field, np.vstack([current.rows, e[None, :]]))
-    complement.sort()
+    basis = np.eye(g, dtype=DTYPE)[list(order)]
+    kept = independent_subset(field, np.vstack([triple.kappa, basis]))[0]
+    complement = sorted(order[k - h] for k in kept[h:])
     decomp = np.zeros((g, g), DTYPE)
-    for col, i in enumerate(complement):
-        decomp[i, col] = 1
+    decomp[complement, np.arange(g - h)] = 1
     decomp[:, g - h:] = triple.kappa.T
     # coords[:, j] expresses e_j over (complement vectors, kernel basis)
     coords = solve_matrix(field, decomp, np.eye(g, dtype=DTYPE))
@@ -146,23 +141,14 @@ def dm_to_hw(full_F, full_V, gram, field: GF) -> HWTriple:
     gram = np.asarray(gram, DTYPE)
     n = full_F.shape[0]
     ker = twisted_kernel(TwistedMap(field, full_F, 1))
-    comp = [i for i in range(n) if i not in set(ker.pivots)]
+    comp = [i for i in range(n) if i not in ker.pivots]
     g = len(comp)
-
-    def project(vec):
-        return ker.reduce(vec)[comp]
-
-    A_phi = np.zeros((g, g), DTYPE)
-    for col, i in enumerate(comp):
-        A_phi[:, col] = project(full_F[:, i])
+    A_phi = ker.reduce(full_F[:, comp].T)[:, comp].T
     kappa = null_space(field, A_phi)
-    h = kappa.shape[0]
-    A_psi = np.zeros((g, h), DTYPE)
-    for j in range(h):
-        lift = np.zeros(n, DTYPE)
-        lift[comp] = kappa[j]  # sigma of the twisted-kernel vector's lift
-        fv = field.matmul(full_F, lift[:, None])[:, 0]
-        A_psi[:, j] = field.matmul(gram, fv[:, None])[:, 0][comp]
+    # lifts of the twisted-kernel vectors' sigma-images, one per column
+    lift = np.zeros((n, kappa.shape[0]), DTYPE)
+    lift[comp] = kappa.T
+    A_psi = field.matmul(gram, field.matmul(full_F, lift))[comp]
     return HWTriple(field, g, A_phi, kappa, A_psi)
 
 

@@ -105,7 +105,13 @@ class EOResult:
     p_rank: int
     a_number: int
     stratum_dim: int
-    fast_tag: str
+
+    @property
+    def fast_tag(self) -> str:
+        """superspecial (a-number g), ordinary (p-rank g) or interesting."""
+        if self.a_number == self.weyl.g:
+            return "superspecial"
+        return "ordinary" if self.p_rank == self.weyl.g else "interesting"
 
     def __str__(self):
         return (f"w={list(self.weyl.one_line)} ({weyl_word(self.weyl)}), "
@@ -163,7 +169,7 @@ def final_type_from_AF(A_F, gram, field: GF) -> FinalType:
         i = pending[0]
         vecs = basis[i]
         images = field.matmul(A_F, field.frob(vecs[:, :g].T, 1)).T
-        kept_idx, kept, span = independent_subset(field, images)
+        _, kept, span = independent_subset(field, images)
         fi = span.dim
         f[i] = fi
         if fi not in basis:
@@ -273,20 +279,17 @@ def stable_rank(field: GF, A) -> int:
     return rank(field, S)
 
 
-def _result_from_final_type(f: FinalType, fast_tag: str) -> EOResult:
+def _result_from_final_type(f: FinalType) -> EOResult:
     w = weyl_from_final_type(f)
-    p_rank, a_number, stratum_dim = invariants_from_weyl(w, f.g)
-    return EOResult(w, f, p_rank, a_number, stratum_dim, fast_tag)
+    return EOResult(w, f, *invariants_from_weyl(w, f.g))
 
 
 def ordinary_result(g: int) -> EOResult:
-    return _result_from_final_type(
-        FinalType([min(i, g) for i in range(2 * g + 1)]), "ordinary")
+    return _result_from_final_type(FinalType([min(i, g) for i in range(2 * g + 1)]))
 
 
 def superspecial_result(g: int) -> EOResult:
-    return _result_from_final_type(
-        FinalType([max(0, i - g) for i in range(2 * g + 1)]), "superspecial")
+    return _result_from_final_type(FinalType([max(0, i - g) for i in range(2 * g + 1)]))
 
 
 def classify(obj) -> EOResult:
@@ -297,13 +300,7 @@ def classify(obj) -> EOResult:
     if isinstance(obj, HWTriple):
         return _classify_triple(obj)
     if isinstance(obj, PolarizedDM):
-        f = final_type_from_AF(obj.A_F, obj.gram, obj.field)
-        res = _result_from_final_type(f, "interesting")
-        if res.a_number == obj.g:
-            res.fast_tag = "superspecial"
-        elif res.p_rank == obj.g:
-            res.fast_tag = "ordinary"
-        return res
+        return _result_from_final_type(final_type_from_AF(obj.A_F, obj.gram, obj.field))
     raise ConstraintError(f"cannot classify an object of type {type(obj).__name__}")
 
 
@@ -315,7 +312,6 @@ def _classify_triple(triple: HWTriple) -> EOResult:
         res = superspecial_result(g)
     else:
         res = classify(assemble_dm(triple))
-        res.fast_tag = "interesting"
     # consistency formulas tying the coset back to the triple
     if res.a_number != triple.h or res.a_number != g - res.final_type[g]:
         raise InternalInvariantError("a-number does not match the kernel dimension")

@@ -213,12 +213,9 @@ def _hw_general_matrix(curve: CurveCI):
     field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
     F = curve._product_pm1
-    cols = []
-    for row in qb.rows:
-        t = TClass(field, nvars, -d, row)
-        image = t_multiply(F, t.frobenius())
-        cols.append(qb.coords_of(image.coeffs))
-    return np.array(cols, DTYPE).T
+    images = [t_multiply(F, TClass(field, nvars, -d, row).frobenius()).coeffs
+              for row in qb.rows]
+    return qb.coords_of(np.array(images, DTYPE)).T
 
 
 def _derivative_matrix(curve: CurveCI, src_degrees):

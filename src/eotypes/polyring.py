@@ -286,13 +286,13 @@ class GradedPoly:
         degrees = {sum(e) for e in terms}
         if len(degrees) != 1:
             raise ConstraintError(f"terms are not homogeneous: degrees {sorted(degrees)}")
-        poly = cls.zero(field, nvars, degrees.pop())
-        basis = poly.basis
-        coeffs = poly.coeffs.copy()
+        degree = degrees.pop()
+        basis = monomial_basis(nvars, degree)
+        coeffs = np.zeros(len(basis), DTYPE)
         for e, c in terms.items():
             code = c.code if isinstance(c, FieldElem) else field.from_int(c)
-            coeffs[basis.index[tuple(e)]] = int(field.add(coeffs[basis.index[tuple(e)]], code))
-        return cls(field, nvars, poly.degree, coeffs)
+            coeffs[basis.index[tuple(e)]] = code
+        return cls(field, nvars, degree, coeffs)
 
     @classmethod
     def monomial(cls, field, nvars, exponents, coeff=1):
@@ -475,13 +475,7 @@ class TClass:
         degrees = {sum(e) for e in terms}
         if len(degrees) != 1:
             raise ConstraintError("terms are not homogeneous")
-        out = cls.zero(field, nvars, degrees.pop())
-        basis = out.basis
-        coeffs = out.coeffs.copy()
-        for s, c in shifted.items():
-            code = c.code if isinstance(c, FieldElem) else field.from_int(c)
-            coeffs[basis.index[s]] = int(field.add(coeffs[basis.index[s]], code))
-        return cls(field, nvars, out.degree, coeffs)
+        return cls(field, nvars, degrees.pop(), GradedPoly.from_terms(field, nvars, shifted).coeffs)
 
     # a form's zero test and dense cube, over the shifted basis
     is_zero, _cube = GradedPoly.is_zero, GradedPoly._cube

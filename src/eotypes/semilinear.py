@@ -7,7 +7,9 @@ Hasse-Witt kernel extraction and the canonical-flag construction.
 
 Every subspace is normalized to reduced row echelon form on creation, so
 subspace equality is literal equality of basis matrices and all downstream
-choices ("maximal independent subset in input order") are deterministic.
+choices are deterministic. A greedy choice ("the vectors, in input order,
+that raise the rank") is one echelon pass: the vectors that raise the rank
+are exactly the pivot columns of the matrix whose columns they are.
 
 ``rref`` is one elimination loop on the *digit view* of the matrix: the code
 array itself over GF(p), its digits (rows, cols, m) over GF(p^m). An entry
@@ -83,12 +85,10 @@ def null_space(field: GF, M):
     M = np.asarray(M, DTYPE)
     ncols = M.shape[1]
     R, pivots = rref(field, M)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), DTYPE)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = field.neg(R[i, fc])
+    basis[np.arange(len(free)), free] = 1
+    basis[:, list(pivots)] = field.neg(R[:, free].T)
     return rref(field, basis)[0]
 
 
@@ -108,8 +108,7 @@ def solve_matrix(field: GF, A, B):
     if any(pc >= ncols for pc in pivots):
         raise InternalInvariantError("inconsistent linear system")
     X = np.zeros((ncols, B.shape[1]), DTYPE)
-    for i, pc in enumerate(pivots):
-        X[pc] = R[i, ncols:]
+    X[list(pivots)] = R[:, ncols:]
     return X[:, 0] if vector else X
 
 
@@ -147,30 +146,25 @@ class Subspace:
         return self.rows.shape[0]
 
     def reduce(self, v):
-        """Residual of v after eliminating this subspace's pivot coordinates."""
+        """Residual of a vector, or of each row of a matrix, after
+        eliminating this subspace's pivot coordinates."""
         v = np.asarray(v, DTYPE)
-        if self.dim == 0:
-            return v.copy()
-        c = v[list(self.pivots)]
-        return self.field.sub(v, self.field.matmul(c[None, :], self.rows)[0])
+        c = np.atleast_2d(v)[:, list(self.pivots)]
+        return self.field.sub(v, self.field.matmul(c, self.rows).reshape(v.shape))
 
     def contains(self, v) -> bool:
+        """Whether a vector, or every row of a matrix, lies in the span."""
         return not self.reduce(v).any()
 
     def coords_of(self, v):
-        """Coordinates of v over the echelon basis; v must lie in the span."""
-        v = np.asarray(v, DTYPE)
-        c = v[list(self.pivots)]
-        if self.dim:
-            recon = self.field.matmul(c[None, :], self.rows)[0]
-        else:
-            recon = np.zeros(self.ambient, DTYPE)
-        if not np.array_equal(recon, v):
+        """Coordinates over the echelon basis of a vector, or of each row of
+        a matrix; everything must lie in the span."""
+        if not self.contains(v):
             raise InternalInvariantError("vector does not lie in the subspace")
-        return c
+        return np.asarray(v, DTYPE)[..., list(self.pivots)]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows)
+        return other.contains(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -222,8 +216,6 @@ def twisted_image(f: TwistedMap, W: Subspace) -> Subspace:
     if W.ambient != f.ncols:
         raise ConstraintError(
             f"subspace ambient {W.ambient} does not match map domain {f.ncols}")
-    if W.dim == 0:
-        return Subspace.zero(f.field, f.nrows)
     return Subspace.span(f.field, f.apply(W.rows.T).T, ambient=f.nrows)
 
 
@@ -232,8 +224,7 @@ def twisted_preimage(f: TwistedMap, W: Subspace) -> Subspace:
         raise ConstraintError(
             f"subspace ambient {W.ambient} does not match map codomain {f.nrows}")
     # functionals annihilating W, then pull back through the untwisted matrix
-    annihilator = null_space(f.field, W.rows) if W.dim else np.eye(f.nrows, dtype=DTYPE)
-    constraints = f.field.matmul(annihilator, f.matrix)
+    constraints = f.field.matmul(null_space(f.field, W.rows), f.matrix)
     untwisted = null_space(f.field, constraints)
     return Subspace.span(f.field, f.field.frob(untwisted, -f.twist), ambient=f.ncols)
 
@@ -255,29 +246,23 @@ def symplectic_perp(W: Subspace, gram) -> Subspace:
     gram = np.asarray(gram, DTYPE)
     if W.ambient != gram.shape[0]:
         raise ConstraintError("subspace ambient does not match gram size")
-    if W.dim == 0:
-        return Subspace.full(field, W.ambient)
     constraints = field.matmul(W.rows, gram.T)
     return Subspace.span(field, null_space(field, constraints), ambient=W.ambient)
 
 
 def independent_subset(field: GF, vectors):
-    """Scan vectors in input order, keeping those that raise the rank.
+    """The vectors, in input order, that raise the rank: the pivot columns
+    of the matrix whose columns they are.
 
     Returns (kept indices, kept vectors as rows, Subspace spanned).
     """
     vectors = np.asarray(vectors, DTYPE)
     if vectors.ndim == 1:
         vectors = vectors[None, :]
-    kept = []
-    current = Subspace.zero(field, vectors.shape[1]) if vectors.size else None
-    if current is None:
+    if not vectors.size:
         raise ConstraintError("independent_subset needs an ambient dimension")
-    for i, v in enumerate(vectors):
-        if not current.contains(v):
-            kept.append(i)
-            current = Subspace.span(field, np.vstack([current.rows, v[None, :]]))
-    return kept, vectors[kept], current
+    kept = list(rref(field, vectors.T)[1])
+    return kept, vectors[kept], Subspace.span(field, vectors[kept])
 
 
 def standard_gram(field: GF, g: int):

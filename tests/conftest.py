@@ -176,3 +176,33 @@ def rational_singular_points(curve):
         if len(rref_oracle(field, jac)[1]) < len(curve.polys):
             singular.append(pt)
     return singular
+
+
+def independent_subset_oracle(field, vectors):
+    """Indices of the vectors, in input order, that raise the rank of those
+    kept before them: one oracle row reduction per vector. The independent
+    oracle of semilinear.independent_subset."""
+    vectors = np.asarray(vectors, DTYPE)
+    kept = []
+    for i in range(len(vectors)):
+        if len(rref_oracle(field, vectors[kept + [i]])[1]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def complement_oracle(field, kappa, scan):
+    """Standard basis vectors, scanned in descending or ascending index
+    order, that raise the rank over the kernel basis kappa, stopping at full
+    rank; sorted. The independent oracle of assemble_dm's complement."""
+    kappa = np.asarray(kappa, DTYPE)
+    g = kappa.shape[1]
+    order = range(g - 1, -1, -1) if scan == "descending" else range(g)
+    rows, complement = list(kappa), []
+    for i in order:
+        if len(rows) == g:
+            break
+        e = np.eye(g, dtype=DTYPE)[i]
+        if len(rref_oracle(field, rows + [e])[1]) > len(rows):
+            rows.append(e)
+            complement.append(i)
+    return sorted(complement)

@@ -7,6 +7,8 @@ import pytest
 from eotypes import GradedPoly, PolyParseError, cli, monomial_basis
 from eotypes.cli import (build_report, main, parse_poly, read_dm_file,
                          render_poly, validate_report)
+from eotypes.eoclass import (WeylCoset, final_type_from_weyl,
+                             invariants_from_weyl)
 from eotypes.golden import GOLDEN_AF, GOLDEN_TEXT, GOLDEN_WEYL, GOLDEN_WEYL_WORD
 
 
@@ -161,6 +163,32 @@ def test_scan_deterministic(tmp_path):
     singular = int(lines[-2].split(",")[-1])
     smooth = sum(int(ln.split(",")[-1]) for ln in lines[1:-2])
     assert smooth + singular == 60
+
+
+def test_scan_rows_match_their_coset(capsys):
+    assert main(["scan", "--p", "3", "--d", "4", "--count", "60"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:-2]
+    assert len(rows) >= 3
+    for row in rows:
+        w, f, p_rank, a_number, dim, _ = row.split(",")
+        coset = WeylCoset([int(x) for x in w.split()])
+        assert f == " ".join(map(str, final_type_from_weyl(coset).values))
+        assert (int(p_rank), int(a_number), int(dim)) == invariants_from_weyl(coset, coset.g)
+
+
+@pytest.mark.parametrize("flag,value", [("--count", "-3"), ("--seed", "-1")])
+def test_scan_rejects_negative_count_and_seed(flag, value, capsys):
+    args = {"--count": "10", "--seed": "0", flag: value}
+    argv = ["scan", "--p", "5", "--d", "4"] + [x for kv in args.items() for x in kv]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-negative" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+def test_scan_zero_count(capsys):
+    assert main(["scan", "--p", "5", "--d", "4", "--count", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["SINGULAR,,,,,0", "TOTAL,,,,,0"]
 
 
 def test_scan_genus_one_types(tmp_path):

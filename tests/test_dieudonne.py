@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from conftest import complement_oracle
 
 from eotypes import (ConstraintError, HWTriple, KraftWord, PolarizedDM,
                      assemble_dm, classify, dm_to_hw, enumerate_polarized_dms,
-                     field_new, full_fv_matrices, random_hw_triple, rank,
-                     standard_gram, standard_module, symplectic_perp,
+                     field_new, full_fv_matrices, null_space, random_hw_triple,
+                     rank, standard_gram, standard_module, symplectic_perp,
                      validate_dm, validate_unpolarized)
 from eotypes.dieudonne import _block_diag
 from eotypes.golden import GOLDEN_AF, GOLDEN_V
@@ -167,3 +168,36 @@ def test_assembled_image_isotropic(F5):
 def test_polarized_dm_rejects_dependent_columns(F5):
     with pytest.raises(ConstraintError):
         PolarizedDM(F5, np.zeros((4, 2), int))
+
+
+def _triple_with_kernel(F, g, h, rng):
+    """Random valid triple whose first operator has rank g - h."""
+    while True:
+        A_phi = F.matmul(F.random_elements(rng, (g, g - h)),
+                         F.random_elements(rng, (g - h, g)))
+        if rank(F, A_phi) == g - h:
+            break
+    while True:
+        R = F.random_elements(rng, (h, h))
+        if rank(F, R) == h:
+            break
+    A_psi = F.matmul(null_space(F, A_phi.T).T, R)
+    return HWTriple(F, g, A_phi, null_space(F, A_phi), A_psi)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)])
+def test_complement_matches_oracle(p, m):
+    # A column of the assembled block's lower half is zero exactly on the
+    # complement: there the kernel coordinates vanish, elsewhere they do not
+    # and the second operator is injective.
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for g in range(1, 6):
+        for h in sorted({0, g // 2, g - 1, g}):
+            t = _triple_with_kernel(F, g, h, rng)
+            assert t.h == h
+            for scan in ("descending", "ascending"):
+                A_F = assemble_dm(t, scan).A_F
+                complement = complement_oracle(F, t.kappa, scan)
+                assert np.flatnonzero(~A_F[g:].any(axis=0)).tolist() == complement
+                assert np.array_equal(A_F[:g, complement], t.A_phi[:, complement])

@@ -1,9 +1,10 @@
+import dataclasses
 from collections import deque
 
 import numpy as np
 import pytest
 
-from eotypes import (ConstraintError, FinalType, HWTriple,
+from eotypes import (ConstraintError, EOResult, FinalType, HWTriple,
                      InternalInvariantError, WeylCoset, assemble_dm, classify,
                      enumerate_polarized_dms, field_new, final_type_from_AF,
                      final_type_from_FV, full_fv_matrices,
@@ -226,3 +227,16 @@ def test_classify_extension_field_triple():
 def test_final_type_from_weyl_inverse():
     f = FinalType(GOLDEN_FINAL_TYPE)
     assert final_type_from_weyl(weyl_from_final_type(f)) == f
+
+
+def test_fast_tag_property_matches_triple():
+    assert "fast_tag" not in {f.name for f in dataclasses.fields(EOResult)}
+    rng = np.random.default_rng(17)
+    seen = set()
+    for field in (field_new(2), field_new(5), field_new(3, 2)):
+        for _ in range(40):
+            t = random_hw_triple(field, int(rng.integers(1, 5)), rng)
+            assert classify(t).fast_tag == t.fast_tag
+            assert classify(assemble_dm(t)).fast_tag == t.fast_tag
+            seen.add(t.fast_tag)
+    assert seen == {"ordinary", "superspecial", "interesting"}

@@ -168,6 +168,25 @@ def test_tclass_rejects_nonnegative_exponent(F5):
         TClass.from_laurent_terms(F5, 3, {(0, -2, -2): 1})
 
 
+def test_term_dict_builders(F5, F4):
+    f = GradedPoly.from_terms(F5, 3, {(1, 0, 0): -1, (0, 1, 0): 7, (0, 0, 1): F5(3)})
+    assert f.coeffs.tolist() == [4, 2, 3]
+    gen = F4.element_from_code(2)
+    t = TClass.from_laurent_terms(F4, 3, {(-2, -1, -1): gen, (-1, -1, -2): 5})
+    assert t.degree == -4
+    assert t.coeffs.tolist() == GradedPoly.from_terms(
+        F4, 3, {(1, 0, 0): gen, (0, 0, 1): 5}).coeffs.tolist() == [2, 0, 1]
+    with pytest.raises(ConstraintError, match="from_terms needs at least one term"):
+        GradedPoly.from_terms(F5, 3, {})
+    with pytest.raises(ConstraintError, match=r"not homogeneous: degrees \[1, 2\]"):
+        GradedPoly.from_terms(F5, 3, {(1, 0, 0): 1, (1, 1, 0): 1})
+    with pytest.raises(ConstraintError, match=r"Laurent exponent \(0, -2, -2\) has a non-negative"):
+        TClass.from_laurent_terms(F5, 3, {(0, -2, -2): 1})
+    for terms in ({}, {(-1, -1, -1): 1, (-2, -1, -1): 1}):
+        with pytest.raises(ConstraintError, match="^terms are not homogeneous$"):
+            TClass.from_laurent_terms(F5, 3, terms)
+
+
 def test_module_action_random(F5):
     rng = np.random.default_rng(23)
     for _ in range(20):

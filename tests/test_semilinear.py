@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import rref_oracle
+from conftest import independent_subset_oracle, rref_oracle
 
 from eotypes import (ConstraintError, InternalInvariantError, Subspace,
                      TwistedMap, field_new, independent_subset, null_space,
@@ -117,6 +117,65 @@ def test_independent_subset_input_order(F5):
     kept, rows, span = independent_subset(F5, vecs)
     assert kept == [1, 3]
     assert span.dim == 2
+
+
+SUBSET_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("p,m", SUBSET_FIELDS)
+def test_independent_subset_matches_oracle(p, m):
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    for _ in range(30):
+        n, k = (int(x) for x in rng.integers(1, 8, 2))
+        r = int(rng.integers(1, min(n, k) + 1))
+        low_rank = F.matmul(F.random_elements(rng, (k, r)), F.random_elements(rng, (r, n)))
+        for V in (F.random_elements(rng, (k, n)), low_rank,
+                  np.vstack([low_rank, low_rank[::-1]]), np.zeros((k, n), np.int64),
+                  np.insert(low_rank, int(rng.integers(0, k + 1)), 0, axis=0)):
+            kept, rows, span = independent_subset(F, V)
+            assert kept == independent_subset_oracle(F, V)
+            assert np.array_equal(rows, V[kept])
+            R, pivots = rref_oracle(F, V[kept].reshape(-1, n))
+            assert np.array_equal(span.rows, R) and span.pivots == pivots
+            assert span.ambient == n
+
+
+def test_subspace_queries_on_rows(F9):
+    rng = np.random.default_rng(3)
+    W = Subspace.span(F9, F9.random_elements(rng, (2, 5)))
+    inside = F9.matmul(F9.random_elements(rng, (4, 2)), W.rows)
+    outside = np.vstack([inside, F9.random_elements(rng, (1, 5))])
+    assert np.array_equal(W.reduce(outside), np.array([W.reduce(v) for v in outside]))
+    assert not W.reduce(inside).any()
+    assert W.reduce(np.zeros((0, 5), np.int64)).shape == (0, 5)
+    assert W.contains(inside) and not W.contains(outside)
+    assert np.array_equal(W.coords_of(inside), np.array([W.coords_of(v) for v in inside]))
+    assert np.array_equal(F9.matmul(W.coords_of(inside), W.rows), inside)
+    with pytest.raises(InternalInvariantError):
+        W.coords_of(outside)
+
+
+def test_zero_subspace(F9):
+    Z = Subspace.zero(F9, 3)
+    v = np.array([1, 0, 5])
+    rows = np.array([[0, 0, 0], [1, 2, 3]])
+    assert np.array_equal(Z.reduce(v), v) and np.array_equal(Z.reduce(rows), rows)
+    assert Z.reduce(np.zeros((0, 3), np.int64)).shape == (0, 3)
+    assert Z.contains(np.zeros(3, np.int64)) and Z.contains(np.zeros((2, 3), np.int64))
+    assert not Z.contains(v) and not Z.contains(rows)
+    assert Z.coords_of(np.zeros(3, np.int64)).shape == (0,)
+    assert Z.coords_of(np.zeros((2, 3), np.int64)).shape == (2, 0)
+    for bad in (v, rows):
+        with pytest.raises(InternalInvariantError):
+            Z.coords_of(bad)
+    assert Z.is_subspace_of(Subspace.zero(F9, 3))
+    rng = np.random.default_rng(5)
+    f = TwistedMap(F9, F9.random_elements(rng, (4, 3)), 1)
+    assert twisted_image(f, Z) == Subspace.zero(F9, 4)
+    assert twisted_preimage(f, Subspace.zero(F9, 4)) == twisted_kernel(f)
+    gram = standard_gram(F9, 2)
+    assert symplectic_perp(Subspace.zero(F9, 4), gram) == Subspace.full(F9, 4)
 
 
 def test_subspace_membership_and_coords(F5):
