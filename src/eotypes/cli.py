@@ -530,27 +530,29 @@ def _add_curve_flags(sp):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: "--m 2" must not quietly mean "--modulus 2"
     parser = argparse.ArgumentParser(
-        prog="eotypes",
+        prog="eotypes", allow_abbrev=False,
         description="Ekedahl-Oort types of complete intersection curves "
                     "over finite fields")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eotype", help="classify a curve")
+    sp = sub.add_parser("eotype", allow_abbrev=False, help="classify a curve")
     _add_curve_flags(sp)
     sp.set_defaults(func=cmd_eotype)
 
-    sp = sub.add_parser("hw", help="print the Hasse-Witt triple of a curve")
+    sp = sub.add_parser("hw", allow_abbrev=False, help="print the Hasse-Witt triple of a curve")
     _add_curve_flags(sp)
     sp.set_defaults(func=cmd_hw)
 
-    sp = sub.add_parser("classify-dm", help="classify a Dieudonne module from a matrix file")
+    sp = sub.add_parser("classify-dm", allow_abbrev=False,
+                        help="classify a Dieudonne module from a matrix file")
     sp.add_argument("file", help="text file: 'g p m' then 2g rows of g entries")
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--out", type=str, default=None)
     sp.set_defaults(func=cmd_classify_dm)
 
-    sp = sub.add_parser("scan", help="census of random plane curves")
+    sp = sub.add_parser("scan", allow_abbrev=False, help="census of random plane curves")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--count", type=int, required=True)
@@ -558,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=str, default=None, help="CSV output path")
     sp.set_defaults(func=cmd_scan)
 
-    sp = sub.add_parser("selftest", help="verify the built-in fixtures")
+    sp = sub.add_parser("selftest", allow_abbrev=False, help="verify the built-in fixtures")
     sp.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     sp.set_defaults(func=cmd_selftest)
     return parser

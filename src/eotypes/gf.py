@@ -23,9 +23,14 @@ The product rule lives in ``mul_digits``, the unreduced product of two
 2m-1 product planes folded through _red, with no reduction mod p. On digits
 in [0, p) every entry it returns lies in [0, term_bound], term_bound =
 m*(1 + (m-1)*(p-1))*(p-1)^2. ``mul`` reduces it to codes, and row reduction
-subtracts it unreduced. Supported: p < 2^31, with term_bound within int64;
-a sum of more than max_terms = INT64_MAX // term_bound products raises
-``ConstraintError``.
+subtracts it unreduced. For scaling by one element and for outer products
+the rule is one table, ``_bp``: _bp[i, j] holds the digits of x^(i+j)
+folded through _red, the integers mul_digits gives for basis elements.
+Scaling by one element is a product with its multiplication matrix, its
+digits @ _bp (``scale_by_inverse``), and an outer product of a and b is
+one product of a with the basis times b, b @ _bp (``mul_outer``).
+Supported: p < 2^31, with term_bound within int64; a sum of more than
+max_terms = INT64_MAX // term_bound products raises ``ConstraintError``.
 """
 
 from __future__ import annotations
@@ -84,8 +89,9 @@ class GF:
         if self.q > _INT64_MAX or self.max_terms < 1:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         self._ppow = np.array([p ** i for i in range(m)], DTYPE)
-        self._eye = np.eye(m, dtype=DTYPE)
         self.modulus = None
+        if m == 1 and modulus is not None:
+            raise ConstraintError(f"a modulus needs extension degree m > 1 (got m = 1 over Z/{p})")
         if m > 1:
             if modulus is None:
                 candidates = (tuple((code // p ** i) % p for i in range(m)) + (1,)
@@ -99,6 +105,8 @@ class GF:
                 candidates = [modulus]
             if not self._install_first_irreducible(candidates):
                 raise ConstraintError(f"modulus {modulus} is reducible over Z/{p}")
+            # _bp[i, j]: the digits of x^(i+j), folded through _red
+            self._bp = self._fold(np.eye(2 * m - 1, dtype=DTYPE)[np.add.outer(range(m), range(m))])
         self._inv_table = (self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
                            if self.q <= 1 << 16 else None)
 
@@ -107,7 +115,7 @@ class GF:
         _red and Frobenius matrices; False if no candidate is irreducible."""
         from .semilinear import rank
         p, m = self.p, self.m
-        prime_field, eye = GF(p), self._eye
+        prime_field, eye = GF(p), np.eye(m, dtype=DTYPE)
         xs, high = np.arange(p, dtype=DTYPE), None
         for modulus in candidates:
             # A root in GF(p) makes a candidate reducible. The candidate is
@@ -193,8 +201,17 @@ class GF:
         if self.m == 1:
             return np.multiply.outer(a, b)
         m = self.m
-        basis_times_b = self.mul_digits(self._eye[:, None], b)
-        return (a @ basis_times_b.reshape(m, -1)).reshape(len(a), len(b), m)
+        return (a @ (b @ self._bp).reshape(m, -1)).reshape(len(a), len(b), m)
+
+    def scale_by_inverse(self, a, d):
+        """Unreduced product of digit view a with the inverse of the nonzero
+        element of digit view d in [0, p): the integers of mul_digits(a,
+        inverse), as one product with the inverse's multiplication matrix,
+        whose entries are at most (p-1) + (m-1)*(p-1)^2."""
+        if self.m == 1:
+            return a * self._inv_code(int(d))
+        p, code = self.p, self._inv_code(int(d @ self._ppow))
+        return a @ np.dot([code // p ** i % p for i in range(self.m)], self._bp)
 
     def _fold(self, planes):
         """Digit planes -> digits, through _red: the one reduction modulo
@@ -234,11 +251,15 @@ class GF:
 
     def inv_scalar(self, code):
         """Inverse of a single element: a table lookup, or a^(q-2)."""
-        code = int(code)
+        return self._inv_code(int(code))
+
+    def _inv_code(self, code: int) -> int:
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv_table is not None:
             return int(self._inv_table[code])
+        if self.m == 1:
+            return pow(code, self.p - 2, self.p)
         return int(self.pow_int(code, self.q - 2))
 
     def inv(self, a):

@@ -127,6 +127,7 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree)
 
 
+@lru_cache(maxsize=None)
 def _fast_len(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length pocketfft transforms without
     Bluestein's algorithm."""
@@ -151,11 +152,13 @@ def _fft_shape(out_shape):
 def _fft_error_bound(da, db, out_shape) -> float:
     """A-priori bound on the error of every entry of the FFT product of the
     planes da and db (leading axis): Percival's bound with each plane's norm
-    bounded by sqrt(terms) * max |entry|."""
+    bounded by sqrt(terms) * max |entry|. The norms of all planes come from
+    one pass and are summed in plane order."""
     def norm(planes):
-        return sum(np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max()) for x in planes)
-    log_n = np.log2(prod(_fft_shape(out_shape)))
-    return norm(da) * norm(db) * _EPS * _FFT_ERROR_CONSTANT * (log_n + 1)
+        flat = planes.reshape(len(planes), -1)
+        return sum((np.sqrt(np.count_nonzero(flat, axis=1)) * np.abs(flat).max(axis=1)).tolist())
+    na, log_n = norm(da), np.log2(prod(_fft_shape(out_shape)))
+    return na * (na if db is da else norm(db)) * _EPS * _FFT_ERROR_CONSTANT * (log_n + 1)
 
 
 def _limb_split(da, db, out_shape):

@@ -14,16 +14,21 @@ are exactly the pivot columns of the matrix whose columns they are.
 ``rref`` is one elimination loop on the *digit view* of the matrix: the code
 array itself over GF(p), its digits (rows, cols, m) over GF(p^m). An entry
 is reduced mod p only where it is read: the pivot column before the pivot
-search, and the pivot row before it is scaled by the pivot's inverse. The
-elimination subtracts the unreduced products of that column and row
-(``GF.mul_outer``) from the trailing columns, with no reduction. Headroom:
-the view starts in [0, p), and a step subtracts products of digits in
-[0, p), each in [0, term_bound], so after k steps every entry lies in
-[-k*term_bound, p). A full reduction mod p every ``max_terms`` =
-INT64_MAX // term_bound steps keeps it within int64. Between full
-reductions an entry only falls or is overwritten from [0, p), so one at or
-above p can only have wrapped; each full reduction and the end of the loop
-check for that.
+search, and the pivot row before it is scaled. A pivot step makes the same
+few numpy calls for every m. The pivot is the first row of the reduced
+column with a nonzero digit. The pivot row is scaled by one product with
+the multiplication matrix of the pivot's inverse
+(``GF.scale_by_inverse``), and the elimination subtracts the unreduced
+products of the column and the scaled row (``GF.mul_outer``) from the
+trailing columns, with no reduction; both products go through ``GF._bp``.
+Headroom: a multiplication matrix has entries of at most
+(p-1) + (m-1)*(p-1)^2, so a product of digits in [0, p) lies in
+[0, term_bound], term_bound = m*(p-1)^2*(1 + (m-1)*(p-1)). The view starts
+in [0, p), so after k steps every entry lies in [-k*term_bound, p). A full
+reduction mod p every ``max_terms`` = INT64_MAX // term_bound steps keeps
+it within int64. Between full reductions an entry only falls or is
+overwritten from [0, p), so one at or above p can only have wrapped; each
+full reduction and the end of the loop check for that.
 """
 
 from __future__ import annotations
@@ -47,8 +52,7 @@ def rref(field: GF, M):
         if r == nrows:
             break
         col = D[:, c] % p
-        codes = field.from_digit_view(col[r:])
-        nz = codes.nonzero()[0]
+        nz = col[r:].nonzero()[0]
         if nz.size == 0:
             continue
         if steps == field.max_terms:
@@ -59,8 +63,7 @@ def rref(field: GF, M):
         if i != r:
             D[[r, i]] = D[[i, r]]
             col[[r, i]] = col[[i, r]]
-        inv = field.digit_view(field.inv_scalar(codes[nz[0]]))
-        row = field.mul_digits(D[r, c:] % p, inv) % p
+        row = field.scale_by_inverse(D[r, c:] % p, col[r]) % p
         D[:, c:] -= field.mul_outer(col, row)
         D[r, c:] = row
         pivots.append(c)

@@ -238,6 +238,22 @@ def test_extension_field_flags(capsys):
     validate_report(report)
 
 
+def test_abbreviated_flags_are_refused(capsys):
+    # "--m 2" used to expand to "--modulus 2" and classify over GF(7)
+    for argv in (["eotype", "--p", "7", "--m", "2", "--f", "x^3+y^3+z^3"],
+                 ["hw", "--p", "7", "--e", "2", "--f", "x^3+y^3+z^3"],
+                 ["scan", "--p", "5", "--d", "4", "--count", "3", "--se", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_modulus_without_extension_exits_3(capsys):
+    assert main(["eotype", "--p", "7", "--modulus", "3,1", "--f", "x^3+y^3+z^3"]) == 3
+    assert "extension degree" in capsys.readouterr().err
+
+
 def test_eotype_beyond_work_budget_exits_fast(capsys):
     t0 = time.perf_counter()
     assert main(["eotype", "--p", "1000003", "--f", "x^4+y^4+z^4"]) == 3

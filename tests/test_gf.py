@@ -25,6 +25,8 @@ def test_non_prime_rejected():
         field_new(1)
     with pytest.raises(ConstraintError):
         field_new(5, 0)
+    with pytest.raises(ConstraintError, match="extension degree"):
+        field_new(7, 1, (3, 1))  # a modulus used to be ignored at m = 1
 
 
 def test_is_prime_small():
@@ -241,3 +243,27 @@ def test_unreduced_products(p, m):
     # digits of q - 1 are all p - 1, the largest the products can see
     top = F.mul_digits(F.digit_view(F.q - 1), F.digit_view(F.q - 1))
     assert 0 <= table.min() and max(table.max(), top.max()) <= F.term_bound
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 3), (1048573, 2), (1048573, 3)])
+def test_product_table_matches_mul_digits(p, m):
+    # rref's pivot step scales a row by the pivot's inverse and subtracts
+    # mul_outer from the trailing columns: both must hold the unreduced
+    # integers of mul_digits, within term_bound
+    F = field_new(p, m)
+    rng = np.random.default_rng(p + m)
+    # q - 1 has every digit p - 1: the largest digit view, and, as the
+    # inverse of its inverse, the largest multiplication matrix to scale by
+    top = np.array([F.q - 1, F.inv_scalar(F.q - 1), 1, p - 1])
+    a = np.concatenate([top, F.random_elements(rng, (12,))])
+    b = np.concatenate([top, F.random_elements(rng, (6,))])
+    da, db = F.digit_view(a), F.digit_view(b)
+    outer = F.mul_outer(da, db)
+    assert np.array_equal(outer, F.mul_digits(da[:, None], db[None]))
+    assert 0 <= outer.min() and outer.max() <= F.term_bound
+    for s in b[b != 0]:
+        inv = F.digit_view(F.inv_scalar(s))
+        scaled = F.scale_by_inverse(da, F.digit_view(s))
+        assert np.array_equal(scaled, F.mul_digits(da, inv))
+        assert 0 <= scaled.min() and scaled.max() <= F.term_bound
+        assert np.array_equal(F.from_digit_view(scaled), F.mul(a, F.inv_scalar(s)))

@@ -390,6 +390,24 @@ def test_fft_above_one_limb_bound_splits_limbs():
         field, 3, {(2, 0, 0): h * h, (1, 1, 0): -2 * h * h, (0, 2, 0): h * h})
 
 
+def test_fft_error_bound_sums_every_plane():
+    # the bound reads all planes in one pass; it must equal, bit for bit,
+    # the sum over planes of sqrt(nonzeros) * max |entry| taken in order
+    def per_plane(planes):
+        return sum(np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max()) for x in planes)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        shape = tuple(int(s) for s in rng.integers(1, 7, int(rng.integers(1, 4))))
+        out_shape = tuple(2 * s - 1 for s in shape)
+        top = int(rng.choice([2, 50, 1 << 20, 1 << 40]))
+        da, db = (rng.integers(-top, top, (int(rng.integers(1, 9)),) + shape) for _ in range(2))
+        da[rng.random(da.shape) < rng.random()] = 0
+        log_n = np.log2(prod(_fft_shape(out_shape)))
+        for x, y in ((da, db), (da, da)):
+            expected = per_plane(x) * per_plane(y) * 2.0 ** -53 * 16 * (log_n + 1)
+            assert _fft_error_bound(x, y, out_shape) == expected
+
+
 def test_budget_admitted_products_need_one_limb():
     """The worst-case product of any curve the work budget admits has one
     limb: both factors carry +-p/2 in every digit of every monomial, their

@@ -198,8 +198,12 @@ def test_extension_field_twisted_kernel(F4):
     assert not img.any()
 
 
+# GF(251^2) is the largest q here with an inverse table, GF(257^2) the
+# smallest extension without one, and GF(1048573^3) has max_terms = 1: a
+# full reduction before every step
 DIFFERENTIAL_FIELDS = [(2, 1), (5, 1), (101, 1), (2 ** 31 - 1, 1), (2, 2), (3, 2),
-                       (7, 3), (31, 2), (2, 4), (101, 3)]
+                       (7, 3), (31, 2), (2, 4), (101, 3), (251, 2), (257, 2),
+                       (1048573, 3)]
 
 
 def _differential_matrices(F, rng):
@@ -251,3 +255,29 @@ def test_rref_headroom_schedule():
     R_oracle, pivots_oracle = rref_oracle(F, M)
     assert pivots == tuple(range(8))
     assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
+
+
+def test_rref_worst_case_digits_without_headroom():
+    # GF(1048573^3) reduces fully before every step. At the first pivot, the
+    # pivot's inverse and the next three entries of its row have every digit
+    # p - 1, so the scale reaches its largest products. The row's last three
+    # entries scale to q - 1 and the pivot column's other entries are q - 1,
+    # so the update reaches its largest products as well.
+    F = field_new(1048573, 3)
+    assert F.max_terms == 1
+    top = F.q - 1
+    M = np.full((5, 7), top)
+    M[0, 0] = F.inv_scalar(top)
+    M[0, 4:] = 1
+    M[2:, 1:4] = F.random_elements(np.random.default_rng(5), (3, 3))
+    R, pivots = rref(F, M)
+    R_oracle, pivots_oracle = rref_oracle(F, M)
+    assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
+    # both reach the largest product of two elements; x^3 = -2 leaves _red
+    # sparse, so that is about a third of term_bound
+    scaled = F.scale_by_inverse(F.digit_view(M[0]), F.digit_view(M[0, 0]))
+    square = int(F.mul(top, top))
+    assert F.from_digit_view(scaled).tolist() == [1] + [square] * 3 + [top] * 3
+    update = F.mul_outer(F.digit_view(M[1:, 0]), scaled % F.p)
+    largest = F.mul_digits(F.digit_view(top), F.digit_view(top)).max()
+    assert scaled.max() == update.max() == largest > F.term_bound // 4
