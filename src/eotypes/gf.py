@@ -209,8 +209,8 @@ class GF:
         inverse), as one product with the inverse's multiplication matrix,
         whose entries are at most (p-1) + (m-1)*(p-1)^2."""
         if self.m == 1:
-            return a * self._inv_code(int(d))
-        p, code = self.p, self._inv_code(int(d @ self._ppow))
+            return a * self.inv_scalar(d)
+        p, code = self.p, self.inv_scalar(d @ self._ppow)
         return a @ np.dot([code // p ** i % p for i in range(self.m)], self._bp)
 
     def _fold(self, planes):
@@ -251,15 +251,11 @@ class GF:
 
     def inv_scalar(self, code):
         """Inverse of a single element: a table lookup, or a^(q-2)."""
-        return self._inv_code(int(code))
-
-    def _inv_code(self, code: int) -> int:
+        code = int(code)
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv_table is not None:
             return int(self._inv_table[code])
-        if self.m == 1:
-            return pow(code, self.p - 2, self.p)
         return int(self.pow_int(code, self.q - 2))
 
     def inv(self, a):
