@@ -258,7 +258,7 @@ def _print_report(report: dict, out):
 
 def _field_from_args(args) -> GF:
     modulus = None
-    if getattr(args, "modulus", None):
+    if getattr(args, "modulus", None) is not None:
         try:
             modulus = tuple(int(c) for c in args.modulus.split(","))
         except ValueError:

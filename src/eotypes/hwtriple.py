@@ -4,8 +4,10 @@ For a smooth curve cut out by forms f_1..f_(n-1) in P^n (char p not dividing
 any degree), the triple consists of the space Q of dual classes in degree -d,
 the Hasse-Witt operator on it, and the second operator from the kernel of the
 first into the annihilator of its image. The plane-curve path extracts both
-operators by pure coefficient bookkeeping in f^(p-1) and f^(p-2); the general
-path multiplies classes through the dual module directly.
+operators by pure coefficient bookkeeping: the Hasse-Witt matrix off the half
+power f^((p-1)/2), as one product of two gathers of its coefficients, and the
+second operator off f^(p-2), formed only when the kernel is nonzero. The
+general path multiplies classes through the dual module directly.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ class CurveCI:
 
     @cached_property
     def _powers_pm2(self):
-        """f_i^(p-2) for each defining form."""
+        """f_i^(p-2) for each defining form; on the plane path only the
+        second operator reads it."""
         return tuple(poly_pow(f, self.field.p - 2) for f in self.polys)
 
     @cached_property
     def _powers_pm1(self):
-        """f_i^(p-1), each formed as f_i * f_i^(p-2); the general path only
-        (the plane path reads the coefficients it needs off f^(p-2))."""
+        """f_i^(p-1), each formed as f_i * f_i^(p-2); the general path only."""
         return tuple(poly_mul(f, fp) for f, fp in zip(self.polys, self._powers_pm2))
 
     @cached_property
@@ -196,17 +198,46 @@ def hasse_witt_matrix(curve: CurveCI):
 
 
 def _hw_plane_matrix(curve: CurveCI):
-    field, p = curve.field, curve.field.p
-    f = curve.polys[0]
-    md = exponent_array(3, curve.d - 3)
+    """A[i, j] = [f^(p-1)]_(c_j - m_i) with c_j = p*m_j + (p-1) over the
+    degree d-3 monomials m_i, read off the half powers lo = f^a and
+    hi = f^(p-1-a), a = (p-1)//2: one form for odd p, and 1 and f for p = 2.
+    Splitting f^(p-1) = lo * hi at z = m_i + (the exponent taken from lo),
+    A[i, j] = sum over z of degree (a+1)d - 3 of lo_(z - m_i) hi_(c_j - z),
+    so A = L R^T with L[i, z] = lo_(z - m_i) and R[j, z] = hi_(c_j - z). The
+    whole f^(p-2) is never formed here; psi forms it when h > 0.
+
+    The g x g result and one column of L and R must each fit the work
+    budget (both do whenever a g^2 x (terms of f) matrix would). L and R are
+    guarded as one 2g x |z| matrix: beyond the budget, L[:, blk] R[:, blk]^T
+    is summed over blocks of the widest column range it allows (one block on
+    every plane case of the benchmark).
+
+    A block's product sums at most |z| terms, and ``GF.matmul`` refuses more
+    than ``max_terms``. No admitted curve gets there: the power check admits
+    p*d <= 3455, so (a+1)d - 3 < 2pd/3 and |z| < 2.7M, while max_terms is at
+    least 8.2e9 over every field that admits a curve (GF(571^3) is the
+    least)."""
+    field, p, d = curve.field, curve.field.p, curve.d
+    md = exponent_array(3, d - 3)
     g = len(md)
-    support = np.flatnonzero(f.coeffs)
-    _check_work("Hasse-Witt matrix", linalg_work_bytes(field, 3, g * g, len(support)))
-    # A[i, j] = coefficient of e_ij = p*m_j + p - 1 - m_i in f^(p-1) = f * f^(p-2),
-    # that is sum over the terms c_t X^t of f of c_t [f^(p-2)]_(e_ij - t)
-    e = p * md[None] + (p - 1) - md[:, None]
-    shifted = gather(curve._powers_pm2[0], e[:, :, None] - exponent_array(3, f.degree)[support])
-    return field.matmul(shifted.reshape(g * g, -1), f.coeffs[support, None]).reshape(g, g)
+    column = linalg_work_bytes(field, 3, 2 * g, 1)
+    _check_work("Hasse-Witt matrix", max(linalg_work_bytes(field, 3, g, g), column))
+    width = WORK_BUDGET_BYTES // column
+    a = (p - 1) // 2
+    lo = poly_pow(curve.polys[0], a)
+    hi = lo if 2 * a == p - 1 else poly_pow(curve.polys[0], p - 1 - a)
+    c = p * md + (p - 1)
+    z = exponent_array(3, (a + 1) * d - 3)
+    # differences are built variable axis first, so that each variable's
+    # column is contiguous for the subtraction and for gather
+    zt, mt, ct = np.ascontiguousarray(z.T), md.T[:, :, None], c.T[:, :, None]
+    A = np.zeros((g, g), DTYPE)
+    for start in range(0, len(z), width):
+        blk = zt[:, None, start:start + width]
+        L = gather(lo, np.moveaxis(blk - mt, 0, -1))
+        R = gather(hi, np.moveaxis(ct - blk, 0, -1))
+        A = field.add(A, field.matmul(L, R.T))
+    return A
 
 
 def _hw_general_matrix(curve: CurveCI):

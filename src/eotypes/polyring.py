@@ -537,9 +537,13 @@ def gather(x, exps):
     an integer array of exponent tuples along the last axis; 0 wherever a
     tuple has a negative entry. Every tuple must have x's (shifted) degree."""
     exps = np.asarray(exps)
-    # row-major position in the cube, whose sides are all degree + 1
-    flat = exps[..., 1:] @ (x.basis.degree + 1) ** np.arange(x.nvars - 2, -1, -1)
-    valid = exps.min(axis=-1) >= 0
+    # row-major position in the cube, whose sides are all degree + 1, by
+    # Horner's rule over the columns (no reduction along the short last axis)
+    side, flat = x.basis.degree + 1, 0
+    valid = exps[..., 0] >= 0
+    for k in range(1, x.nvars):
+        flat = flat * side + exps[..., k]
+        valid &= exps[..., k] >= 0
     return np.where(valid, x._cube().take(flat, mode="clip"), 0)
 
 

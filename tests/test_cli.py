@@ -254,6 +254,13 @@ def test_modulus_without_extension_exits_3(capsys):
     assert "extension degree" in capsys.readouterr().err
 
 
+def test_empty_modulus_exits_3(capsys):
+    # an empty --modulus used to fall back to the default modulus and exit 0
+    assert main(["eotype", "--p", "7", "--ext", "2", "--modulus", "",
+                 "--f", "X0^3+X1^3+X2^3"]) == 3
+    assert "is not a comma-separated integer list" in capsys.readouterr().err
+
+
 def test_eotype_beyond_work_budget_exits_fast(capsys):
     t0 = time.perf_counter()
     assert main(["eotype", "--p", "1000003", "--f", "x^4+y^4+z^4"]) == 3

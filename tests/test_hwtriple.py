@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_U_SHIFTED, integer_power_terms, rational_singular_points
+from conftest import GOLDEN_TERMS, GOLDEN_U_SHIFTED, integer_power_terms, rational_singular_points
 from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
                      TClass, ci_q_basis, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
@@ -10,7 +10,7 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
 from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general
-from eotypes.polyring import gather, poly_mul
+from eotypes.polyring import gather, linalg_work_bytes, poly_mul, poly_pow
 from eotypes.semilinear import null_space
 
 
@@ -273,21 +273,71 @@ def test_extension_field_curve_pipeline(F9):
     assert "interesting" in tags
 
 
-@pytest.mark.parametrize("p,m,degrees", [(5, 1, (4, 6)), (31, 1, (4, 5)), (3, 2, (4, 5))])
+@pytest.mark.parametrize("p,m,degrees", [
+    (5, 1, (3, 4, 6, 7)), (31, 1, (3, 4, 5, 6, 7)), (3, 2, (4, 5, 7)), (2, 1, (3, 5, 7)),
+    (3, 1, (4, 5, 7)), (7, 1, (3, 4, 5, 6)), (101, 1, (3, 4, 5, 6, 7)), (2, 2, (3, 5, 7)),
+    (7, 3, (3, 4, 5, 6)), (31, 2, (3, 4, 5, 6, 7))])
 def test_hw_plane_matrix_matches_full_product(p, m, degrees):
-    """The coefficient-only Hasse-Witt matrix equals the gather from the
-    full product f * f^(p-2) it replaces (GF(5) takes sextics for quintics,
-    since 5 divides 5)."""
+    """The Hasse-Witt matrix read off the half powers equals the gather from
+    the full product f * f^(p-2) it replaces, on random forms, the Fermat
+    curve of each degree and, over GF(5), the golden quartic."""
     field = field_new(p, m)
     rng = np.random.default_rng(97 * p + m)
     for d in degrees:
         md = monomial_basis(3, d - 3).exps
-        for _ in range(4):
-            curve = plane_curve(field, GradedPoly(
-                field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),))))
-            full = poly_mul(curve.polys[0], curve._powers_pm2[0])
+        forms = [GradedPoly(field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),)))
+                 for _ in range(4)] + [fermat_curve(field, d).polys[0]]
+        if (p, m, d) == (5, 1, 4):
+            forms.append(GradedPoly.from_terms(field, 3, GOLDEN_TERMS))
+        for f in forms:
+            full = poly_mul(f, poly_pow(f, p - 2))
             expected = gather(full, p * md[None] + (p - 1) - md[:, None])
-            assert np.array_equal(_hw_plane_matrix(curve), expected)
+            assert np.array_equal(_hw_plane_matrix(plane_curve(field, f)), expected)
+
+
+def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
+    """An ordinary plane curve forms no power above (p-1)/2; a curve with
+    h > 0 still forms f^(p-2) for the second operator."""
+    formed = []
+    original = hwtriple.poly_pow
+    monkeypatch.setattr(hwtriple, "poly_pow", lambda f, e: formed.append(e) or original(f, e))
+    field = field_new(101)
+    rng = np.random.default_rng(0)
+    curve = plane_curve(field, GradedPoly(field, 3, 4, field.random_elements(rng, (15,))))
+    assert hw_triple(curve).fast_tag == "ordinary"
+    assert formed == [50]
+    formed.clear()
+    assert hw_triple(plane_curve(F5, GradedPoly.from_terms(F5, 3, GOLDEN_TERMS))).h > 0
+    assert formed == [2, 3]
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 1, 5), (31, 1, 5), (3, 2, 4), (7, 3, 4)])
+def test_hw_plane_matrix_in_column_blocks_matches_one_block(monkeypatch, p, m, d):
+    """With a work budget that fits half of the columns of L and R, the
+    block sum equals the one-block matrix."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(p + d)
+    curve = plane_curve(field, GradedPoly(
+        field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),))))
+    whole = _hw_plane_matrix(curve)
+    g = len(monomial_basis(3, d - 3))
+    columns = len(monomial_basis(3, (p - 1) // 2 * d + d - 3))
+    widths = []
+    original = hwtriple.gather
+    monkeypatch.setattr(hwtriple, "gather", lambda x, e: widths.append(e.shape[1]) or original(x, e))
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES",
+                        linalg_work_bytes(field, 3, 2 * g, -(-columns // 2)))
+    assert np.array_equal(_hw_plane_matrix(curve), whole)
+    assert len(widths) == 4 and sum(widths) == 2 * columns
+
+
+def test_hw_plane_matrix_result_beyond_budget_refused(monkeypatch, F7):
+    """A g x g result above the budget is refused even when one column of
+    L and R fits it."""
+    curve = fermat_curve(F7, 6)
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", linalg_work_bytes(F7, 3, 10, 5))
+    with pytest.raises(ConstraintError, match="work budget"):
+        _hw_plane_matrix(curve)
 
 
 def test_curve_beyond_work_budget_refused():

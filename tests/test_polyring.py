@@ -6,7 +6,7 @@ import pytest
 
 from conftest import GOLDEN_TERMS, conv_oracle, integer_power_terms, laurent_product_terms
 from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass, coeff_of,
-                     field_new, monomial_basis, partial_derivative, poly_mul, poly_pow,
+                     field_new, gather, monomial_basis, partial_derivative, poly_mul, poly_pow,
                      t_multiply, tmul_matrix)
 from eotypes.gf import is_prime
 from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, _conv_fft, _conv_field,
@@ -262,6 +262,43 @@ def _lex_descending_exponents(nvars, degree):
     from itertools import product
     return sorted((e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree),
                   reverse=True)
+
+
+@pytest.mark.parametrize("nvars,degree,tclass", [(3, 7, False), (4, 5, False),
+                                                  (5, 4, False), (4, -9, True)])
+def test_gather_matches_per_tuple_lookup(F7, nvars, degree, tclass):
+    """gather equals coeff_of at each tuple, 0 wherever it has a negative
+    entry, on random differences of x's (shifted) degree in both the
+    row-major and the variable-axis-first layout."""
+    rng = np.random.default_rng(nvars)
+    if tclass:
+        x = TClass(F7, nvars, degree, F7.random_elements(rng, (TClass.basis_size(nvars, degree),)))
+        form = GradedPoly(F7, nvars, x.shifted_degree, x.coeffs)
+    else:
+        x = form = GradedPoly(F7, nvars, degree,
+                              F7.random_elements(rng, (len(monomial_basis(nvars, degree)),)))
+    # monomials of x's degree moved by random steps of sum 0
+    basis = form.basis.exps
+    step = rng.integers(-2, 3, size=(6, 40, nvars))
+    step[..., 0] -= step.sum(axis=-1)
+    exps = basis[rng.integers(0, len(basis), size=(6, 40))] + step
+    # tuples whose row-major position, negative entry and all, lands on a
+    # monomial of the cube: -1 in X0 with D + 1 in X_k, and X0^D moved by
+    # one from X_k to X_(k-1)
+    D = form.degree
+    for k in range(1, nvars):
+        wrap = np.zeros((2, nvars), np.intp)
+        wrap[0, [0, k]] = -1, D + 1
+        wrap[1, 0] = D
+        wrap[1, [k - 1, k]] += 1, -1
+        exps[0, 2 * k - 2:2 * k] = wrap
+    expected = np.array([[0 if min(e) < 0 else coeff_of(form, e).code for e in row]
+                         for row in exps.tolist()])
+    assert (exps.min(axis=-1) < 0).any() and (exps.min(axis=-1) >= 0).any()
+    assert expected.any()
+    assert np.array_equal(gather(x, exps), expected)
+    variable_first = np.moveaxis(np.ascontiguousarray(np.moveaxis(exps, -1, 0)), 0, -1)
+    assert np.array_equal(gather(x, variable_first), expected)
 
 
 def test_basis_matches_sorted_oracle():
