@@ -207,10 +207,10 @@ def _hw_plane_matrix(curve: CurveCI):
     whole f^(p-2) is never formed here; psi forms it when h > 0.
 
     The g x g result and one column of L and R must each fit the work
-    budget (both do whenever a g^2 x (terms of f) matrix would). L and R are
-    guarded as one 2g x |z| matrix: beyond the budget, L[:, blk] R[:, blk]^T
-    is summed over blocks of the widest column range it allows (one block on
-    every plane case of the benchmark).
+    budget; at 1 GiB both fit whenever a g^2 x (terms of f) matrix does. L
+    and R are guarded as one 2g x |z| matrix: beyond the budget,
+    L[:, blk] R[:, blk]^T is summed over blocks of the widest column range
+    it allows (one block on every plane case of the benchmark).
 
     A block's product sums at most |z| terms, and ``GF.matmul`` refuses more
     than ``max_terms``. No admitted curve gets there: the power check admits
