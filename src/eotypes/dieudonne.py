@@ -21,7 +21,9 @@ from .semilinear import (Subspace, TwistedMap, independent_subset, null_space,
 
 class PolarizedDM:
     """2g-dimensional module with Frobenius matrix A_F on the first-half
-    coordinates (columns independent), over the standard alternating form."""
+    coordinates, over the standard alternating form. F is zero on the second
+    half, so the forced V has Ker V = (Im F)^perp; the data is a module iff
+    the columns of A_F are independent and span an isotropic space."""
 
     __slots__ = ("field", "g", "A_F", "gram")
 
@@ -32,6 +34,10 @@ class PolarizedDM:
         g = A_F.shape[1]
         if rank(field, A_F) != g:
             raise ConstraintError("Frobenius block has dependent columns")
+        # A_F^T gram A_F = U^T J L - (U^T J L)^T for the halves U, L of A_F
+        form = field.matmul(A_F[:g].T, A_F[g:][::-1])
+        if not np.array_equal(form, form.T):
+            raise ConstraintError("the image of the Frobenius block is not isotropic")
         self.field = field
         self.g = g
         self.A_F = A_F

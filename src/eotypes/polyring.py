@@ -64,10 +64,15 @@ class MonomialBasis:
     """All exponent tuples of a fixed total degree, graded-lex descending.
 
     ``exps`` is the read-only (len, nvars) array of them and ``flat_idx``
-    their positions in the cube; the tuple list ``monomials`` and the dict
-    ``index`` are built on first use only."""
+    their positions in the cube; the tuple list ``monomials`` is built on
+    first use only.
 
-    __slots__ = ("nvars", "degree", "exps", "cube_shape", "flat_idx", "_monomials", "_index")
+    The work budget covers the cube, 8 bytes a cell, and the build of the
+    exponent table at 2*nvars+1 words a monomial. The build peaks near
+    2*nvars: the tails beside ``exps``, or in the last step of
+    ``_tail_exponents`` the index arrays beside the prefix rows."""
+
+    __slots__ = ("nvars", "degree", "exps", "cube_shape", "flat_idx", "_monomials")
 
     def __init__(self, nvars: int, degree: int):
         if nvars < 1:
@@ -77,28 +82,23 @@ class MonomialBasis:
         self.nvars = nvars
         self.degree = degree
         self.cube_shape = (degree + 1,) * (nvars - 1)
-        if 8 * prod(self.cube_shape) > WORK_BUDGET_BYTES:
+        table_words = (2 * nvars + 1) * comb(degree + nvars - 1, nvars - 1)
+        if 8 * (prod(self.cube_shape) + table_words) > WORK_BUDGET_BYTES:
             raise ConstraintError(
-                f"the degree-{degree} cube in {nvars} variables exceeds the "
-                f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
+                f"the degree-{degree} cube and exponent table in {nvars} variables exceed "
+                f"the {WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
         tails = _tail_exponents(nvars - 1, degree)
         exps = np.hstack([degree - tails.sum(axis=1, keepdims=True), tails])
         exps.flags.writeable = False
         self.exps = exps
         self.flat_idx = tails @ (degree + 1) ** np.arange(nvars - 2, -1, -1, dtype=np.intp)
-        self._monomials = self._index = None
+        self._monomials = None
 
     @property
     def monomials(self):
         if self._monomials is None:
             self._monomials = tuple(map(tuple, self.exps.tolist()))
         return self._monomials
-
-    @property
-    def index(self):
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.monomials)}
-        return self._index
 
     def __len__(self):
         return len(self.exps)
@@ -282,20 +282,22 @@ class GradedPoly:
 
     @classmethod
     def from_terms(cls, field, nvars, terms):
-        """Build from {exponent tuple: integer or FieldElem} pairs."""
+        """Build from {exponent tuple: integer or FieldElem} pairs, scattered
+        into the exponent cube and read off in basis order."""
         terms = dict(terms)
         if not terms:
             raise ConstraintError("from_terms needs at least one term; use zero()")
+        if any(len(e) != nvars or min(e, default=0) < 0 for e in terms):
+            raise ConstraintError(f"an exponent tuple needs {nvars} non-negative entries")
         degrees = {sum(e) for e in terms}
         if len(degrees) != 1:
             raise ConstraintError(f"terms are not homogeneous: degrees {sorted(degrees)}")
         degree = degrees.pop()
-        basis = monomial_basis(nvars, degree)
-        coeffs = np.zeros(len(basis), DTYPE)
-        for e, c in terms.items():
-            code = c.code if isinstance(c, FieldElem) else field.from_int(c)
-            coeffs[basis.index[tuple(e)]] = code
-        return cls(field, nvars, degree, coeffs)
+        cube = np.zeros(monomial_basis(nvars, degree).cube_shape, DTYPE)
+        tails = tuple(np.array([e[1:] for e in terms], np.intp).T)
+        np.put(cube, np.ravel_multi_index(tails, cube.shape),
+               [c.code if isinstance(c, FieldElem) else field.from_int(c) for c in terms.values()])
+        return cls._from_cube(field, nvars, degree, cube)
 
     @classmethod
     def monomial(cls, field, nvars, exponents, coeff=1):
@@ -425,9 +427,7 @@ def coeff_of(a: GradedPoly, exponents) -> FieldElem:
     if len(exponents) != a.nvars or sum(exponents) != a.degree:
         raise ConstraintError(
             f"exponent tuple {exponents} does not have degree {a.degree} in {a.nvars} variables")
-    pos = a.basis.index.get(exponents)
-    code = 0 if pos is None else int(a.coeffs[pos])
-    return FieldElem(a.field, code)
+    return FieldElem(a.field, int(gather(a, exponents)))
 
 
 class TClass:

@@ -4,8 +4,9 @@ from math import prod
 import numpy as np
 import pytest
 
-from eotypes import CurveCI, GradedPoly, field_new, hw_triple, partial_derivative
-from eotypes.errors import ConstraintError
+from eotypes import (CurveCI, GradedPoly, field_new, hw_triple, monomial_basis,
+                     partial_derivative)
+from eotypes.errors import ConstraintError, PolyParseError
 from eotypes.gf import DTYPE
 
 # The worked quartic written as terms, independently of its text in
@@ -206,3 +207,136 @@ def complement_oracle(field, kappa, scan):
             rows.append(e)
             complement.append(i)
     return sorted(complement)
+
+
+# -- the recursive-descent polynomial parser: the oracle of cli.parse_poly ---
+
+_ORACLE_ALIASES = {"x": 0, "y": 1, "z": 2}
+
+
+def _oracle_tokenize(text):
+    tokens = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in "+-*^":
+            tokens.append((c, c, i))
+            i += 1
+        elif c.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(("int", int(text[i:j]), i))
+            i = j
+        elif c == "X":
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise PolyParseError("variable 'X' needs an index", i)
+            tokens.append(("var", int(text[i + 1:j]), i))
+            i = j
+        elif c in _ORACLE_ALIASES:
+            tokens.append(("var", _ORACLE_ALIASES[c], i))
+            i += 1
+        else:
+            raise PolyParseError(f"unexpected character {c!r}", i)
+    return tokens
+
+
+class _OracleParser:
+    def __init__(self, tokens, text_len):
+        self.tokens = tokens
+        self.pos = 0
+        self.text_len = text_len
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, self.text_len)
+
+    def take(self, kind=None):
+        tok = self.peek()
+        if tok[0] is None or (kind is not None and tok[0] != kind):
+            raise PolyParseError(f"expected {kind or 'token'}, found {tok[0] or 'end of input'}",
+                                 tok[2])
+        self.pos += 1
+        return tok
+
+    def parse_poly(self):
+        """Returns a list of (sign, coef or None, [(var, exp), ...])."""
+        terms = []
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        terms.append(self.parse_term(sign))
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            terms.append(self.parse_term(1 if op == "+" else -1))
+        tok = self.peek()
+        if tok[0] is not None:
+            raise PolyParseError(f"trailing input {tok[0]!r}", tok[2])
+        return terms
+
+    def parse_term(self, sign):
+        kind, value, pos = self.peek()
+        coef = 1
+        factors = []
+        if kind == "int":
+            self.take()
+            coef = value
+            if self.peek()[0] == "*":
+                self.take()
+                factors = self.parse_mono()
+        elif kind == "var":
+            factors = self.parse_mono()
+        else:
+            raise PolyParseError("expected a coefficient or a variable", pos)
+        return sign, coef, factors
+
+    def parse_mono(self):
+        factors = [self.parse_factor()]
+        while self.peek()[0] == "*":
+            self.take()
+            factors.append(self.parse_factor())
+        return factors
+
+    def parse_factor(self):
+        _, idx, pos = self.take("var")
+        exp = 1
+        if self.peek()[0] == "^":
+            self.take()
+            exp = self.take("int")[1]
+        return idx, exp, pos
+
+
+def parse_oracle(text, nvars, field):
+    """Tokenizer, token triples and a recursive-descent parser, placed
+    through a dict over every monomial of the degree: the independent oracle
+    of cli.parse_poly. A digit that int() refuses raises ValueError."""
+    terms = _OracleParser(_oracle_tokenize(text), len(text)).parse_poly()
+    exps = {}
+    degree = None
+    for sign, coef, factors in terms:
+        e = [0] * nvars
+        for idx, exp, pos in factors:
+            if idx >= nvars:
+                raise PolyParseError(
+                    f"variable X{idx} out of range (indices must be <= {nvars - 1})", pos)
+            e[idx] += exp
+        d = sum(e)
+        if degree is None:
+            degree = d
+        elif d != degree:
+            raise PolyParseError(
+                f"polynomial is not homogeneous: term of degree {d} after degree {degree}")
+        key = tuple(e)
+        exps[key] = exps.get(key, 0) + sign * coef
+    basis = monomial_basis(nvars, degree)
+    index = {e: i for i, e in enumerate(basis.monomials)}
+    coeffs = np.zeros(len(basis), DTYPE)
+    for e, c in exps.items():
+        coeffs[index[e]] = field.from_int(c)
+    return GradedPoly(field, nvars, degree, coeffs)

@@ -1,10 +1,12 @@
 import json
+import random
 import time
 
 import numpy as np
 import pytest
+from conftest import parse_oracle
 
-from eotypes import GradedPoly, PolyParseError, cli, monomial_basis
+from eotypes import ConstraintError, GradedPoly, PolyParseError, cli, golden, monomial_basis
 from eotypes.cli import (build_report, main, parse_poly, read_dm_file,
                          render_poly, validate_report)
 from eotypes.eoclass import (WeylCoset, final_type_from_weyl,
@@ -44,6 +46,97 @@ def test_parse_errors(F5):
         parse_poly("X^2", 3, F5)  # bare X needs an index
     with pytest.raises(PolyParseError):
         parse_poly("X0^2 X1", 3, F5)  # missing operator
+
+
+# pieces of the differential strings: every token of the grammar, the
+# characters around it, and digits of other scripts ("٣" is a decimal
+# digit, "²" is not)
+_DIGIT_PIECES = ["0", "1", "2", "3", "7", "12", "٣"]
+_OTHER_PIECES = ["X0", "X1", "X2", "X3", "X", "x", "y", "z", "^", "*", "+", "-",
+                 " ", "\t", "$", "²"]
+
+
+def _differential_tokens(rng):
+    """A seeded token list: half from a random degree-d form, half drawn
+    freely, then edited at up to two places. A digit token never follows
+    a digit token, so no integer has more than two digits."""
+    pieces = _DIGIT_PIECES + _OTHER_PIECES
+    if rng.random() < 0.5:
+        d = rng.randint(1, 4)
+        tokens = []
+        for t in range(rng.randint(1, 3)):
+            if t:
+                tokens.append(rng.choice(["+", "-", " + ", "\t-"]))
+            elif rng.random() < 0.3:
+                tokens.append("-")
+            if rng.random() < 0.5:
+                tokens += [str(rng.randrange(20)), "*"]
+            left = d
+            while left:
+                k = rng.randint(1, left)
+                tokens.append(rng.choice(["x", "y", "z", "X0", "X1", "X2"]))
+                tokens += ["^", str(k)] if k > 1 or rng.random() < 0.2 else []
+                tokens += ["*"] if k < left else []
+                left -= k
+    else:
+        tokens = rng.choices(pieces, k=rng.randrange(12))
+    for _ in range(rng.randrange(3)):
+        i, action = rng.randint(0, len(tokens)), rng.randrange(3)
+        if action == 0 and i < len(tokens):
+            del tokens[i]
+        else:
+            tokens[i:i + (action == 2)] = [rng.choice(pieces)]
+    kept = []
+    for t in tokens:
+        if not (kept and t.isdecimal() and kept[-1].isdecimal()):
+            kept.append(t)
+    return kept
+
+
+def test_parse_matches_recursive_descent_oracle(F5):
+    """On 100,000 seeded strings parse_poly returns what the recursive-
+    descent oracle returns, or both refuse; the oracle's ValueError (a digit
+    int() cannot read) counts as a refusal. A refusal of parse_poly is a
+    PolyParseError, or a ConstraintError where the oracle gives one too."""
+    rng = random.Random(0)
+    outcomes = {"same": 0, "refused": 0}
+    for _ in range(100_000):
+        text = "".join(_differential_tokens(rng))
+        nvars = 3 if rng.random() < 0.8 else 4
+        try:
+            expected = parse_oracle(text, nvars, F5)
+        except (PolyParseError, ConstraintError, ValueError) as exc:
+            expected = type(exc)
+        try:
+            got = parse_poly(text, nvars, F5)
+        except (PolyParseError, ConstraintError) as exc:
+            got = type(exc)
+        if isinstance(got, GradedPoly):
+            assert got == expected, text
+            outcomes["same"] += 1
+        else:
+            assert expected is got or (got is PolyParseError and expected is ValueError), text
+            outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 20_000, outcomes
+
+
+@pytest.mark.parametrize("text", ["X0^²+X1^2+X2^2", "7" * 5000 + "*x^2+y^2+z^2",
+                                  "x^2+y^" + "1" * 4400 + "+z^2"],
+                         ids=["superscript-exponent", "5000-digit-coefficient",
+                              "4400-digit-exponent"])
+def test_undecodable_integers_exit_2(capsys, text):
+    assert main(["eotype", "--p", "5", "--f", text]) == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_huge_degree_refused_quickly(capsys):
+    t0 = time.perf_counter()
+    try:
+        assert main(["eotype", "--p", "7", "--f", "x^3000+y^3000+z^3000"]) == 3
+    finally:
+        monomial_basis.cache_clear()
+    assert time.perf_counter() - t0 < 2
+    assert "work budget" in capsys.readouterr().err
 
 
 def test_render_roundtrip_random(F5):
@@ -129,6 +222,21 @@ def test_classify_dm_bad_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_classify_dm_refuses_non_isotropic_image(tmp_path, capsys):
+    # Im F = <e1, e4> with b(e1, e4) = 1: independent columns, but no module
+    path = tmp_path / "module.txt"
+    path.write_text("2 5 1\n1 0\n0 0\n0 0\n0 1\n")
+    assert main(["classify-dm", str(path)]) == 3
+    assert "isotropic" in capsys.readouterr().err
+
+
+def test_classify_dm_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "module.txt"
+    path.write_bytes(b"\xff\xfe\x00\x01")
+    assert main(["classify-dm", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 def test_classify_dm_p_beyond_int64_range(tmp_path, capsys):
     path = tmp_path / "big.txt"
     path.write_text("1 3037000493 1\n0\n1\n")
@@ -207,8 +315,9 @@ def test_selftest(capsys):
     assert out.count("PASS") >= 20 and "FAIL" not in out
 
 
-def test_selftest_corrupted_names_first_mismatch(capsys):
-    assert main(["selftest", "--corrupt"]) == 1
+def test_selftest_corrupted_names_first_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(golden, "GOLDEN_HW", [[1, 4, 1]] + golden.GOLDEN_HW[1:])
+    assert main(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "CHECK hasse-witt matrix: FAIL" in out
 

@@ -170,6 +170,32 @@ def test_polarized_dm_rejects_dependent_columns(F5):
         PolarizedDM(F5, np.zeros((4, 2), int))
 
 
+@pytest.mark.parametrize("p,m", [(5, 1), (3, 2), (7, 3)])
+def test_polarized_dm_refuses_exactly_non_isotropic_images(p, m):
+    """PolarizedDM refuses a Frobenius block of independent columns exactly
+    when A_F^T gram A_F, formed in full, is nonzero; assembled modules, and
+    blocks whose second half is zero, pass."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(p * m)
+    refused = 0
+    for _ in range(40):
+        g = int(rng.integers(1, 5))
+        A_F = field.random_elements(rng, (2 * g, g))
+        if rng.random() < 0.3:
+            A_F[g:] = 0
+        if rank(field, A_F) != g:
+            continue
+        form = field.matmul(A_F.T, field.matmul(standard_gram(field, g), A_F))
+        if form.any():
+            refused += 1
+            with pytest.raises(ConstraintError, match="isotropic"):
+                PolarizedDM(field, A_F)
+        else:
+            PolarizedDM(field, A_F)
+        assemble_dm(random_hw_triple(field, g, rng))
+    assert refused >= 10
+
+
 def _triple_with_kernel(F, g, h, rng):
     """Random valid triple whose first operator has rank g - h."""
     while True:

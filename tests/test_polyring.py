@@ -7,7 +7,7 @@ import pytest
 from conftest import GOLDEN_TERMS, conv_oracle, integer_power_terms, laurent_product_terms
 from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass, coeff_of,
                      field_new, gather, monomial_basis, partial_derivative, poly_mul, poly_pow,
-                     t_multiply, tmul_matrix)
+                     polyring, t_multiply, tmul_matrix)
 from eotypes.gf import is_prime
 from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, _conv_fft, _conv_field,
                               _digit_planes, _fft_error_bound, _fft_shape, _limb_split,
@@ -267,7 +267,7 @@ def _lex_descending_exponents(nvars, degree):
 @pytest.mark.parametrize("nvars,degree,tclass", [(3, 7, False), (4, 5, False),
                                                   (5, 4, False), (4, -9, True)])
 def test_gather_matches_per_tuple_lookup(F7, nvars, degree, tclass):
-    """gather equals coeff_of at each tuple, 0 wherever it has a negative
+    """gather equals a lookup in the basis at each tuple, 0 wherever it has a negative
     entry, on random differences of x's (shifted) degree in both the
     row-major and the variable-axis-first layout."""
     rng = np.random.default_rng(nvars)
@@ -292,7 +292,8 @@ def test_gather_matches_per_tuple_lookup(F7, nvars, degree, tclass):
         wrap[1, 0] = D
         wrap[1, [k - 1, k]] += 1, -1
         exps[0, 2 * k - 2:2 * k] = wrap
-    expected = np.array([[0 if min(e) < 0 else coeff_of(form, e).code for e in row]
+    lookup = dict(zip(form.basis.monomials, form.coeffs.tolist()))
+    expected = np.array([[0 if min(e) < 0 else lookup[tuple(e)] for e in row]
                          for row in exps.tolist()])
     assert (exps.min(axis=-1) < 0).any() and (exps.min(axis=-1) >= 0).any()
     assert expected.any()
@@ -309,7 +310,8 @@ def test_basis_matches_sorted_oracle():
             assert basis.exps.tolist() == [list(e) for e in expected]
             assert not basis.exps.flags.writeable
             assert basis.monomials == tuple(expected)
-            assert all(basis.index[e] == i for i, e in enumerate(expected))
+            index = {e: i for i, e in enumerate(basis.monomials)}
+            assert all(index[e] == i for i, e in enumerate(expected))
             tails = np.array([e[1:] for e in expected], np.intp).reshape(len(expected), -1)
             cube_shape = (degree + 1,) * (nvars - 1)
             assert basis.flat_idx.tolist() == (
@@ -319,6 +321,24 @@ def test_basis_matches_sorted_oracle():
 def test_basis_beyond_work_budget_refused():
     with pytest.raises(ConstraintError, match="work budget"):
         MonomialBasis(3, 100000)
+
+
+def test_basis_exponent_table_counts_against_work_budget(monkeypatch):
+    """The budget covers the exponent table's build, not only the cube: at
+    degree 100 in 3 variables the cube takes 81608 bytes and the table
+    build 7 words for each of 5151 monomials."""
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", 8 * (101 ** 2 + 7 * 5151))
+    assert len(MonomialBasis(3, 100)) == 5151
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", 8 * (101 ** 2 + 7 * 5151) - 1)
+    with pytest.raises(ConstraintError, match="work budget"):
+        MonomialBasis(3, 100)
+
+
+def test_from_terms_refuses_malformed_tuples(F5):
+    for terms in ({(2, 0): 1}, {(2, 0, 0, 0): 1}, {(3, -1, 0): 1}, {(2, 0, 0): 1, (1, 1): 2}):
+        with pytest.raises(ConstraintError, match="non-negative entries"):
+            GradedPoly.from_terms(F5, 3, terms)
+    assert GradedPoly.from_terms(F5, 1, {(4,): 7}).coeffs.tolist() == [2]
 
 
 def _random_planes(field, rng, shape, density, max_nonzeros=None):
