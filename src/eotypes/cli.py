@@ -28,7 +28,7 @@ from .eoclass import (EOResult, classify, final_type_from_FV, weyl_from_final_ty
 from .errors import (ConstraintError, InternalInvariantError, PolyParseError,
                      SingularCurveError)
 from .gf import GF, field_new
-from .hwtriple import CurveCI, hw_triple
+from .hwtriple import CurveCI, check_power_budget, hw_triple
 from .polyring import GradedPoly, monomial_basis
 
 EXIT_PARSE = 2
@@ -65,6 +65,12 @@ def _int(match, group) -> int:
 
 def parse_poly(text: str, nvars: int, ctx: GF) -> GradedPoly:
     """Parse a homogeneous polynomial expression into canonical dense form."""
+    return GradedPoly.from_terms(ctx, nvars, _parse_terms(text, nvars))
+
+
+def _parse_terms(text: str, nvars: int) -> dict:
+    """The terms of a form as {exponent tuple: integer}, all of one degree;
+    nothing of that degree is built."""
     terms, degree, pos = {}, None, 0
     while pos < len(text) or not terms:
         m = _TERM.match(text, pos)
@@ -90,7 +96,7 @@ def parse_poly(text: str, nvars: int, ctx: GF) -> GradedPoly:
         key = tuple(e)
         terms[key] = terms.get(key, 0) + (-coef if m["sign"] == "-" else coef)
         pos = m.end()
-    return GradedPoly.from_terms(ctx, nvars, terms)
+    return terms
 
 
 def render_poly(poly: GradedPoly) -> str:
@@ -205,8 +211,11 @@ def _curve_from_args(args, field: GF) -> CurveCI:
                         if getattr(args, f"f{i}", None)]
     if len(texts) != n - 1:
         raise ConstraintError(f"a curve in P^{n} needs {n - 1} forms, got {len(texts)}")
-    polys = [parse_poly(t, n + 1, field) for t in texts]
-    return CurveCI(field, polys)
+    # every form is parsed, and the powers' budget checked from the degrees,
+    # before any form is placed in its degree's basis
+    terms = [_parse_terms(t, n + 1) for t in texts]
+    check_power_budget(field, n + 1, sum(sum(next(iter(t))) for t in terms))
+    return CurveCI(field, [GradedPoly.from_terms(field, n + 1, t) for t in terms])
 
 
 @contextlib.contextmanager

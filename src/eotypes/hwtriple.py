@@ -7,7 +7,7 @@ first into the annihilator of its image. The plane-curve path extracts both
 operators by pure coefficient bookkeeping: the Hasse-Witt matrix off the half
 power f^((p-1)/2), as one product of two gathers of its coefficients, and the
 second operator off f^(p-2), formed only when the kernel is nonzero. The
-general path multiplies classes through the dual module directly.
+general path gathers both from products F * Frob(t) (``_frob_times``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
 from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, exponent_array, gather,
                        linalg_work_bytes, partial_derivative, poly_mul, poly_pow,
-                       power_work_bytes, t_multiply, tmul_matrix)
+                       power_work_bytes, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
 
@@ -55,9 +55,7 @@ class CurveCI:
         self.d = sum(self.degrees)
         if n == 2 and self.d < 3:
             raise ConstraintError("a plane curve must have degree >= 3")
-        # p*d bounds the degree of every cube the curve builds: f^(p-2),
-        # (f_1...f_(n-1))^(p-1) and the Frobenius images of degree -p*d
-        _check_work("powers", power_work_bytes(field, nvars, field.p * self.d))
+        check_power_budget(field, nvars, self.d)
 
     def __repr__(self):
         return f"CurveCI(P^{self.n}, degrees={self.degrees}, {self.field!r})"
@@ -137,6 +135,17 @@ class CurveCI:
     def mu(self):
         """Pairing matrix of the generator u (``pairing_matrix``)."""
         return pairing_matrix(self, self.u)
+
+    def _mu_of(self, u):
+        return self.mu if u is self.u else pairing_matrix(self, u)
+
+
+def check_power_budget(field: GF, nvars: int, d: int):
+    """Refuse a curve of total degree d before any of its powers is formed.
+    The largest cube it builds is (f_1...f_(n-1))^(p-1), of degree (p-1)*d;
+    no Frobenius image of degree -p*d is formed. The check is on p*d, which
+    bounds that cube and f^(p-2)."""
+    _check_work("powers", power_work_bytes(field, nvars, field.p * d))
 
 
 def _check_work(what: str, work: int):
@@ -240,13 +249,20 @@ def _hw_plane_matrix(curve: CurveCI):
     return A
 
 
+def _frob_times(curve: CurveCI, F: GradedPoly, rows):
+    """Rows of F * Frob(t) for the degree -d classes t given as rows. In
+    shifted exponents (F * Frob(t))_c = sum over s of sigma(t_s) F[p*s+p-1-c],
+    so no Frobenius image is formed. As d >= n+1, the |T_-d| x |T_(deg F-p*d)|
+    gather is no larger than the relation-space matrix ``curve.mu`` guards."""
+    field, p, nvars = curve.field, curve.field.p, curve.nvars
+    src = exponent_array(nvars, curve.d - nvars)
+    tgt = exponent_array(nvars, p * curve.d - F.degree - nvars)
+    return field.matmul(field.frob(rows, 1), gather(F, (p * src + p - 1)[:, None] - tgt[None]))
+
+
 def _hw_general_matrix(curve: CurveCI):
-    field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
-    F = curve._product_pm1
-    images = [t_multiply(F, TClass(field, nvars, -d, row).frobenius()).coeffs
-              for row in qb.rows]
-    return qb.coords_of(np.array(images, DTYPE)).T
+    return qb.coords_of(_frob_times(curve, curve._product_pm1, qb.rows)).T
 
 
 def _derivative_matrix(curve: CurveCI, src_degrees):
@@ -277,7 +293,7 @@ def psi_matrix(curve: CurveCI, A_phi, kappa, u):
 
 def _psi_plane(curve: CurveCI, kappa, u):
     field, p, d = curve.field, curve.field.p, curve.d
-    mu = pairing_matrix(curve, u)
+    mu = curve._mu_of(u)
     md = exponent_array(3, d - 3)
     big = exponent_array(3, 2 * d - 3)
     # C[j, i] = coefficient of X^(p*m_j + p - 1 - M_i) in f^(p-2)
@@ -289,26 +305,16 @@ def _psi_plane(curve: CurveCI, kappa, u):
 
 
 def _psi_general(curve: CurveCI, kappa, u):
-    field, nvars, d = curve.field, curve.nvars, curve.d
-    qb = ci_q_basis(curve)
-    cols = []
-    for kap in kappa:
-        tau_kap = field.frob(kap, -1)
-        vec = field.matmul(tau_kap[None, :], qb.rows)[0]
-        t = TClass(field, nvars, -d, vec).frobenius()
-        xi = tuple(t_multiply(F, t) for F in curve._products_pm1_over)
-        for comp in xi:
-            _assert_in_dual_module(curve, comp)
-        _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])
-        cols.append(theta_apply(curve, u, xi))
-    return np.array(cols, DTYPE).T
-
-
-def _assert_in_dual_module(curve: CurveCI, xi: TClass):
-    for f in curve.polys:
-        if not t_multiply(f, xi).is_zero():
-            raise InternalInvariantError(
-                "second operator image left the curve's dual module")
+    """Column j is theta of (F_l * Frob(tau(kappa_j) . Q))_l, F_l = curve._products_pm1_over[l]."""
+    field, d = curve.field, curve.d
+    rows = field.matmul(field.frob(kappa, -1), ci_q_basis(curve).rows)
+    comps = [_frob_times(curve, F, rows).T for F in curve._products_pm1_over]
+    if any(field.matmul(tmul_matrix(f, -d - f_l.degree), comp).any()
+           for comp, f_l in zip(comps, curve.polys) for f in curve.polys):
+        raise InternalInvariantError("second operator image left the curve's dual module")
+    xi_cols = np.vstack(comps)
+    _assert_tuple_relations(curve, xi_cols)
+    return _dual_coords(curve, curve._mu_of(u), xi_cols)
 
 
 def _assert_tuple_relations(curve: CurveCI, xi_cols):
@@ -335,11 +341,14 @@ def pairing_matrix(curve: CurveCI, u):
 def theta_apply(curve: CurveCI, u, xi):
     """Coordinates in the dual of the Q basis of a tuple class xi,
     through the perfect pairing fixed by the generator u."""
-    field, qb = curve.field, ci_q_basis(curve)
-    mu = curve.mu if u is curve.u else pairing_matrix(curve, u)
     xi_vec = np.concatenate([comp.coeffs for comp in xi])
-    # the pairing of the degree d-n-1 monomials against the Q basis is qb.rows
-    return field.matmul(qb.rows, solve_matrix(field, mu, xi_vec)[:, None])[:, 0]
+    return _dual_coords(curve, curve._mu_of(u), xi_vec[:, None])[:, 0]
+
+
+def _dual_coords(curve: CurveCI, mu, xi_cols):
+    """theta on each column, a stacked tuple class, for the pairing mu; the
+    pairing of the degree d-n-1 monomials against the Q basis is qb.rows."""
+    return curve.field.matmul(ci_q_basis(curve).rows, solve_matrix(curve.field, mu, xi_cols))
 
 
 class HWTriple:

@@ -34,7 +34,8 @@ Every multiplication or coefficient matrix is one ``gather``: the
 coefficients of a form or of a shifted T-class read off its cube at an array
 of exponent differences, 0 wherever a difference has a negative entry. In
 shifted exponents s*t sends source monomial a to target c with coefficient
-s[a - c], so ``tmul_matrix`` and ``t_multiply`` are a gather and a matmul.
+s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply`` applies it to one
+class; the pipeline gathers stacks of products, Frobenius images included.
 """
 
 from __future__ import annotations
@@ -555,14 +556,9 @@ def tmul_matrix(s: GradedPoly, src_degree: int):
 
 
 def t_multiply(s: GradedPoly, t: TClass) -> TClass:
-    """Module action of the polynomial ring on T: the product with every
-    monomial that hits a non-negative exponent discarded. This is
-    tmul_matrix(s, t.degree) applied to t, gathering only the columns on the
-    support of t (Frobenius images are sparse in a large source piece)."""
+    """Module action of the polynomial ring on T, products that hit a
+    non-negative exponent discarded: tmul_matrix(s, t.degree) applied to t."""
     if s.field != t.field or s.nvars != t.nvars:
         raise ConstraintError("polynomial and T-class live over different rings")
-    support = np.flatnonzero(t.coeffs)
-    src = exponent_array(s.nvars, t.shifted_degree)[support]
-    tgt = exponent_array(s.nvars, t.shifted_degree - s.degree)
-    image = s.field.matmul(gather(s, src[None] - tgt[:, None]), t.coeffs[support, None])
+    image = s.field.matmul(tmul_matrix(s, t.degree), t.coeffs[:, None])
     return TClass(s.field, s.nvars, s.degree + t.degree, image[:, 0])

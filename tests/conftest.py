@@ -4,10 +4,12 @@ from math import prod
 import numpy as np
 import pytest
 
-from eotypes import (CurveCI, GradedPoly, field_new, hw_triple, monomial_basis,
-                     partial_derivative)
-from eotypes.errors import ConstraintError, PolyParseError
+from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, hw_triple,
+                     monomial_basis, null_space, partial_derivative, t_multiply,
+                     theta_apply)
+from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
 from eotypes.gf import DTYPE
+from eotypes.hwtriple import _assert_tuple_relations
 
 # The worked quartic written as terms, independently of its text in
 # eotypes.golden; its known values live there too.
@@ -340,3 +342,49 @@ def parse_oracle(text, nvars, field):
     for e, c in exps.items():
         coeffs[index[e]] = field.from_int(c)
     return GradedPoly(field, nvars, degree, coeffs)
+
+
+# -- the general path through Frobenius T-classes: the oracle of hwtriple's ---
+# -- coefficient-row route (_frob_times) --------------------------------------
+
+def _oracle_hw_general_matrix(curve):
+    field, nvars, d = curve.field, curve.nvars, curve.d
+    qb = ci_q_basis(curve)
+    F = curve._product_pm1
+    images = [t_multiply(F, TClass(field, nvars, -d, row).frobenius()).coeffs
+              for row in qb.rows]
+    return qb.coords_of(np.array(images, DTYPE)).T
+
+
+def _oracle_psi_general(curve, kappa, u):
+    field, nvars, d = curve.field, curve.nvars, curve.d
+    qb = ci_q_basis(curve)
+    cols = []
+    for kap in kappa:
+        tau_kap = field.frob(kap, -1)
+        vec = field.matmul(tau_kap[None, :], qb.rows)[0]
+        t = TClass(field, nvars, -d, vec).frobenius()
+        xi = tuple(t_multiply(F, t) for F in curve._products_pm1_over)
+        for comp in xi:
+            _oracle_assert_in_dual_module(curve, comp)
+        _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])
+        cols.append(theta_apply(curve, u, xi))
+    return np.array(cols, DTYPE).T
+
+
+def _oracle_assert_in_dual_module(curve, xi):
+    for f in curve.polys:
+        if not t_multiply(f, xi).is_zero():
+            raise InternalInvariantError(
+                "second operator image left the curve's dual module")
+
+
+def general_path_oracle(curve):
+    """(A_phi, kappa, A_psi) of the general complete-intersection path, with
+    every Frobenius image built as a dense T-class of degree -p*d and
+    multiplied one Q row and one kernel vector at a time (t_multiply)."""
+    A_phi = _oracle_hw_general_matrix(curve)
+    kappa = null_space(curve.field, A_phi)
+    if not kappa.shape[0]:
+        return A_phi, kappa, np.zeros((A_phi.shape[0], 0), DTYPE)
+    return A_phi, kappa, _oracle_psi_general(curve, kappa, curve.u)

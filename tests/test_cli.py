@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,37 @@ def test_huge_degree_refused_quickly(capsys):
         monomial_basis.cache_clear()
     assert time.perf_counter() - t0 < 2
     assert "work budget" in capsys.readouterr().err
+
+
+def test_huge_degree_refused_before_any_form_is_placed(capsys):
+    """The powers' budget is checked from the parsed degrees, so a refused
+    form leaves no basis in the cache and allocates next to nothing."""
+    monomial_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        code = main(["eotype", "--p", "7", "--f", "x^3000+y^3000+z^3000"])
+        peak = tracemalloc.get_traced_memory()[1]
+        cached = monomial_basis.cache_info().currsize
+    finally:
+        tracemalloc.stop()
+        monomial_basis.cache_clear()
+    assert code == 3
+    assert cached == 0
+    assert peak < 5 * 2 ** 20
+    assert "powers of this curve" in capsys.readouterr().err
+
+
+def test_parse_error_in_any_form_exits_2(capsys):
+    """Every form is parsed before any is placed: a malformed second form
+    exits 2 even after a first form too large to place."""
+    monomial_basis.cache_clear()
+    try:
+        assert main(["eotype", "--p", "5", "--n", "3", "--f", "X0^2000+X1^2000",
+                     "--f2", "X0^3+X1^2"]) == 2
+        assert monomial_basis.cache_info().currsize == 0
+    finally:
+        monomial_basis.cache_clear()
+    assert "not homogeneous" in capsys.readouterr().err
 
 
 def test_render_roundtrip_random(F5):

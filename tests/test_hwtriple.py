@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_TERMS, GOLDEN_U_SHIFTED, integer_power_terms, rational_singular_points
-from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError,
+from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, general_path_oracle, integer_power_terms,
+                      rational_singular_points)
+from eotypes import (ConstraintError, CurveCI, GradedPoly, InternalInvariantError,
+                     SingularCurveError,
                      TClass, ci_q_basis, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
-from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general
+from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general, _psi_plane
 from eotypes.polyring import gather, linalg_work_bytes, poly_mul, poly_pow
 from eotypes.semilinear import null_space
 
@@ -180,6 +182,53 @@ def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
             psi_gen = _psi_general(curve, kappa, u_generator(curve))
             assert np.array_equal(psi_gen, t.A_psi)
     assert (len(curves), with_kernel) == (36, 6)
+
+
+def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
+    """The coefficient-row route of the general path gives the triple of
+    the route through dense Frobenius T-classes (conftest's
+    general_path_oracle) on seeded space curves, and on plane quartics
+    over GF(3^2) run through the general path."""
+    F3 = field_new(3)
+    plan = [((2, 3), F5, 10), ((2, 3), F7, 6), ((2, 4), F9, 3), ((3, 3), F4, 12),
+            ((2, 2, 2), F3, 10), ((2, 2, 2), F9, 4), ((4,), F9, 30)]
+    rng = np.random.default_rng(1)
+    classified, with_kernel = [], []
+    for degrees, field, count in plan:
+        nvars = len(degrees) + 2
+        for _ in range(count):
+            curve = CurveCI(field, [GradedPoly(field, nvars, d, field.random_elements(
+                rng, (len(monomial_basis(nvars, d)),))) for d in degrees])
+            try:
+                t = hw_triple(curve)
+            except SingularCurveError:
+                continue
+            A_phi, kappa, A_psi = general_path_oracle(curve)
+            assert np.array_equal(_hw_general_matrix(curve), A_phi)
+            assert np.array_equal(t.A_phi, A_phi) and np.array_equal(t.kappa, kappa)
+            if t.h:
+                assert np.array_equal(_psi_general(curve, kappa, curve.u), A_psi)
+                with_kernel.append(field.m)
+            assert np.array_equal(t.A_psi, A_psi)
+            classified.append(field.m)
+    # curves classified, those with h > 0, and those of them over GF(p^2)
+    assert (len(classified), len(with_kernel), with_kernel.count(2)) == (60, 17, 8)
+
+
+def test_psi_general_refuses_image_outside_dual_module(ci_23_curve):
+    """A vector outside the kernel sends the second operator's image out of
+    the curve's dual module, and the check says so."""
+    with pytest.raises(InternalInvariantError,
+                       match="second operator image left the curve's dual module"):
+        _psi_general(ci_23_curve, [[1, 0, 0, 0]], u_generator(ci_23_curve))
+
+
+def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
+    """A vector outside the golden quartic's kernel gives an image that
+    breaks the derivative relations, and the check says so."""
+    with pytest.raises(InternalInvariantError,
+                       match="second operator image violates the derivative relations"):
+        _psi_plane(golden_curve, [[0, 0, 1]], u_generator(golden_curve))
 
 
 def test_triple_invariants_random_smooth_curves():
