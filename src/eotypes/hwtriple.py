@@ -5,7 +5,7 @@ any degree), the triple consists of the space Q of dual classes in degree -d,
 the Hasse-Witt operator on it, and the second operator from the kernel of the
 first into the annihilator of its image. The plane-curve path extracts both
 operators by pure coefficient bookkeeping: the Hasse-Witt matrix off the half
-power f^((p-1)/2), as one product of two gathers of its coefficients, and the
+power f^((p-1)/2), as one product of two takes of its coefficients, and the
 second operator off f^(p-2), formed only when the kernel is nonzero. The
 general path gathers both from products F * Frob(t) (``_frob_times``).
 """
@@ -215,11 +215,25 @@ def _hw_plane_matrix(curve: CurveCI):
     so A = L R^T with L[i, z] = lo_(z - m_i) and R[j, z] = hi_(c_j - z). The
     whole f^(p-2) is never formed here; psi forms it when h > 0.
 
-    The g x g result and one column of L and R must each fit the work
-    budget; at 1 GiB both fit whenever a g^2 x (terms of f) matrix does. L
-    and R are guarded as one 2g x |z| matrix: beyond the budget,
-    L[:, blk] R[:, blk]^T is summed over blocks of the widest column range
-    it allows (one block on every plane case of the benchmark).
+    On the exponents of X1 and X2, hi_(c_j - z) = hi'_(z - s_j) for the
+    cube hi' of hi flipped on both axes and s_j = c_j - (D, D), D = deg hi.
+    lo and hi' are each copied once into a zero border wide enough for
+    every z - m_i or z - s_j, so that L and R are each one take at the flat
+    offsets zf - sf: those of the z in the copy less those of the m_i or
+    the s_j. A difference with a negative entry, or whose X0 exponent
+    would be negative, lands on a zero of the copy, so no difference array
+    is built.
+
+    The two copies, the g x g result and one column of L and R must fit the
+    work budget together. The copies are never what refuses a curve that
+    ``check_power_budget`` admitted: lo's side is (a+2)d - 5 <= pd and hi''s
+    at most p(d-3) + (a+1)d - 2 < 2pd, so together they take under 40 bytes
+    a cell of the degree-p*d cube, where a product ending in that degree is
+    charged at least 88. The largest pair within the budget is 235 MB
+    (p = 37, d = 93). L and R are guarded as one 2g x |z| matrix: beyond
+    the budget left by the copies, L[:, blk] R[:, blk]^T is summed over
+    blocks of the widest column range it allows (one block on every plane
+    case of the benchmark), all read from the same two copies.
 
     A block's product sums at most |z| terms, and ``GF.matmul`` refuses more
     than ``max_terms``. No admitted curve gets there: the power check admits
@@ -229,24 +243,42 @@ def _hw_plane_matrix(curve: CurveCI):
     field, p, d = curve.field, curve.field.p, curve.d
     md = exponent_array(3, d - 3)
     g = len(md)
-    column = linalg_work_bytes(field, 3, 2 * g, 1)
-    _check_work("Hasse-Witt matrix", max(linalg_work_bytes(field, 3, g, g), column))
-    width = WORK_BUDGET_BYTES // column
     a = (p - 1) // 2
+    top = (a + 1) * d - 3  # the largest exponent of X1 or X2 in a z
+    # for lo and for hi flipped: the degree, and the offsets o of the reads
+    # z - o on the exponents of X1 and X2, which lie in [-max o, top - min o]
+    D = (p - 1 - a) * d
+    reads = ((a * d, md[:, 1:]), (D, p * md[:, 1:] + (p - 1 - D)))
+    before = [max(0, int(o.max())) for _, o in reads]
+    sides = [b + max(deg + 1, top - int(o.min()) + 1) for b, (deg, o) in zip(before, reads)]
+    copy_bytes = 8 * sum(side * side for side in sides)
+    column = linalg_work_bytes(field, 3, 2 * g, 1)
+    _check_work("Hasse-Witt matrix",
+                copy_bytes + max(linalg_work_bytes(field, 3, g, g), column))
+    width = (WORK_BUDGET_BYTES - copy_bytes) // column
     lo = poly_pow(curve.polys[0], a)
     hi = lo if 2 * a == p - 1 else poly_pow(curve.polys[0], p - 1 - a)
-    c = p * md + (p - 1)
-    z = exponent_array(3, (a + 1) * d - 3)
-    # differences are built variable axis first, so that each variable's
-    # column is contiguous for the subtraction and for gather
-    zt, mt, ct = np.ascontiguousarray(z.T), md.T[:, :, None], c.T[:, :, None]
+    cube = lo._cube()
+    cubes = (cube, (cube if hi is lo else hi._cube())[::-1, ::-1])
+    _, z1, z2 = exponent_array(3, top).T
+    bordered, zf, of = [], [], []
+    for cube, (_, o), b, side in zip(cubes, reads, before, sides):
+        bordered.append(_bordered(cube, b, side))
+        zf.append(z1 * side + z2 + b * (side + 1))
+        of.append(o[:, 0] * side + o[:, 1])
     A = np.zeros((g, g), DTYPE)
-    for start in range(0, len(z), width):
-        blk = zt[:, None, start:start + width]
-        L = gather(lo, np.moveaxis(blk - mt, 0, -1))
-        R = gather(hi, np.moveaxis(ct - blk, 0, -1))
+    for start in range(0, len(z1), width):
+        L, R = (c.take(f[None, start:start + width] - o[:, None])
+                for c, f, o in zip(bordered, zf, of))
         A = field.add(A, field.matmul(L, R.T))
     return A
+
+
+def _bordered(cube, before: int, side: int):
+    """A side x side array of zeros holding the square cube at (before, before)."""
+    out = np.zeros((side, side), DTYPE)
+    out[before:before + len(cube), before:before + len(cube)] = cube
+    return out
 
 
 def _frob_times(curve: CurveCI, F: GradedPoly, rows):

@@ -36,6 +36,11 @@ of exponent differences, 0 wherever a difference has a negative entry. In
 shifted exponents s*t sends source monomial a to target c with coefficient
 s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply`` applies it to one
 class; the pipeline gathers stacks of products, Frobenius images included.
+The one exception is the plane Hasse-Witt matrix (``hwtriple``), the largest
+read on a plane curve: its 2g x |z| entries of the two half powers are one
+take each from a zero-bordered copy of the cube at flat offsets, with no
+exponent-difference array. The same take inside ``gather`` for every caller
+was measured slower on the scan workload, so the two reads share no code.
 """
 
 from __future__ import annotations
@@ -384,18 +389,24 @@ def poly_mul(a: GradedPoly, b: GradedPoly) -> GradedPoly:
 
 
 def poly_pow(a: GradedPoly, e: int) -> GradedPoly:
-    """a^e by square-and-multiply on exponent cubes."""
+    """a^e on exponent cubes, e = k * 2^t with k odd: a^k by right-to-left
+    square-and-multiply, then t squarings. So an even power ends in a
+    squaring, which transforms once where a product of two different powers
+    transforms twice, and every earlier product is at most half its size."""
     if e < 0:
         raise ConstraintError("negative exponent")
     if e == 0:
         return GradedPoly.from_terms(a.field, a.nvars, {(0,) * a.nvars: 1})
-    result, base, k = None, a._cube(), e
+    t = (e & -e).bit_length() - 1
+    result, base, k = None, a._cube(), e >> t
     while k:
         if k & 1:
             result = base if result is None else _conv_field(a.field, result, base)
         k >>= 1
         if k:
             base = _conv_field(a.field, base, base)
+    for _ in range(t):
+        result = _conv_field(a.field, result, result)
     return GradedPoly._from_cube(a.field, a.nvars, a.degree * e, result)
 
 

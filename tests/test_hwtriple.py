@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, general_path_oracle, integ
                       rational_singular_points)
 from eotypes import (ConstraintError, CurveCI, GradedPoly, InternalInvariantError,
                      SingularCurveError,
-                     TClass, ci_q_basis, field_new, genus, hasse_witt_matrix,
+                     TClass, ci_q_basis, classify, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
@@ -344,6 +346,39 @@ def test_hw_plane_matrix_matches_full_product(p, m, degrees):
             assert np.array_equal(_hw_plane_matrix(plane_curve(field, f)), expected)
 
 
+# (p, m, d, curves): p = 2, p = 1 and 3 (mod 4), so that (p-1)/2 is even and
+# odd, degrees up to 7, and extension fields
+PINNED_PLANE_CASES = [
+    (2, 1, 5, 12), (3, 1, 4, 15), (5, 1, 4, 20), (7, 1, 4, 15), (13, 1, 4, 12), (17, 1, 5, 8),
+    (29, 1, 4, 8), (31, 1, 5, 8), (37, 1, 4, 8), (53, 1, 4, 8), (101, 1, 4, 8), (11, 1, 6, 6),
+    (31, 1, 6, 4), (13, 1, 7, 3), (3, 2, 4, 10), (5, 2, 4, 10), (7, 2, 5, 6), (7, 3, 4, 6),
+    (31, 2, 4, 6)]
+
+
+def test_plane_triples_pinned():
+    """Seeded random plane curves keep their outputs: the SHA-256 of every
+    A_phi, kappa, A_psi, tag and Weyl coset, or of the rejection, in order."""
+    digest, tags = hashlib.sha256(), {}
+    for p, m, d, count in PINNED_PLANE_CASES:
+        field = field_new(p, m)
+        rng = np.random.default_rng(1000 * p + 10 * m + d)
+        for _ in range(count):
+            f = GradedPoly(field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),)))
+            try:
+                t = hw_triple(plane_curve(field, f))
+            except SingularCurveError:
+                digest.update(b"singular;")
+                tags["singular"] = tags.get("singular", 0) + 1
+                continue
+            for M in (t.A_phi, t.kappa, t.A_psi):
+                digest.update(repr(M.shape).encode() + M.astype("<i8").tobytes())
+            digest.update(f"{t.fast_tag}{classify(t).weyl.one_line};".encode())
+            tags[t.fast_tag] = tags.get(t.fast_tag, 0) + 1
+    assert tags == {"ordinary": 133, "interesting": 12, "singular": 28}
+    assert digest.hexdigest() == (
+        "a215079b05d5db780c5151fcab0f523215554a684b133880ca4601c2f23020b8")
+
+
 def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
     """An ordinary plane curve forms no power above (p-1)/2; a curve with
     h > 0 still forms f^(p-2) for the second operator."""
@@ -360,24 +395,101 @@ def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
     assert formed == [2, 3]
 
 
+class _CountedReads(np.ndarray):
+    """A bordered copy that records the width of every take from it."""
+
+    widths = None
+
+    def take(self, indices, *args, **kwargs):
+        self.widths.append(indices.shape[1])
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def _record_plane_reads(monkeypatch):
+    """Wrap hwtriple._bordered so that its copies are kept and count their
+    reads; returns (copies, widths)."""
+    copies, widths = [], []
+    original = hwtriple._bordered
+
+    def bordered(cube, before, side):
+        copies.append(original(cube, before, side).view(_CountedReads))
+        copies[-1].widths = widths
+        return copies[-1]
+
+    monkeypatch.setattr(hwtriple, "_bordered", bordered)
+    return copies, widths
+
+
 @pytest.mark.parametrize("p,m,d", [(2, 1, 5), (31, 1, 5), (3, 2, 4), (7, 3, 4)])
 def test_hw_plane_matrix_in_column_blocks_matches_one_block(monkeypatch, p, m, d):
-    """With a work budget that fits half of the columns of L and R, the
-    block sum equals the one-block matrix."""
+    """With a work budget that fits the two bordered copies and half of the
+    columns of L and R, the block sum equals the one-block matrix. Both
+    blocks read the same two copies, and each formed power has its cube
+    built once, not once per block."""
     field = field_new(p, m)
     rng = np.random.default_rng(p + d)
     curve = plane_curve(field, GradedPoly(
         field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),))))
-    whole = _hw_plane_matrix(curve)
     g = len(monomial_basis(3, d - 3))
     columns = len(monomial_basis(3, (p - 1) // 2 * d + d - 3))
-    widths = []
-    original = hwtriple.gather
-    monkeypatch.setattr(hwtriple, "gather", lambda x, e: widths.append(e.shape[1]) or original(x, e))
+    copies, widths = _record_plane_reads(monkeypatch)
+    whole = _hw_plane_matrix(curve)
+    assert len(copies) == 2 and widths == [columns, columns]
+    copy_bytes = sum(c.nbytes for c in copies)
+    copies.clear()
+    widths.clear()
+    formed, cubes = [], []
+    original_pow, original_cube = hwtriple.poly_pow, GradedPoly._cube
+    monkeypatch.setattr(hwtriple, "poly_pow",
+                        lambda f, e: formed.append(original_pow(f, e)) or formed[-1])
+    monkeypatch.setattr(GradedPoly, "_cube", lambda x: cubes.append(x) or original_cube(x))
     monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES",
-                        linalg_work_bytes(field, 3, 2 * g, -(-columns // 2)))
+                        copy_bytes + linalg_work_bytes(field, 3, 2 * g, -(-columns // 2)))
     assert np.array_equal(_hw_plane_matrix(curve), whole)
     assert len(widths) == 4 and sum(widths) == 2 * columns
+    assert len(copies) == 2
+    factors = list({id(x): x for x in formed}.values())
+    assert len(factors) == (2 if p == 2 else 1)
+    assert [id(x) for x in cubes if x is not curve.polys[0]] == [id(x) for x in factors]
+
+
+def test_hw_plane_matrix_copies_counted_in_budget(monkeypatch):
+    """The Hasse-Witt estimate is the two bordered copies plus the larger of
+    the g x g result and one column of L and R: at exactly that budget the
+    matrix is read; one byte less refuses the curve before any power or copy
+    is formed."""
+    field = field_new(101)
+    curve = plane_curve(field, GradedPoly(
+        field, 3, 4, field.random_elements(np.random.default_rng(0), (15,))))
+    copies, _ = _record_plane_reads(monkeypatch)
+    whole = _hw_plane_matrix(curve)
+    need = sum(c.nbytes for c in copies) + max(linalg_work_bytes(field, 3, 3, 3),
+                                               linalg_work_bytes(field, 3, 6, 1))
+    copies.clear()
+    formed = []
+    original_pow = hwtriple.poly_pow
+    monkeypatch.setattr(hwtriple, "poly_pow", lambda f, e: formed.append(e) or original_pow(f, e))
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
+    assert np.array_equal(_hw_plane_matrix(curve), whole)
+    assert formed == [50] and len(copies) == 2
+    formed.clear()
+    copies.clear()
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
+    with pytest.raises(ConstraintError, match="Hasse-Witt matrix"):
+        _hw_plane_matrix(curve)
+    assert formed == [] and copies == []
+
+
+def test_hw_plane_matrix_copies_beyond_budget_exit_3(monkeypatch, capsys):
+    """Through the command line, a budget below the bordered copies exits 3
+    and names the Hasse-Witt matrix (the power check, which would refuse
+    first at such a budget, is switched off here)."""
+    from eotypes import cli
+    monkeypatch.setattr(cli, "check_power_budget", lambda *args: None)
+    monkeypatch.setattr(hwtriple, "check_power_budget", lambda *args: None)
+    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", 1 << 19)
+    assert cli.main(["eotype", "--p", "101", "--f", "x^4+y^4+z^4+x*y^2*z"]) == 3
+    assert "Hasse-Witt matrix" in capsys.readouterr().err
 
 
 def test_hw_plane_matrix_result_beyond_budget_refused(monkeypatch, F7):

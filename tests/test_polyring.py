@@ -95,6 +95,38 @@ def test_pow_additivity_random(F5):
         assert poly_pow(a, 5) == poly_mul(poly_pow(a, 2), poly_pow(a, 3))
 
 
+@pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (7, 3), (31, 2)])
+def test_poly_pow_matches_repeated_products(p, m):
+    """a^e equals e - 1 products by a, for every e up to 40: odd exponents,
+    even ones that end in squarings, and powers of two."""
+    field = field_new(p, m)
+    a = GradedPoly(field, 3, 2, field.random_elements(np.random.default_rng(p + m), (6,)))
+    expected = poly_pow(a, 0)
+    for e in range(41):
+        assert poly_pow(a, e) == expected, e
+        expected = poly_mul(expected, a)
+
+
+def test_poly_pow_even_exponent_ends_in_a_squaring(monkeypatch, golden_poly):
+    """a^50 ends in the square of a^25. An odd exponent keeps the right-to-left
+    square-and-multiply: a^15 takes a*a, a*a^2, a^2*a^2, a^3*a^4, a^4*a^4 and
+    a^7*a^8, in that order."""
+    products = []
+    original = polyring._conv_field
+
+    def conv(field, ca, cb):
+        a, b = (len(ca) - 1) // 4, (len(cb) - 1) // 4
+        products.append(a if cb is ca else (a, b))
+        return original(field, ca, cb)
+
+    monkeypatch.setattr(polyring, "_conv_field", conv)
+    poly_pow(golden_poly, 50)
+    assert products[-1] == 25
+    products.clear()
+    poly_pow(golden_poly, 15)
+    assert products == [1, (1, 2), 2, (3, 4), 4, (7, 8)]
+
+
 def test_freshman_dream_random():
     for p in (2, 3, 5):
         field = field_new(p)
