@@ -448,9 +448,8 @@ def test_hw_plane_matrix_in_column_blocks_matches_one_block(monkeypatch, p, m, d
     assert np.array_equal(_hw_plane_matrix(curve), whole)
     assert len(widths) == 4 and sum(widths) == 2 * columns
     assert len(copies) == 2
-    factors = list({id(x): x for x in formed}.values())
-    assert len(factors) == (2 if p == 2 else 1)
-    assert [id(x) for x in cubes if x is not curve.polys[0]] == [id(x) for x in factors]
+    assert len(formed) == (2 if p == 2 else 1)
+    assert [id(x) for x in cubes if x is not curve.polys[0]] == [id(x) for x in formed]
 
 
 def test_hw_plane_matrix_copies_counted_in_budget(monkeypatch):
