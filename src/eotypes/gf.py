@@ -12,9 +12,12 @@ arrays.
 For m > 1 one matrix defines the field: ``_red``, whose row t holds the
 digits of x^(m+t) modulo the modulus. Products reduce through it, and the
 rest derives from products: the Frobenius sigma has the digits of x^(p*j)
-as column j, and inverses are a^(q-2). A monic modulus is accepted iff
-sigma^m = 1 (so the ring is reduced and its factor degrees divide m) and
-sigma fixes only a line (so there is one factor): Berlekamp's test. The
+as column j. Inverses come from a table for q <= 2^16; otherwise
+``inv_scalar`` takes the norm identity a^(-1) = N(a)^(-1) * sigma(a) ...
+sigma^(m-1)(a), with N(a) in GF(p) inverted by Python's ``pow``. A monic
+modulus is accepted iff sigma^m = 1 (so the ring is reduced and its factor
+degrees divide m) and sigma fixes only a line (so there is one factor):
+Berlekamp's test, whose rank is taken in the candidate ring itself. The
 default modulus is the first accepted one in code order; a candidate with
 a root in GF(p) is skipped before the test.
 
@@ -31,9 +34,28 @@ digits @ _bp (``scale_by_inverse``), and an outer product of a and b is
 one product of a with the basis times b, b @ _bp (``mul_outer``).
 Supported: p < 2^31, with term_bound within int64; a sum of more than
 max_terms = INT64_MAX // term_bound products raises ``ConstraintError``.
+
+Every matrix product of the arithmetic goes through one kernel,
+``exact_matmul``: the digit products of ``matmul``, and for m > 1 the
+products with _bp of ``mul_outer`` and ``scale_by_inverse`` (for m = 1
+these sum nothing and stay elementwise). It forms the product in float64
+BLAS. An integer sum whose partial sums all stay below 2^53 is exact in
+float64 in any order of summation, so a GEMM that sums the products, as
+OpenBLAS and the reference BLAS do, returns the int64 product exactly when
+terms * max|a| * max|b| < 2^53. The bound is a priori and asserted: each
+factor's largest entry is the one its contract allows, p - 1 for digits and
+m*(p-1)^2 for a product of digits with _bp. Where it fails, as over
+GF(2^31-1), the right factor is split into the fewest k-bit limbs
+(``split_limbs``, the split of polyring's FFT products) that pass it, a
+balanced limb being at most 2^(k-1) and the top one at most
+(bmax >> k*(limbs-1)) + 1, and the limb products recombine in int64 from the
+top limb (``product_limbs``). Every field of the benchmark's workloads
+takes one limb.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +63,10 @@ from .errors import ConstraintError
 
 DTYPE = np.int64
 _INT64_MAX = int(np.iinfo(DTYPE).max)
+
+# A sum of integers whose partial sums all stay below 2^53 in absolute value
+# is exact in float64, in any order of summation.
+_FLOAT_EXACT = 1 << 53
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -69,6 +95,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def split_limbs(x, k: int, limbs: int):
+    """The limbs x = sum_a x_a 2^(k*a) of an int64 array, lowest first:
+    every limb but the top one balanced in [-2^(k-1), 2^(k-1))."""
+    out = []
+    for _ in range(limbs - 1):
+        out.append(((x + (1 << (k - 1))) & ((1 << k) - 1)) - (1 << (k - 1)))
+        x = (x - out[-1]) >> k
+    return out + [x]
+
+
+@lru_cache(maxsize=1024)
+def product_limbs(terms: int, amax: int, bmax: int):
+    """(k, limbs): the fewest limbs of k bits (``split_limbs``) of a right
+    factor with entries of absolute value at most bmax whose products with
+    a left factor of entries at most amax, summing terms products, are exact
+    in float64: terms * amax * (largest limb) < 2^53. A balanced limb is at
+    most 2^(k-1), the top one at most (bmax >> k*(limbs-1)) + 1. One limb
+    (k = 0) is the factor itself."""
+    limbs, k, top = 1, 0, bmax
+    bits = bmax.bit_length()
+    while terms * amax * max(top, 1 << k >> 1) >= _FLOAT_EXACT:
+        if limbs >= bits:
+            raise ConstraintError("no limb width makes this product exact in float64")
+        limbs += 1
+        k = -(-bits // limbs)
+        top = (bmax >> k * (limbs - 1)) + 1
+    return k, limbs
+
+
+def exact_matmul(a, b, amax: int, bmax: int):
+    """a @ b for int64 matrices with entries of absolute value at most amax
+    and bmax: float64 BLAS products of a with the limbs of b
+    (``product_limbs``), recombined in int64 from the top limb."""
+    k, limbs = product_limbs(a.shape[-1], amax, bmax)
+    fa = a.astype(np.float64)
+    if limbs == 1:
+        return (fa @ b.astype(np.float64)).astype(DTYPE)
+    parts = split_limbs(b, k, limbs)
+    out = (fa @ parts[-1].astype(np.float64)).astype(DTYPE)
+    for part in reversed(parts[:-1]):
+        out = (out << k) + (fa @ part.astype(np.float64)).astype(DTYPE)
+    return out
+
+
 class GF:
     """The field GF(p^m), with vectorized arithmetic on code arrays."""
 
@@ -84,12 +154,15 @@ class GF:
         # Largest entry of one unreduced product of digits in [0, p): a digit
         # plane gathers m products, and the m-1 high planes pass through _red.
         self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
+        # Largest entry of a product of m digits in [0, p) with _bp: of the
+        # products x^i * b that mul_outer takes, and of a multiplication matrix.
+        self._bp_max = m * (p - 1) ** 2
         # Most terms one sum of products may hold.
         self.max_terms = _INT64_MAX // self.term_bound
         if self.q > _INT64_MAX or self.max_terms < 1:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         self._ppow = np.array([p ** i for i in range(m)], DTYPE)
-        self.modulus = None
+        self.modulus, self._inv_table = None, None
         if m == 1 and modulus is not None:
             raise ConstraintError(f"a modulus needs extension degree m > 1 (got m = 1 over Z/{p})")
         if m > 1:
@@ -105,17 +178,18 @@ class GF:
                 candidates = [modulus]
             if not self._install_first_irreducible(candidates):
                 raise ConstraintError(f"modulus {modulus} is reducible over Z/{p}")
-            # _bp[i, j]: the digits of x^(i+j), folded through _red
-            self._bp = self._fold(np.eye(2 * m - 1, dtype=DTYPE)[np.add.outer(range(m), range(m))])
-        self._inv_table = (self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
-                           if self.q <= 1 << 16 else None)
+        if self.q <= 1 << 16:
+            self._inv_table = self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
 
     def _install_first_irreducible(self, candidates) -> bool:
         """Make the first irreducible monic candidate the modulus, with its
-        _red and Frobenius matrices; False if no candidate is irreducible."""
+        _red, _bp and Frobenius matrices; False if no candidate is
+        irreducible. The rank of sigma - 1 is taken in the candidate's own
+        ring: row reduction of a matrix over GF(p) never leaves GF(p), so
+        it gives the rank over GF(p) without building that field."""
         from .semilinear import rank
         p, m = self.p, self.m
-        prime_field, eye = GF(p), np.eye(m, dtype=DTYPE)
+        eye = np.eye(m, dtype=DTYPE)
         xs, high = np.arange(p, dtype=DTYPE), None
         for modulus in candidates:
             # A root in GF(p) makes a candidate reducible. The candidate is
@@ -135,13 +209,15 @@ class GF:
                 prev = rows[-1]
                 rows.append((np.concatenate(([0], prev[:-1])) + prev[-1] * rows[0]) % p)
             self.modulus, self._red = modulus, np.array(rows, DTYPE)
+            # _bp[i, j]: the digits of x^(i+j), folded through _red
+            self._bp = self._fold(np.eye(2 * m - 1, dtype=DTYPE)[np.add.outer(range(m), range(m))])
             # the code of x^j is p^j
             sigma = self.decode(self.pow_int(self._ppow, p)).T
             powers = [eye]
             for _ in range(m):
                 powers.append(sigma @ powers[-1] % p)
             self._frob_mats = powers[:m]
-            if np.array_equal(powers[m], eye) and rank(prime_field, (sigma - eye) % p) == m - 1:
+            if np.array_equal(powers[m], eye) and rank(self, (sigma - eye) % p) == m - 1:
                 return True
         return False
 
@@ -194,24 +270,26 @@ class GF:
 
     def mul_outer(self, a, b):
         """Unreduced products of every element of digit view a with every
-        element of b, shape (len(a), len(b)) plus the digit axis: the same
-        integers as mul_digits(a[:, None], b[None]). Over GF(p^m) the
-        product is linear in a's digits, so it is one matrix product of a
-        with the products x^i * b."""
+        element of b, both in [0, p), shape (len(a), len(b)) plus the digit
+        axis: the same integers as mul_digits(a[:, None], b[None]). Over
+        GF(p^m) the product is linear in a's digits, so it is one matrix
+        product of a with the products x^i * b."""
         if self.m == 1:
             return np.multiply.outer(a, b)
         m = self.m
-        return (a @ (b @ self._bp).reshape(m, -1)).reshape(len(a), len(b), m)
+        products = (b @ self._bp).reshape(m, -1)
+        return exact_matmul(a, products, self.p - 1, self._bp_max).reshape(len(a), len(b), m)
 
     def scale_by_inverse(self, a, d):
         """Unreduced product of digit view a with the inverse of the nonzero
-        element of digit view d in [0, p): the integers of mul_digits(a,
-        inverse), as one product with the inverse's multiplication matrix,
-        whose entries are at most (p-1) + (m-1)*(p-1)^2."""
+        element of digit view d, both in [0, p): the integers of
+        mul_digits(a, inverse), as one product with the inverse's
+        multiplication matrix, whose entries are at most
+        (p-1) + (m-1)*(p-1)^2."""
         if self.m == 1:
             return a * self.inv_scalar(d)
-        p, code = self.p, self.inv_scalar(d @ self._ppow)
-        return a @ np.dot([code // p ** i % p for i in range(self.m)], self._bp)
+        inverse = self.inv_scalar(d @ self._ppow) // self._ppow % self.p
+        return exact_matmul(a, inverse @ self._bp, self.p - 1, self._bp_max)
 
     def _fold(self, planes):
         """Digit planes -> digits, through _red: the one reduction modulo
@@ -250,13 +328,20 @@ class GF:
         return self.encode(self._fold(planes))
 
     def inv_scalar(self, code):
-        """Inverse of a single element: a table lookup, or a^(q-2)."""
+        """Inverse of a single element: a table lookup, or the norm identity
+        a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), where the norm
+        N(a) = a * sigma(a) ... sigma^(m-1)(a) lies in GF(p)."""
         code = int(code)
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv_table is not None:
             return int(self._inv_table[code])
-        return int(self.pow_int(code, self.q - 2))
+        if self.m == 1:
+            return pow(code, -1, self.p)
+        conj = self.frob(code, 1)
+        for k in range(2, self.m):
+            conj = self.mul(conj, self.frob(code, k))
+        return int(self.scale_int(pow(int(self.mul(code, conj)), -1, self.p), conj))
 
     def inv(self, a):
         a = np.asarray(a, DTYPE)
@@ -294,13 +379,14 @@ class GF:
             raise ConstraintError(
                 f"a product summing {A.shape[1]} terms overflows int64 over {self!r}")
         if self.m == 1:
-            return (A @ B) % self.p
-        da, db = self.decode(A), self.decode(B)
-        m = self.m
-        planes = np.zeros((A.shape[0], B.shape[1], 2 * m - 1), DTYPE)
+            return exact_matmul(A, B, self.p - 1, self.p - 1) % self.p
+        # digit i of A times every digit of B lands on planes i .. i+m-1
+        m, (rows, k), cols = self.m, A.shape, B.shape[1]
+        da, db = self.decode(A), self.decode(B).reshape(k, cols * m)
+        planes = np.zeros((rows, cols, 2 * m - 1), DTYPE)
         for i in range(m):
-            for j in range(m):
-                planes[..., i + j] += da[..., i] @ db[..., j]
+            planes[..., i:i + m] += exact_matmul(
+                da[..., i], db, self.p - 1, self.p - 1).reshape(rows, cols, m)
         return self.reduce_digit_planes(planes)
 
     def random_elements(self, rng, shape):

@@ -52,7 +52,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError
-from .gf import DTYPE, GF, FieldElem
+from .gf import DTYPE, GF, FieldElem, split_limbs
 
 
 # Largest working set, in bytes, that one product of exponent cubes or one
@@ -128,7 +128,10 @@ def _tail_exponents(k: int, degree: int):
     return rows
 
 
-@lru_cache(maxsize=None)
+# A pipeline needs a few bases at a time (at most 20 over 300 benchmark
+# curves); the bound keeps a long-lived process from holding every basis it
+# ever built.
+@lru_cache(maxsize=64)
 def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
     return MonomialBasis(nvars, degree)
 
@@ -169,15 +172,11 @@ def _fft_error_bound(da, db, out_shape) -> float:
 
 def _limb_split(da, db, out_shape):
     """(k, limbs, la, lb): the digit planes da and db as the fewest limbs of
-    k bits whose FFT product the a-priori bound proves exact. Limb a of
-    digit i is plane i*limbs + a of la: x = sum_a x_a 2^(k*a), every limb but
-    the top one balanced in [-2^(k-1), 2^(k-1)). One limb is da itself."""
+    k bits (``gf.split_limbs``) whose FFT product the a-priori bound proves
+    exact. Limb a of digit i is plane i*limbs + a of la. One limb is da
+    itself."""
     def split(x):
-        out = []
-        for _ in range(limbs - 1):
-            out.append(((x + (1 << (k - 1))) & ((1 << k) - 1)) - (1 << (k - 1)))
-            x = (x - out[-1]) >> k
-        return np.stack(out + [x], axis=1).reshape((-1,) + x.shape[1:])
+        return np.stack(split_limbs(x, k, limbs), axis=1).reshape((-1,) + x.shape[1:])
 
     limbs, k, la, lb = 1, 0, da, db
     while _fft_error_bound(la, lb, out_shape) >= 0.25:

@@ -29,6 +29,14 @@ reduction mod p every ``max_terms`` = INT64_MAX // term_bound steps keeps
 it within int64. Between full reductions an entry only falls or is
 overwritten from [0, p), so one at or above p can only have wrapped; each
 full reduction and the end of the loop check for that.
+
+``rank`` runs the same loop but stops at an echelon form (``rref``'s
+private argument ``_reduced``): a pivot step updates only the rows below
+the pivot. The pivot search reads only those rows, so the pivots are the
+same, and the reduced form's back-substitution above each pivot is never
+done. ``independent_subset``, which reads only the pivots, takes the same
+pass. Each update subtracts the same integers as in the reduced form, on a
+subset of the rows, so the headroom argument above holds unchanged.
 """
 
 from __future__ import annotations
@@ -39,8 +47,10 @@ from .errors import ConstraintError, InternalInvariantError
 from .gf import DTYPE, GF
 
 
-def rref(field: GF, M):
-    """Reduced row echelon form. Returns (R, pivot column tuple)."""
+def rref(field: GF, M, _reduced=True):
+    """Reduced row echelon form. Returns (R, pivot column tuple). With
+    _reduced false, each pivot step updates only the rows below the pivot:
+    R is then an echelon form with the same pivots."""
     M = np.asarray(M, DTYPE)
     if M.ndim != 2:
         raise ConstraintError("rref expects a matrix")
@@ -64,7 +74,8 @@ def rref(field: GF, M):
             D[[r, i]] = D[[i, r]]
             col[[r, i]] = col[[i, r]]
         row = field.scale_by_inverse(D[r, c:] % p, col[r]) % p
-        D[:, c:] -= field.mul_outer(col, row)
+        top = 0 if _reduced else r + 1
+        D[top:, c:] -= field.mul_outer(col[top:], row)
         D[r, c:] = row
         pivots.append(c)
         steps += 1
@@ -80,7 +91,7 @@ def _check_headroom(D, p):
 
 
 def rank(field: GF, M) -> int:
-    return rref(field, M)[0].shape[0]
+    return len(rref(field, M, _reduced=False)[1])
 
 
 def null_space(field: GF, M):
@@ -264,7 +275,7 @@ def independent_subset(field: GF, vectors):
         vectors = vectors[None, :]
     if not vectors.size:
         raise ConstraintError("independent_subset needs an ambient dimension")
-    kept = list(rref(field, vectors.T)[1])
+    kept = list(rref(field, vectors.T, _reduced=False)[1])
     return kept, vectors[kept], Subspace.span(field, vectors[kept])
 
 

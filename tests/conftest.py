@@ -138,6 +138,35 @@ def rref_oracle(field, M):
     return M[:r], tuple(pivots)
 
 
+def matmul_oracle(field, A, B):
+    """GF.matmul by int64 numpy products of digits, one per pair of digit
+    planes: the independent oracle of the float64 product kernel."""
+    A, B = np.asarray(A, DTYPE), np.asarray(B, DTYPE)
+    if field.m == 1:
+        return (A @ B) % field.p
+    da, db = field.decode(A), field.decode(B)
+    m = field.m
+    planes = np.zeros((A.shape[0], B.shape[1], 2 * m - 1), DTYPE)
+    for i in range(m):
+        for j in range(m):
+            planes[..., i + j] += da[..., i] @ db[..., j]
+    return field.reduce_digit_planes(planes)
+
+
+def mul_outer_oracle(field, a, b):
+    """GF.mul_outer of digit views over GF(p^m), m > 1, as one int64
+    product of a with the products x^i * b."""
+    m = field.m
+    return (a @ (b @ field._bp).reshape(m, -1)).reshape(len(a), len(b), m)
+
+
+def scale_by_inverse_oracle(field, a, d):
+    """GF.scale_by_inverse over GF(p^m), m > 1, as one int64 product of a
+    with the multiplication matrix of the inverse of d."""
+    p, code = field.p, field.inv_scalar(d @ field._ppow)
+    return a @ np.dot([code // p ** i % p for i in range(field.m)], field._bp)
+
+
 def conv_oracle(da, db, out_shape):
     """Product planes of the digit planes da and db (leading axis, m each)
     by the exact int64 window loop: one shifted add of the other cube per

@@ -2,9 +2,12 @@ import time
 
 import numpy as np
 import pytest
+from conftest import matmul_oracle, mul_outer_oracle, scale_by_inverse_oracle
 
-from eotypes import ConstraintError, field_new, frobenius
-from eotypes.gf import is_prime
+import eotypes.gf as gf
+from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError, classify,
+                     field_new, frobenius, hw_triple, monomial_basis)
+from eotypes.gf import is_prime, product_limbs
 
 
 def test_prime_field_basics(F5):
@@ -267,3 +270,112 @@ def test_product_table_matches_mul_digits(p, m):
         assert np.array_equal(scaled, F.mul_digits(da, inv))
         assert 0 <= scaled.min() and scaled.max() <= F.term_bound
         assert np.array_equal(F.from_digit_view(scaled), F.mul(a, F.inv_scalar(s)))
+
+
+# Fields of the extension tests, where the large ones go through limbs.
+KERNEL_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (7, 3), (31, 2),
+                 (2147483647, 1), (1048573, 3)]
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_products_match_int64_oracle(p, m):
+    F = field_new(p, m)
+    rng = np.random.default_rng(p + m)
+    k = min(F.max_terms, 30)
+    # q - 1 has every digit p - 1: the largest entry a product can see
+    A = F.random_elements(rng, (7, k))
+    B = F.random_elements(rng, (k, 5))
+    A[0], B[:, 0] = F.q - 1, F.q - 1
+    assert np.array_equal(F.matmul(A, B), matmul_oracle(F, A, B))
+    assert np.array_equal(F.matmul(A[:, :1], B[:1]), matmul_oracle(F, A[:, :1], B[:1]))
+    top = np.full(k, F.q - 1)
+    assert np.array_equal(F.matmul(top[None], top[:, None]), matmul_oracle(F, top[None], top[:, None]))
+    if m == 1:
+        return
+    a = np.concatenate([[F.q - 1, p - 1], F.random_elements(rng, (9,))])
+    da = F.digit_view(a)
+    assert np.array_equal(F.mul_outer(da, da), mul_outer_oracle(F, da, da))
+    for s in a[a != 0]:
+        ds = F.digit_view(s)
+        assert np.array_equal(F.scale_by_inverse(da, ds), scale_by_inverse_oracle(F, da, ds))
+
+
+def test_product_limbs_pinned():
+    # GF(2^31-1): a product of two entries of p - 1 needs two 16-bit limbs
+    p = 2147483647
+    assert product_limbs(1, p - 1, p - 1) == (16, 2)
+    assert product_limbs(field_new(p).max_terms, p - 1, p - 1) == (16, 2)
+    # GF(1048573^3): mul_outer's products x^i * b need two 21-bit limbs
+    F = field_new(1048573, 3)
+    assert product_limbs(F.m, F.p - 1, F._bp_max) == (21, 2)
+    assert product_limbs(F.max_terms, F.p - 1, F.p - 1) == (0, 1)
+    # beyond what a left factor alone allows, no split helps
+    with pytest.raises(ConstraintError):
+        product_limbs(1 << 40, 1 << 13, 1)
+
+
+# (p, m, d) of the benchmark's workloads: scan-p5-d4, plane-large-p and
+# ext-field.
+WORKLOAD_CASES = [(5, 1, 4), (31, 1, 6), (53, 1, 5), (101, 1, 4),
+                  (7, 3, 4), (7, 2, 5), (31, 2, 4)]
+
+
+@pytest.mark.parametrize("p,m,d", WORKLOAD_CASES)
+def test_workload_products_take_one_limb(monkeypatch, p, m, d):
+    seen = []
+
+    def spy(terms, amax, bmax):
+        out = product_limbs(terms, amax, bmax)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(gf, "product_limbs", spy)
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * d + m)
+    n = len(monomial_basis(3, d).exps)
+    for _ in range(3):
+        curve = CurveCI(F, [GradedPoly(F, 3, d, F.random_elements(rng, (n,)))])
+        try:
+            classify(hw_triple(curve))
+        except SingularCurveError:
+            pass
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("p,m", [(257, 2), (65537, 1), (1048573, 3), (2147483647, 1)])
+def test_inverse_by_norm_matches_power(p, m):
+    F = field_new(p, m)
+    assert F._inv_table is None
+    rng = np.random.default_rng(p + m)
+    codes = np.concatenate([[1, p - 1, F.q - 1, p if m > 1 else 2],
+                            F.random_elements(rng, (20,))])
+    codes = codes[codes != 0]
+    expected = F.pow_int(codes, F.q - 2)
+    assert [F.inv_scalar(c) for c in codes] == expected.tolist()
+    assert np.all(F.mul(codes, expected) == 1)
+
+
+# Default moduli of every other (p, m) the tests build; DEFAULT_MODULI holds
+# the benchmark's.
+MORE_DEFAULT_MODULI = {(101, 3): (1, 1, 0, 1), (251, 2): (1, 0, 1), (257, 2): (3, 0, 1),
+                       (32749, 2): (2, 0, 1), (65521, 2): (17, 0, 1),
+                       (1048573, 2): (2, 0, 1), (1048573, 3): (2, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("p,m", sorted(MORE_DEFAULT_MODULI))
+def test_default_modulus_unchanged(p, m):
+    assert field_new(p, m).modulus == MORE_DEFAULT_MODULI[p, m]
+
+
+def test_extension_field_builds_no_prime_field(monkeypatch):
+    # the rank of sigma - 1 is taken without GF(p) and its inverse table
+    built = []
+    init = gf.GF.__init__
+
+    def spy(self, p, m=1, modulus=None):
+        built.append((p, m))
+        init(self, p, m, modulus)
+
+    monkeypatch.setattr(gf.GF, "__init__", spy)
+    assert field_new(65521, 2).modulus == (17, 0, 1)
+    assert built == [(65521, 2)]

@@ -554,3 +554,15 @@ def test_power_work_estimate_bounds_measured_peak():
         finally:
             tracemalloc.stop()
         assert 0 < peak <= power_work_bytes(field, 3, (p - 2) * d)
+
+
+def test_monomial_basis_cache_is_bounded():
+    limit = monomial_basis.cache_info().maxsize
+    assert limit is not None and limit >= 20  # a workload uses up to 20 bases
+    monomial_basis.cache_clear()
+    try:
+        for degree in range(limit + 10):
+            monomial_basis(2, degree)
+        assert monomial_basis.cache_info().currsize == limit
+    finally:
+        monomial_basis.cache_clear()

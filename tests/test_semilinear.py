@@ -281,3 +281,44 @@ def test_rref_worst_case_digits_without_headroom():
     update = F.mul_outer(F.digit_view(M[1:, 0]), scaled % F.p)
     largest = F.mul_digits(F.digit_view(top), F.digit_view(top)).max()
     assert scaled.max() == update.max() == largest > F.term_bound // 4
+
+
+RANK_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (7, 3), (31, 2), (2 ** 31 - 1, 1),
+               (1048573, 3)]
+
+
+@pytest.mark.parametrize("p,m", RANK_FIELDS)
+def test_rank_matches_rref(p, m):
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * 7 + m)
+    for M in _differential_matrices(F, rng):
+        # zero rows on top: every pivot row is swapped in from below
+        for N in (M, np.vstack([np.zeros((2, M.shape[1]), np.int64), M])):
+            pivots = rref(F, N)[1]
+            assert rank(F, N) == len(pivots) == len(rref_oracle(F, N)[1])
+            # the echelon form rank stops at spans the same rows
+            E, echelon_pivots = rref(F, N, _reduced=False)
+            assert echelon_pivots == pivots
+            assert np.array_equal(rref(F, E)[0], rref(F, N)[0])
+            assert np.array_equal(E[np.arange(len(pivots)), list(pivots)], np.ones(len(pivots)))
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 3)])
+def test_rank_updates_only_rows_below_the_pivot(monkeypatch, p, m):
+    F = field_new(p, m)
+    M = F.random_elements(np.random.default_rng(3), (6, 6))
+    M[np.arange(6), np.arange(6)] = 1
+    M[np.tril_indices(6, -1)] = 0
+    updated = []
+    mul_outer = F.mul_outer
+
+    def spy(a, b):
+        updated.append(len(a))
+        return mul_outer(a, b)
+
+    monkeypatch.setattr(F, "mul_outer", spy)
+    assert rank(F, M) == 6
+    assert updated == [5, 4, 3, 2, 1, 0]
+    updated.clear()
+    rref(F, M)
+    assert updated == [6] * 6
