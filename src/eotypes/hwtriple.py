@@ -8,19 +8,27 @@ operators by pure coefficient bookkeeping: the Hasse-Witt matrix off the half
 power f^((p-1)/2), as one product of two takes of its coefficients, and the
 second operator off f^(p-2), formed only when the kernel is nonzero. The
 general path gathers both from products F * Frob(t) (``_frob_times``).
+
+Smoothness is read off the generator u of the duality's relation space U,
+which the second operator needs anyway: a plane curve is smooth iff
+dim U = 1 and the catalecticant of u has rank 3
+(``plane_smoothness_check``), and for n >= 3 and genus at least 2,
+dim U = 1 and a rank-g pairing certify it (``pairing_matrix``). The
+relation matrix is one take per form from the coefficients of its
+partials (``_derivative_plan``).
 """
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
-from math import comb, prod
+from functools import cached_property, lru_cache, reduce
+from math import prod
 
 import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
 from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, exponent_array, gather,
-                       linalg_work_bytes, partial_derivative, poly_mul, poly_pow,
+                       linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
                        power_work_bytes, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
@@ -99,19 +107,23 @@ class CurveCI:
         return sub
 
     @cached_property
-    def u(self):
-        """Generator of the one-dimensional relation space behind the
-        duality, as a tuple of T-classes (one per defining form), first
-        nonzero coordinate normalized to 1."""
+    def _relations(self):
+        """Echelon basis (rows) of the relation space U behind the duality:
+        the tuples (xi_l) in degrees n+1-2d-deg f_l with
+        sum_l (d f_l / dX_j) * xi_l = 0 for every j and, for n >= 3, each
+        xi_l in the curve's dual module. On a plane curve U decides
+        smoothness (``plane_smoothness_check``), so its guard bears that
+        check's name there."""
         field, nvars, d, n = self.field, self.nvars, self.d, self.n
-        src_degrees = [n + 1 - 2 * d - f.degree for f in self.polys]
+        src_degrees = self._relation_degrees
         sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         rows = nvars * TClass.basis_size(nvars, n - 2 * d)
         if n >= 3:
             rows += sum(TClass.basis_size(nvars, m + f.degree)
                         for m in src_degrees for f in self.polys)
-        _check_work("relation space", linalg_work_bytes(field, nvars, rows, int(offsets[-1])))
+        _check_work("smoothness check" if n == 2 else "relation space",
+                    linalg_work_bytes(field, nvars, rows, int(offsets[-1])))
         blocks = [_derivative_matrix(self, src_degrees)]
         if n >= 3:
             # membership of each component in the curve's dual module
@@ -121,15 +133,27 @@ class CurveCI:
                                       int(offsets[-1])), DTYPE)
                     block[:, offsets[ell]:offsets[ell + 1]] = tmul_matrix(f, m)
                     blocks.append(block)
-        kernel = null_space(field, np.vstack(blocks))
+        return null_space(field, np.vstack(blocks))
+
+    @property
+    def _relation_degrees(self):
+        return [self.n + 1 - 2 * self.d - f.degree for f in self.polys]
+
+    @cached_property
+    def u(self):
+        """Generator of the one-dimensional relation space behind the
+        duality, as a tuple of T-classes (one per defining form), first
+        nonzero coordinate normalized to 1."""
+        field, kernel = self.field, self._relations
         if kernel.shape[0] != 1:
             raise SingularCurveError(
                 f"curve fails smoothness necessary condition: dim U = {kernel.shape[0]} != 1")
         vec = kernel[0]
         first = int(np.nonzero(vec)[0][0])
         vec = field.mul(vec, field.inv_scalar(int(vec[first])))
-        return tuple(TClass(field, nvars, m, vec[offsets[i]:offsets[i + 1]])
-                     for i, m in enumerate(src_degrees))
+        degrees = self._relation_degrees
+        parts = np.split(vec, np.cumsum([TClass.basis_size(self.nvars, m) for m in degrees])[:-1])
+        return tuple(TClass(field, self.nvars, m, part) for m, part in zip(degrees, parts))
 
     @cached_property
     def mu(self):
@@ -179,19 +203,42 @@ def genus(curve: CurveCI) -> int:
 
 
 def plane_smoothness_check(curve: CurveCI) -> bool:
-    """True iff the partials of f generate everything in degree 3d-5,
-    i.e. they have no common projective zero."""
+    """True iff the plane curve f = 0 is smooth, read off the duality's
+    relation space U (``CurveCI.u``, which the second operator reuses): the
+    curve is smooth iff dim U = 1 and the 3 x |S_(3d-7)| catalecticant
+    Cat(u)[i, m] = u(X_i * m) has rank 3.
+
+    A class of T of degree -k-3 is a functional on S_k: t(s) is the
+    coefficient of 1/(X0 X1 X2) in s * t, and s' * t is the functional
+    s -> t(s' * s), so the action of S on T is dual to multiplication. The
+    relation matrix sends xi to (d f / dX_j * xi)_j; it is multiplication by
+    the partials from S_(2d-5)^3 into S_(3d-6), transposed, and its null
+    space U is the annihilator of J_(3d-6), J = (df/dX_0, df/dX_1, df/dX_2).
+
+    Smooth (p does not divide d, which ``CurveCI`` asserts): by Euler's
+    identity d*f = sum X_j df/dX_j a common zero of the partials is a
+    singular point, so there is none, the partials are a regular sequence,
+    and S/J is Gorenstein with socle degree 3(d-2) = 3d-6. Then
+    dim U = dim (S/J)_(3d-6) = 1, and rank Cat(u) = dim (S/J)_1 = 3: J has
+    no linear forms, and (S/J)_1 pairs perfectly with (S/J)_(3d-7) through
+    u. Singular at P in P^2 over the algebraic closure: evaluation at P
+    vanishes on J, so it lies in U tensored up. If dim U = 1, u is
+    proportional to it, and Cat(u) = P (x) (m(P))_m has rank 1. So
+    dim U != 1, or rank 1, means singular, and any rank other than 1 or 3
+    is an ``InternalInvariantError``.
+
+    The relation matrix is guarded as the smoothness check in
+    ``CurveCI._relations``, the catalecticant here."""
     if curve.n != 2:
         raise ConstraintError("smoothness check only implemented for plane curves")
-    f = curve.polys[0]
-    # one row per monomial of degree 3d-5, one column per partial derivative
-    # and monomial of degree 2d-4
-    _check_work("smoothness check", linalg_work_bytes(
-        curve.field, 3, comb(3 * f.degree - 3, 2), 3 * comb(2 * f.degree - 2, 2)))
-    target = exponent_array(3, 3 * f.degree - 5)
-    diffs = target[:, None] - exponent_array(3, 2 * f.degree - 4)[None]
-    cols = np.hstack([gather(partial_derivative(f, j), diffs) for j in range(3)])
-    return rank(curve.field, cols) == len(target)
+    if curve._relations.shape[0] != 1:
+        return False
+    monos = exponent_array(3, 3 * curve.d - 7)
+    _check_work("smoothness check", linalg_work_bytes(curve.field, 3, 3, len(monos)))
+    r = rank(curve.field, gather(curve.u[0], exponent_array(3, 1)[:, None] + monos[None]))
+    if r not in (1, 3):
+        raise InternalInvariantError(f"the catalecticant of u has rank {r}, not 1 or 3")
+    return r == 3
 
 
 def ci_q_basis(curve: CurveCI) -> Subspace:
@@ -299,10 +346,44 @@ def _hw_general_matrix(curve: CurveCI):
 
 def _derivative_matrix(curve: CurveCI, src_degrees):
     """Matrix of the tuple (xi_l) in degrees src_degrees to the tuple over j
-    of sum_l (d f_l / dX_j) * xi_l, on stacked coefficient vectors."""
-    return np.vstack([np.hstack([tmul_matrix(partial_derivative(f, j), m)
-                                 for f, m in zip(curve.polys, src_degrees)])
-                      for j in range(curve.nvars)])
+    of sum_l (d f_l / dX_j) * xi_l, on stacked coefficient vectors: per
+    form, one take (``_derivative_plan``) from the coefficients of its
+    partials, each written at the monomial it came from."""
+    blocks = []
+    for f, m in zip(curve.polys, src_degrees):
+        partials = curve.field.scale_int(f.basis.exps.T, f.coeffs)
+        blocks.append(np.append(partials, 0).take(_derivative_plan(f.nvars, f.degree, m)))
+    return np.hstack(blocks)
+
+
+# A plane workload needs two plans per degree (the relation space and the
+# second operator's check), so at most six; the bound keeps a long-lived
+# process from holding every plan it ever built.
+@lru_cache(maxsize=8)
+def _derivative_plan(nvars: int, degree: int, src_degree: int):
+    """Read-only positions, in the flat table of a degree-`degree` form's
+    partials (row j holds e_j * f_e at column e, then one zero), of the
+    matrix from T_src_degree: xi -> (df/dX_j * xi)_j, stacked over j. In
+    shifted exponents entry (j, t; s) is (df/dX_j)_(s-t) = e_j * f_e with
+    e = s - t + (the unit vector j); where e has a negative entry it is the
+    zero. The plan holds one word an entry and its build about four, within
+    the nvars + 3m that ``linalg_work_bytes`` charges for the matrix."""
+    basis = monomial_basis(nvars, degree)
+    src = exponent_array(nvars, -src_degree - nvars)
+    tgt = exponent_array(nvars, -src_degree - degree + 1 - nvars)
+    side, flat, valid = degree + 1, 0, True
+    for k in range(nvars):
+        e = src[:, k] - tgt[:, k, None] + (np.arange(nvars) == k)[:, None, None]
+        valid = valid & (e >= 0)
+        if k:
+            flat = flat * side + e
+    where = np.zeros(side ** (nvars - 1), np.intp)
+    where[basis.flat_idx] = np.arange(len(basis))
+    plan = where.take(flat, mode="clip") + len(basis) * np.arange(nvars)[:, None, None]
+    plan[~valid] = nvars * len(basis)
+    plan = plan.reshape(nvars * len(tgt), len(src))
+    plan.flags.writeable = False
+    return plan
 
 
 def u_generator(curve: CurveCI):
@@ -360,7 +441,17 @@ def _assert_tuple_relations(curve: CurveCI, xi_cols):
 
 def pairing_matrix(curve: CurveCI, u):
     """Matrix mu whose column j is the stacked tuple monos[j] * u (degree
-    d-n-1 monomials); a rank other than g raises ``SingularCurveError``."""
+    d-n-1 monomials); a rank other than g raises ``SingularCurveError``.
+
+    For n >= 3 and g >= 2 this rank and dim U = 1 (``CurveCI.u``) certify
+    the curve smooth. Let P, over the algebraic closure, be a point of the
+    curve where the Jacobian has rank below n-1, so that
+    sum_l lambda_l * grad f_l(P) = 0 for some lambda != 0. Evaluation at P
+    kills f_k times anything, as f_k(P) = 0, so the tuple
+    (lambda_l * ev_P)_l lies in each component's dual module and satisfies
+    sum_l (d f_l / dX_j) * lambda_l * ev_P = 0: it lies in U tensored up.
+    If dim U = 1, u is proportional to it, column m of mu is m(P) times it,
+    and rank mu <= 1 < g. Genus-1 space curves stay uncertified."""
     field, nvars, k = curve.field, curve.nvars, curve.d - curve.n - 1
     monos = exponent_array(nvars, k)
     mu = np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]

@@ -1,15 +1,16 @@
 import itertools
-from math import prod
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, hw_triple,
-                     monomial_basis, null_space, partial_derivative, t_multiply,
-                     theta_apply)
+from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, gather, hw_triple,
+                     monomial_basis, null_space, partial_derivative, poly_mul, rank,
+                     t_multiply, theta_apply, tmul_matrix)
 from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
 from eotypes.gf import DTYPE
 from eotypes.hwtriple import _assert_tuple_relations
+from eotypes.polyring import exponent_array
 
 # The worked quartic written as terms, independently of its text in
 # eotypes.golden; its known values live there too.
@@ -184,30 +185,87 @@ def conv_oracle(da, db, out_shape):
     return planes
 
 
+def form_values(f, points):
+    """Values of the form f at the rows of a code array of points, by field
+    products of powers of the coordinates, one monomial at a time."""
+    field = f.field
+    out = np.zeros(len(points), DTYPE)
+    for row, c in zip(f.basis.exps, f.coeffs):
+        if c:
+            term = np.full(len(points), c, DTYPE)
+            for x, e in zip(points.T, row):
+                term = field.mul(term, field.pow_int(x, int(e)))
+            out = field.add(out, term)
+    return out
+
+
 def rational_singular_points(curve):
-    """Every GF(p)-rational point of P^n where all defining forms vanish and
-    their Jacobian has rank below n-1, by brute force over the normalized
-    representatives (first nonzero coordinate 1). Prime fields only."""
+    """Every point of P^n over the curve's own field GF(p^m) where all
+    defining forms vanish and their Jacobian has rank below n-1, by brute
+    force over the normalized representatives (first nonzero coordinate 1),
+    as tuples of codes."""
     field, nvars = curve.field, curve.nvars
-    if field.m != 1:
-        raise ConstraintError("the singular-point oracle takes a prime field")
-    p = field.p
-    points = [pt for pt in itertools.product(range(p), repeat=nvars)
-              if any(pt) and pt[next(i for i, x in enumerate(pt) if x)] == 1]
+    q = field.p ** field.m
+    points = np.array([(0,) * lead + (1,) + rest for lead in range(nvars)
+                       for rest in itertools.product(range(q), repeat=nvars - 1 - lead)],
+                      DTYPE)
+    on_curve = np.ones(len(points), bool)
+    for f in curve.polys:
+        on_curve &= form_values(f, points) == 0
+    points = points[on_curve]
+    jacobian = np.array([[form_values(partial_derivative(f, j), points) for j in range(nvars)]
+                         for f in curve.polys], DTYPE)
+    return [tuple(pt.tolist()) for pt, jac in zip(points, jacobian.transpose(2, 0, 1))
+            if len(rref_oracle(field, jac)[1]) < len(curve.polys)]
 
-    def value(f, pt):
-        return sum(int(c) * prod(pow(x, int(e), p) for x, e in zip(pt, row))
-                   for row, c in zip(f.basis.exps, f.coeffs) if c) % p
 
+def derivative_matrix_oracle(curve, src_degrees):
+    """hwtriple._derivative_matrix as one multiplication matrix per partial
+    derivative and form (tmul_matrix), stacked: the independent oracle of
+    its index plans."""
+    return np.vstack([np.hstack([tmul_matrix(partial_derivative(f, j), m)
+                                 for f, m in zip(curve.polys, src_degrees)])
+                      for j in range(curve.nvars)])
+
+
+def macaulay_smoothness_oracle(curve):
+    """True iff the partials of a plane form generate everything in degree
+    3d-5, i.e. have no common projective zero: one rank of their Macaulay
+    matrix. The independent oracle of hwtriple.plane_smoothness_check."""
+    f = curve.polys[0]
+    target = exponent_array(3, 3 * f.degree - 5)
+    diffs = target[:, None] - exponent_array(3, 2 * f.degree - 4)[None]
+    cols = np.hstack([gather(partial_derivative(f, j), diffs) for j in range(3)])
+    return rank(curve.field, cols) == len(target)
+
+
+def _determinant(rows):
+    """Determinant of a square matrix of forms, by Leibniz's formula."""
+    det = None
+    for perm in itertools.permutations(range(len(rows))):
+        term = reduce(poly_mul, (row[j] for row, j in zip(rows, perm)))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = -term if inversions % 2 else term
+        det = term if det is None else det + term
+    return det
+
+
+def jacobian_smoothness_oracle(curve):
+    """True iff the forms f_1..f_(n-1) and the (n-1)-minors of their
+    Jacobian have no common projective zero, i.e. the Jacobian criterion
+    certifies the curve smooth. With delta the largest of their degrees,
+    that holds iff they fill S_D for D = (n+1)(delta-1)+1 (Macaulay's bound
+    for an ideal of finite colength), one rank of their Macaulay matrix; a
+    rank does not change under field extension."""
+    nvars, k = curve.nvars, len(curve.polys)
     jacobian = [[partial_derivative(f, j) for j in range(nvars)] for f in curve.polys]
-    singular = []
-    for pt in points:
-        if any(value(f, pt) for f in curve.polys):
-            continue
-        jac = [[value(df, pt) for df in row] for row in jacobian]
-        if len(rref_oracle(field, jac)[1]) < len(curve.polys):
-            singular.append(pt)
-    return singular
+    gens = list(curve.polys) + [_determinant([[row[j] for j in cols] for row in jacobian])
+                                for cols in itertools.combinations(range(nvars), k)]
+    D = nvars * (max(g.degree for g in gens) - 1) + 1
+    target = exponent_array(nvars, D)
+    cols = np.hstack([gather(g, target[:, None] - exponent_array(nvars, D - g.degree)[None])
+                      for g in gens])
+    return rank(curve.field, cols) == len(target)
 
 
 def independent_subset_oracle(field, vectors):

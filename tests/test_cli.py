@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -303,6 +304,24 @@ def test_scan_deterministic(tmp_path):
     singular = int(lines[-2].split(",")[-1])
     smooth = sum(int(ln.split(",")[-1]) for ln in lines[1:-2])
     assert smooth + singular == 60
+
+
+# SHA-256 of the seed-7 scan CSVs, recorded while the plane smoothness check
+# was still the Macaulay rank of the partials: a changed rejection or class
+# changes them
+SCAN_CENSUS = {
+    (2, 5, 60): "8f4810bd81c576fa531fde7716bc6a5b28472bd4680d229ea5d8c4bf66a39d1d",
+    (5, 4, 200): "6d33f260a5dd748e9394042189506f130dde4ad8986ecaf9b1ec76c64ea736bc",
+    (31, 5, 60): "eb3e3f5d331de52d8693ac16f773f40c81da10217541cecc67d55ca19c4cdb35",
+}
+
+
+@pytest.mark.parametrize("p,d,count", sorted(SCAN_CENSUS))
+def test_scan_census_pinned(tmp_path, p, d, count):
+    out = tmp_path / "census.csv"
+    assert main(["scan", "--p", str(p), "--d", str(d), "--count", str(count),
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCAN_CENSUS[(p, d, count)]
 
 
 def test_scan_rows_match_their_coset(capsys):

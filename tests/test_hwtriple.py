@@ -3,17 +3,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, general_path_oracle, integer_power_terms,
-                      rational_singular_points)
+from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, derivative_matrix_oracle, form_values,
+                      general_path_oracle, integer_power_terms, jacobian_smoothness_oracle,
+                      macaulay_smoothness_oracle, rational_singular_points)
 from eotypes import (ConstraintError, CurveCI, GradedPoly, InternalInvariantError,
-                     SingularCurveError,
+                     SingularCurveError, partial_derivative,
                      TClass, ci_q_basis, classify, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply, u_generator)
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
-from eotypes.hwtriple import _hw_general_matrix, _hw_plane_matrix, _psi_general, _psi_plane
+from eotypes.hwtriple import (_derivative_matrix, _derivative_plan, _hw_general_matrix,
+                              _hw_plane_matrix, _psi_general, _psi_plane)
 from eotypes.polyring import gather, linalg_work_bytes, poly_mul, poly_pow
 from eotypes.semilinear import null_space
 
@@ -571,3 +573,219 @@ def test_ci_23_rational_singular_point_rejected(p):
         else:
             assert hw_triple(curve).g == 4
     assert singular >= 3
+
+
+def _record_ranks(monkeypatch):
+    """Wrap hwtriple.rank so that every rank it returns is kept; returns
+    the list."""
+    ranks = []
+    original = hwtriple.rank
+    monkeypatch.setattr(hwtriple, "rank",
+                        lambda field, M: ranks.append(original(field, M)) or ranks[-1])
+    return ranks
+
+
+def test_plane_smoothness_matches_macaulay_oracle(monkeypatch):
+    """On seeded dense and sparse plane curves of degree 3..6, the check
+    read off u agrees with the Macaulay rank of the partials (conftest's
+    macaulay_smoothness_oracle). The catalecticant is ranked only where
+    dim U = 1, and takes exactly the two ranks the proof allows: 3 on the
+    smooth curves and 1 on the singular ones."""
+    ranks = _record_ranks(monkeypatch)
+    rng = np.random.default_rng(14)
+    outcomes = {}
+    for p, m in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (7, 3), (31, 2)]:
+        field = field_new(p, m)
+        for d in range(3, 7):
+            if d % p == 0:
+                continue
+            size = len(monomial_basis(3, d))
+            for draw in range(8):
+                coeffs = field.random_elements(rng, (size,))
+                if draw % 2:  # sparse: about half of the monomials
+                    coeffs[rng.random(size) < 0.5] = 0
+                curve = plane_curve(field, GradedPoly(field, 3, d, coeffs))
+                ranks.clear()
+                smooth = plane_smoothness_check(curve)
+                assert smooth == macaulay_smoothness_oracle(curve)
+                dim_u = curve._relations.shape[0]
+                assert len(ranks) == (dim_u == 1)
+                key = (smooth, f"rank {ranks[0]}" if ranks else "dim U != 1")
+                outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(True, "rank 3"): 124, (False, "rank 1"): 13, (False, "dim U != 1"): 47}
+
+
+def test_catalecticant_of_rank_two_is_an_internal_error(F5):
+    """No relation space has a generator whose catalecticant has rank 2;
+    the sum of evaluation at (1:0:0) and at (0:1:0), put in place of u,
+    has one, and the check refuses it as an internal error."""
+    curve = plane_curve(F5, GradedPoly.from_terms(F5, 3, GOLDEN_TERMS))
+    u = TClass.from_laurent_terms(F5, 3, {(-7, -1, -1): 1, (-1, -7, -1): 1})
+    curve.__dict__.update(_relations=u.coeffs[None], u=(u,))
+    with pytest.raises(InternalInvariantError, match="catalecticant of u has rank 2"):
+        plane_smoothness_check(curve)
+
+
+def test_relation_space_reduced_once_per_plane_curve(monkeypatch, F5):
+    """hw_triple reduces the relation matrix of a plane curve once: the
+    smoothness check computes u and the second operator of an h > 0 curve
+    reuses it, and no Macaulay matrix is ranked. Without the check, an
+    ordinary curve never builds u."""
+    reduced, ranked = [], []
+    for name, seen in (("null_space", reduced), ("rank", ranked)):
+        original = getattr(hwtriple, name)
+        monkeypatch.setattr(hwtriple, name, lambda field, M, original=original, seen=seen:
+                            seen.append(np.shape(M)) or original(field, M))
+    F101 = field_new(101)
+    ordinary = GradedPoly(F101, 3, 4, F101.random_elements(np.random.default_rng(0), (15,)))
+    golden = GradedPoly.from_terms(F5, 3, GOLDEN_TERMS)
+    # (form, check_smooth, h > 0, reductions of the 30 x 28 relation matrix)
+    for f, check, with_kernel, count in ((golden, True, True, 1), (ordinary, True, False, 1),
+                                         (golden, False, True, 1), (ordinary, False, False, 0)):
+        reduced.clear()
+        ranked.clear()
+        assert (hw_triple(plane_curve(f.field, f), check_smooth=check).h > 0) == with_kernel
+        assert reduced.count((30, 28)) == count
+        assert (36, 45) not in ranked and ((3, 21) in ranked) == check
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (3, 2), (7, 3)])
+def test_derivative_matrix_matches_partials_oracle(p, m):
+    """The relation matrix and the second operator's check matrix, one take
+    per form through an index plan, equal the stacked multiplication
+    matrices of the partials (conftest's derivative_matrix_oracle) on
+    seeded plane curves of degree 3..6 and, where the power budget admits
+    them, (2,3) and (2,2,2) curves."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(p * m)
+    curves = [plane_curve(field, GradedPoly(field, 3, d, field.random_elements(
+        rng, (len(monomial_basis(3, d)),)))) for d in range(3, 7) if d % p]
+    for degrees in ((2, 3), (2, 2, 2)):
+        if p ** m <= 9 and all(d % p for d in degrees):
+            nvars = len(degrees) + 2
+            curves.append(CurveCI(field, [GradedPoly(field, nvars, d, field.random_elements(
+                rng, (len(monomial_basis(nvars, d)),))) for d in degrees]))
+    for curve in curves:
+        for src_degrees in (curve._relation_degrees, [-curve.d - f.degree for f in curve.polys]):
+            assert np.array_equal(_derivative_matrix(curve, src_degrees),
+                                  derivative_matrix_oracle(curve, src_degrees))
+
+
+def test_derivative_plan_cache_is_bounded():
+    """A plane workload of degrees 4..6 needs six plans, which the cache
+    keeps; more plans than its bound leave it at the bound."""
+    limit = _derivative_plan.cache_info().maxsize
+    assert limit is not None and limit >= 6
+    _derivative_plan.cache_clear()
+    try:
+        for d in (4, 5, 6):
+            for src_degree in (3 - 3 * d, -2 * d):
+                _derivative_plan(3, d, src_degree)
+        assert _derivative_plan.cache_info().currsize == 6
+        for d in range(3, 3 + limit):
+            _derivative_plan(3, d, -2 * d)
+        assert _derivative_plan.cache_info().currsize == limit
+    finally:
+        _derivative_plan.cache_clear()
+
+
+def _singular_at(field, coeffs, d, a, b):
+    """The degree-d plane form with these coefficients but those of X0^d,
+    X0^(d-1)*X1 and X0^(d-1)*X2 replaced so that it and its partials
+    vanish at (1 : a : b)."""
+    index = {e: i for i, e in enumerate(monomial_basis(3, d).monomials)}
+    c0, c1, c2 = (index[e] for e in ((d, 0, 0), (d - 1, 1, 0), (d - 1, 0, 1)))
+    coeffs = coeffs.copy()
+    coeffs[[c0, c1, c2]] = 0
+    f = GradedPoly(field, 3, d, coeffs)
+    point = np.array([[1, a, b]])
+    r0, r1, r2 = (int(form_values(g, point)[0])
+                  for g in (f, partial_derivative(f, 1), partial_derivative(f, 2)))
+    coeffs[c1], coeffs[c2] = field.neg(r1), field.neg(r2)
+    coeffs[c0] = field.neg(field.add(r0, field.add(field.mul(a, coeffs[c1]),
+                                                   field.mul(b, coeffs[c2]))))
+    return GradedPoly(field, 3, d, coeffs)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_plane_curve_singular_off_the_prime_field_rejected(monkeypatch, p):
+    """Seeded quartics over GF(p^2), forced singular at a point (1 : a : b)
+    with a outside GF(p), are rejected. The search over GF(p^2) finds the
+    point, and a curve whose only singular point it is has dim U = 1, so
+    the catalecticant of u takes rank 1."""
+    field = field_new(p, 2)
+    rng = np.random.default_rng(p)
+    ranks = _record_ranks(monkeypatch)
+    rank_one = 0
+    for _ in range(3):
+        a, b = int(rng.integers(p, p * p)), int(rng.integers(0, p * p))
+        f = _singular_at(field, field.random_elements(rng, (15,)), 4, a, b)
+        curve = plane_curve(field, f)
+        assert (1, a, b) in rational_singular_points(curve)
+        ranks.clear()
+        with pytest.raises(SingularCurveError, match="the plane curve is singular"):
+            hw_triple(curve)
+        if curve._relations.shape[0] == 1:
+            assert ranks == [1]
+            rank_one += 1
+    assert rank_one >= 1
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_prime_field_curve_singular_at_conjugate_pair_rejected_through_dim_u(p):
+    """Seeded quartics over GF(p) whose coefficients solve the GF(p)-linear
+    conditions for a singular point P = (1 : a : b) with a outside GF(p),
+    so that P and its conjugate are both singular. Over GF(p^2) the search
+    finds both; over GF(p) the curve is rejected with dim U >= 2, as
+    evaluation at P and at its conjugate both lie in U."""
+    field, ext = field_new(p), field_new(p, 2)
+    exps = monomial_basis(3, 4).exps
+    rng = np.random.default_rng(10 + p)
+    for _ in range(2):
+        a, b = int(rng.integers(p, p * p)), int(rng.integers(0, p * p))
+        point = np.array([[1, a, b]])
+        # each monomial, and each partial in X1 and X2 of each monomial, at P
+        values = [[int(form_values(g, point)[0]) for g in (mono, partial_derivative(mono, 1),
+                                                           partial_derivative(mono, 2))]
+                  for mono in (GradedPoly.monomial(ext, 3, e) for e in exps.tolist())]
+        conditions = ext.decode(np.array(values, np.int64)).reshape(len(exps), -1).T
+        solutions = null_space(field, conditions)
+        coeffs = rng.integers(0, p, len(solutions)) @ solutions % p
+        assert coeffs.any()
+        conjugate = (1,) + tuple(int(x) for x in ext.frob(np.array([a, b]), 1))
+        found = rational_singular_points(plane_curve(ext, GradedPoly(ext, 3, 4, coeffs)))
+        assert (1, a, b) in found and conjugate in found
+        curve = plane_curve(field, GradedPoly(field, 3, 4, coeffs))
+        with pytest.raises(SingularCurveError, match="the plane curve is singular"):
+            hw_triple(curve)
+        assert curve._relations.shape[0] >= 2
+
+
+def test_space_curve_checks_certify_smoothness_in_genus_4():
+    """On seeded (2,3) curves the existing n >= 3 checks (dim Q = g,
+    dim U = 1, a rank-g pairing) reject exactly the curves that the
+    Jacobian criterion (conftest's jacobian_smoothness_oracle) finds
+    singular: a singular point puts a multiple of evaluation at it in U, so
+    dim U = 1 leaves the pairing rank 1 < g (``pairing_matrix``). Every
+    other curve is forced singular at (1:0:0:0)."""
+    b2, b3 = ({e: i for i, e in enumerate(monomial_basis(4, d).monomials)} for d in (2, 3))
+    rng = np.random.default_rng(23)
+    outcomes = {}
+    for field, count in ((field_new(5), 6), (field_new(7), 6), (field_new(11), 2),
+                         (field_new(5, 2), 4), (field_new(7, 2), 2)):
+        for draw in range(count):
+            c2 = field.random_elements(rng, (len(b2),))
+            c3 = field.random_elements(rng, (len(b3),))
+            if draw % 2 == 0:
+                c2[b2[(2, 0, 0, 0)]] = 0
+                for e in ((3, 0, 0, 0), (2, 1, 0, 0), (2, 0, 1, 0), (2, 0, 0, 1)):
+                    c3[b3[e]] = 0
+            curve = CurveCI(field, [GradedPoly(field, 4, 2, c2), GradedPoly(field, 4, 3, c3)])
+            smooth = jacobian_smoothness_oracle(curve)
+            try:
+                accepted = hw_triple(curve).g == 4
+            except SingularCurveError:
+                accepted = False
+            assert accepted == smooth
+            outcomes[smooth] = outcomes.get(smooth, 0) + 1
+    assert outcomes == {True: 10, False: 10}
