@@ -592,7 +592,7 @@ def test_plane_smoothness_matches_macaulay_oracle(monkeypatch):
     dim U = 1, and takes exactly the two ranks the proof allows: 3 on the
     smooth curves and 1 on the singular ones."""
     ranks = _record_ranks(monkeypatch)
-    rng = np.random.default_rng(14)
+    rng = np.random.default_rng(2718)
     outcomes = {}
     for p, m in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (7, 3), (31, 2)]:
         field = field_new(p, m)
@@ -612,7 +612,7 @@ def test_plane_smoothness_matches_macaulay_oracle(monkeypatch):
                 assert len(ranks) == (dim_u == 1)
                 key = (smooth, f"rank {ranks[0]}" if ranks else "dim U != 1")
                 outcomes[key] = outcomes.get(key, 0) + 1
-    assert outcomes == {(True, "rank 3"): 124, (False, "rank 1"): 13, (False, "dim U != 1"): 47}
+    assert outcomes == {(True, "rank 3"): 119, (False, "rank 1"): 20, (False, "dim U != 1"): 45}
 
 
 def test_catalecticant_of_rank_two_is_an_internal_error(F5):
