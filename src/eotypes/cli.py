@@ -202,7 +202,7 @@ def _field_from_args(args) -> GF:
         except ValueError:
             raise ConstraintError(f"modulus {args.modulus!r} is not a comma-separated "
                                   "integer list") from None
-    return field_new(args.p, getattr(args, "ext", 1) or 1, modulus)
+    return field_new(args.p, getattr(args, "ext", 1), modulus)
 
 
 def _curve_from_args(args, field: GF) -> CurveCI:

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
-from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, exponent_array, gather,
-                       linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
+from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, _positions, exponent_array,
+                       gather, linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
                        power_work_bytes, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
@@ -143,16 +143,14 @@ class CurveCI:
     def u(self):
         """Generator of the one-dimensional relation space behind the
         duality, as a tuple of T-classes (one per defining form), first
-        nonzero coordinate normalized to 1."""
+        nonzero coordinate 1: ``null_space`` returns reduced echelon rows."""
         field, kernel = self.field, self._relations
         if kernel.shape[0] != 1:
             raise SingularCurveError(
                 f"curve fails smoothness necessary condition: dim U = {kernel.shape[0]} != 1")
-        vec = kernel[0]
-        first = int(np.nonzero(vec)[0][0])
-        vec = field.mul(vec, field.inv_scalar(int(vec[first])))
         degrees = self._relation_degrees
-        parts = np.split(vec, np.cumsum([TClass.basis_size(self.nvars, m) for m in degrees])[:-1])
+        sizes = [TClass.basis_size(self.nvars, m) for m in degrees]
+        parts = np.split(kernel[0], np.cumsum(sizes)[:-1])
         return tuple(TClass(field, self.nvars, m, part) for m, part in zip(degrees, parts))
 
     @cached_property
@@ -352,7 +350,8 @@ def _derivative_matrix(curve: CurveCI, src_degrees):
     blocks = []
     for f, m in zip(curve.polys, src_degrees):
         partials = curve.field.scale_int(f.basis.exps.T, f.coeffs)
-        blocks.append(np.append(partials, 0).take(_derivative_plan(f.nvars, f.degree, m)))
+        table = np.append(partials, np.zeros((f.nvars, 1), DTYPE), axis=1)
+        blocks.append(table.take(_derivative_plan(f.nvars, f.degree, m)))
     return np.hstack(blocks)
 
 
@@ -362,25 +361,22 @@ def _derivative_matrix(curve: CurveCI, src_degrees):
 @lru_cache(maxsize=8)
 def _derivative_plan(nvars: int, degree: int, src_degree: int):
     """Read-only positions, in the flat table of a degree-`degree` form's
-    partials (row j holds e_j * f_e at column e, then one zero), of the
-    matrix from T_src_degree: xi -> (df/dX_j * xi)_j, stacked over j. In
-    shifted exponents entry (j, t; s) is (df/dX_j)_(s-t) = e_j * f_e with
-    e = s - t + (the unit vector j); where e has a negative entry it is the
-    zero. The plan holds one word an entry and its build about four, within
-    the nvars + 3m that ``linalg_work_bytes`` charges for the matrix."""
+    partials (row j holds e_j * f_e at the basis position of e, then one
+    zero), of the matrix from T_src_degree: xi -> (df/dX_j * xi)_j, stacked
+    over j. In shifted exponents entry (j, t; s) is (df/dX_j)_(s-t) =
+    e_j * f_e with e = s - t + (the unit vector j); where e has a negative
+    entry it is row j's zero. Built one unit vector at a time, the plan
+    peaks near 3.5 words an entry, itself included, within the nvars + 3m
+    that ``linalg_work_bytes`` charges for the matrix."""
     basis = monomial_basis(nvars, degree)
     src = exponent_array(nvars, -src_degree - nvars)
     tgt = exponent_array(nvars, -src_degree - degree + 1 - nvars)
-    side, flat, valid = degree + 1, 0, True
-    for k in range(nvars):
-        e = src[:, k] - tgt[:, k, None] + (np.arange(nvars) == k)[:, None, None]
-        valid = valid & (e >= 0)
-        if k:
-            flat = flat * side + e
-    where = np.zeros(side ** (nvars - 1), np.intp)
-    where[basis.flat_idx] = np.arange(len(basis))
-    plan = where.take(flat, mode="clip") + len(basis) * np.arange(nvars)[:, None, None]
-    plan[~valid] = nvars * len(basis)
+    e = src[None] - tgt[:, None]
+    plan = np.empty((nvars, len(tgt), len(src)), np.intp)
+    for j in range(nvars):
+        e[..., j] += 1
+        plan[j] = _positions(basis, e) + j * (len(basis) + 1)
+        e[..., j] -= 1
     plan = plan.reshape(nvars * len(tgt), len(src))
     plan.flags.writeable = False
     return plan

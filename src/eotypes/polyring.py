@@ -30,17 +30,18 @@ Laurent monomials with every exponent <= -1, any product hitting a
 non-negative exponent being discarded. It is stored through the bijection
 e -> -e-1 onto ordinary monomials of degree -m-(n+1).
 
-Every multiplication or coefficient matrix is one ``gather``: the
-coefficients of a form or of a shifted T-class read off its cube at an array
-of exponent differences, 0 wherever a difference has a negative entry. In
-shifted exponents s*t sends source monomial a to target c with coefficient
-s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply`` applies it to one
-class; the pipeline gathers stacks of products, Frobenius images included.
-The one exception is the plane Hasse-Witt matrix (``hwtriple``), the largest
-read on a plane curve: its 2g x |z| entries of the two half powers are one
-take each from a zero-bordered copy of the cube at flat offsets, with no
-exponent-difference array. The same take inside ``gather`` for every caller
-was measured slower on the scan workload, so the two reads share no code.
+Outside the products, coefficients are read and placed by basis position,
+given in closed form by ``_positions``. ``gather`` reads a form, or a
+shifted T-class, at an array of exponent tuples as one take from its
+coefficients with a zero appended, the zero wherever a tuple has a negative
+entry. In shifted exponents s*t sends source monomial a to target c with
+coefficient s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply``
+applies it to one class; the pipeline gathers stacks of products, Frobenius
+images included, and ``hwtriple._derivative_plan`` caches the positions of
+a relation matrix. The exponent cube is the format of the FFT products and
+of the plane Hasse-Witt matrix (``hwtriple._hw_plane_matrix``): its 2g x |z|
+entries of the two half powers are one take each from a zero-bordered copy
+of the cube at flat offsets.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ class MonomialBasis:
     """All exponent tuples of a fixed total degree, graded-lex descending.
 
     ``exps`` is the read-only (len, nvars) array of them and ``flat_idx``
-    their positions in the cube; the tuple list ``monomials`` is built on
-    first use only.
+    their positions in the cube, the products' format; the tuple list
+    ``monomials`` is built on first use only.
 
     The work budget covers the cube, 8 bytes a cell, and the build of the
     exponent table at 2*nvars+1 words a monomial. The build peaks near
@@ -287,8 +288,8 @@ class GradedPoly:
 
     @classmethod
     def from_terms(cls, field, nvars, terms):
-        """Build from {exponent tuple: integer or FieldElem} pairs, scattered
-        into the exponent cube and read off in basis order."""
+        """Build from {exponent tuple: integer or FieldElem} pairs, each
+        written at its basis position."""
         terms = dict(terms)
         if not terms:
             raise ConstraintError("from_terms needs at least one term; use zero()")
@@ -297,12 +298,10 @@ class GradedPoly:
         degrees = {sum(e) for e in terms}
         if len(degrees) != 1:
             raise ConstraintError(f"terms are not homogeneous: degrees {sorted(degrees)}")
-        degree = degrees.pop()
-        cube = np.zeros(monomial_basis(nvars, degree).cube_shape, DTYPE)
-        tails = tuple(np.array([e[1:] for e in terms], np.intp).T)
-        np.put(cube, np.ravel_multi_index(tails, cube.shape),
-               [c.code if isinstance(c, FieldElem) else field.from_int(c) for c in terms.values()])
-        return cls._from_cube(field, nvars, degree, cube)
+        out = cls.zero(field, nvars, degrees.pop())
+        out.coeffs[_positions(out.basis, np.array(list(terms), np.intp))] = [
+            c.code if isinstance(c, FieldElem) else field.from_int(c) for c in terms.values()]
+        return out
 
     @classmethod
     def monomial(cls, field, nvars, exponents, coeff=1):
@@ -410,27 +409,15 @@ def poly_pow(a: GradedPoly, e: int) -> GradedPoly:
 
 
 def partial_derivative(a: GradedPoly, j: int) -> GradedPoly:
-    """Formal d/dX_j, homogeneous of degree deg(a)-1."""
+    """Formal d/dX_j, homogeneous of degree deg(a)-1: the coefficient of X^e
+    is (e_j + 1) * a_(e + unit_j), one gather."""
     if not 0 <= j < a.nvars:
         raise ConstraintError(f"variable index {j} out of range for {a.nvars} variables")
     if a.degree < 1:
         raise ConstraintError("cannot differentiate a form of degree 0")
-    field, D = a.field, a.degree
-    n_axes = a.nvars - 1
-    cube = a._cube()
-    crop = [slice(0, D)] * n_axes
-    if j == 0:
-        sub = cube[tuple(crop)]
-        weight = D - np.indices(sub.shape).sum(axis=0) if n_axes else np.asarray(D)
-        out = field.scale_int(weight, sub)
-    else:
-        ax = j - 1
-        crop[ax] = slice(1, D + 1)
-        sub = cube[tuple(crop)]
-        shape = [1] * n_axes
-        shape[ax] = D
-        out = field.scale_int(np.arange(1, D + 1).reshape(shape), sub)
-    return GradedPoly._from_cube(field, a.nvars, D - 1, out)
+    exps = exponent_array(a.nvars, a.degree - 1) + (np.arange(a.nvars) == j)
+    coeffs = a.field.scale_int(exps[:, j], gather(a, exps))
+    return GradedPoly(a.field, a.nvars, a.degree - 1, coeffs)
 
 
 def coeff_of(a: GradedPoly, exponents) -> FieldElem:
@@ -491,8 +478,8 @@ class TClass:
             raise ConstraintError("terms are not homogeneous")
         return cls(field, nvars, degrees.pop(), GradedPoly.from_terms(field, nvars, shifted).coeffs)
 
-    # a form's zero test and dense cube, over the shifted basis
-    is_zero, _cube = GradedPoly.is_zero, GradedPoly._cube
+    # a form's zero test, over the shifted basis
+    is_zero = GradedPoly.is_zero
 
     def __add__(self, other):
         if (self.field != other.field or self.nvars != other.nvars
@@ -515,12 +502,10 @@ class TClass:
         """p-th power map: [X^e] -> sigma(c) [X^(p*e)]."""
         p = self.field.p
         out = TClass.zero(self.field, self.nvars, p * self.degree)
-        if out.coeffs.size == 0:
-            return out
-        cube = np.zeros(out.basis.cube_shape, DTYPE)
-        tails = p * exponent_array(self.nvars, self.shifted_degree)[:, 1:] + p - 1
-        cube[tuple(tails.T)] = self.field.frob(self.coeffs, 1)
-        return TClass(self.field, self.nvars, out.degree, cube.reshape(-1)[out.basis.flat_idx])
+        if out.coeffs.size:
+            exps = p * exponent_array(self.nvars, self.shifted_degree) + p - 1
+            out.coeffs[_positions(out.basis, exps)] = self.field.frob(self.coeffs, 1)
+        return out
 
     def __str__(self):
         parts = []
@@ -543,19 +528,34 @@ def exponent_array(nvars: int, degree: int):
     return monomial_basis(nvars, degree).exps
 
 
+def _positions(basis: MonomialBasis, exps):
+    """Position in the basis of each exponent tuple along the last axis of
+    exps, the inverse of ``_tail_exponents``' order: with tail sums
+    S_k = e_k + ... + e_(n-1), the sum over k = 1..n-1 of
+    C(S_k + n-k-1, n-k), the count of (n-k)-tuples of sum below S_k. A
+    tuple with a negative entry gets len(basis), the position of a zero
+    appended to a coefficient vector. Every tuple must have the basis'
+    degree."""
+    exps = np.asarray(exps)
+    n = basis.nvars
+    pos, tail, valid = 0, 0, exps[..., 0] >= 0
+    for k in range(n - 1, 0, -1):
+        tail = tail + exps[..., k]
+        valid &= exps[..., k] >= 0
+        below = tail
+        for i in range(1, n - k):
+            below = below * (tail + i) // (i + 1)
+        pos = pos + below
+    return np.where(valid, pos, len(basis))
+
+
 def gather(x, exps):
     """Coefficients of a GradedPoly, or of a TClass in shifted exponents, at
     an integer array of exponent tuples along the last axis; 0 wherever a
-    tuple has a negative entry. Every tuple must have x's (shifted) degree."""
-    exps = np.asarray(exps)
-    # row-major position in the cube, whose sides are all degree + 1, by
-    # Horner's rule over the columns (no reduction along the short last axis)
-    side, flat = x.basis.degree + 1, 0
-    valid = exps[..., 0] >= 0
-    for k in range(1, x.nvars):
-        flat = flat * side + exps[..., k]
-        valid &= exps[..., k] >= 0
-    return np.where(valid, x._cube().take(flat, mode="clip"), 0)
+    tuple has a negative entry. Every tuple must have x's (shifted) degree.
+    One take at the tuples' basis positions (``_positions``) from the
+    coefficients with a zero appended; no cube is built."""
+    return np.append(x.coeffs, 0).take(_positions(x.basis, exps))
 
 
 def tmul_matrix(s: GradedPoly, src_degree: int):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, gather, hw_triple,
-                     monomial_basis, null_space, partial_derivative, poly_mul, rank,
+                     monomial_basis, null_space, poly_mul, rank,
                      t_multiply, theta_apply, tmul_matrix)
 from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
 from eotypes.gf import DTYPE
@@ -185,6 +185,29 @@ def conv_oracle(da, db, out_shape):
     return planes
 
 
+def partial_derivative_oracle(a, j):
+    """Formal d/dX_j of a form by slicing its dense exponent cube: for j = 0
+    the cube cropped to the degree below, weighted by the X0 exponent; for
+    j >= 1 the cube shifted down one along X_j's axis, weighted by the
+    exponent it had. The independent oracle of polyring.partial_derivative."""
+    field, D = a.field, a.degree
+    n_axes = a.nvars - 1
+    cube = a._cube()
+    crop = [slice(0, D)] * n_axes
+    if j == 0:
+        sub = cube[tuple(crop)]
+        weight = D - np.indices(sub.shape).sum(axis=0) if n_axes else np.asarray(D)
+        out = field.scale_int(weight, sub)
+    else:
+        ax = j - 1
+        crop[ax] = slice(1, D + 1)
+        sub = cube[tuple(crop)]
+        shape = [1] * n_axes
+        shape[ax] = D
+        out = field.scale_int(np.arange(1, D + 1).reshape(shape), sub)
+    return GradedPoly._from_cube(field, a.nvars, D - 1, out)
+
+
 def form_values(f, points):
     """Values of the form f at the rows of a code array of points, by field
     products of powers of the coordinates, one monomial at a time."""
@@ -213,8 +236,8 @@ def rational_singular_points(curve):
     for f in curve.polys:
         on_curve &= form_values(f, points) == 0
     points = points[on_curve]
-    jacobian = np.array([[form_values(partial_derivative(f, j), points) for j in range(nvars)]
-                         for f in curve.polys], DTYPE)
+    jacobian = np.array([[form_values(partial_derivative_oracle(f, j), points)
+                          for j in range(nvars)] for f in curve.polys], DTYPE)
     return [tuple(pt.tolist()) for pt, jac in zip(points, jacobian.transpose(2, 0, 1))
             if len(rref_oracle(field, jac)[1]) < len(curve.polys)]
 
@@ -223,7 +246,7 @@ def derivative_matrix_oracle(curve, src_degrees):
     """hwtriple._derivative_matrix as one multiplication matrix per partial
     derivative and form (tmul_matrix), stacked: the independent oracle of
     its index plans."""
-    return np.vstack([np.hstack([tmul_matrix(partial_derivative(f, j), m)
+    return np.vstack([np.hstack([tmul_matrix(partial_derivative_oracle(f, j), m)
                                  for f, m in zip(curve.polys, src_degrees)])
                       for j in range(curve.nvars)])
 
@@ -235,7 +258,7 @@ def macaulay_smoothness_oracle(curve):
     f = curve.polys[0]
     target = exponent_array(3, 3 * f.degree - 5)
     diffs = target[:, None] - exponent_array(3, 2 * f.degree - 4)[None]
-    cols = np.hstack([gather(partial_derivative(f, j), diffs) for j in range(3)])
+    cols = np.hstack([gather(partial_derivative_oracle(f, j), diffs) for j in range(3)])
     return rank(curve.field, cols) == len(target)
 
 
@@ -258,7 +281,7 @@ def jacobian_smoothness_oracle(curve):
     for an ideal of finite colength), one rank of their Macaulay matrix; a
     rank does not change under field extension."""
     nvars, k = curve.nvars, len(curve.polys)
-    jacobian = [[partial_derivative(f, j) for j in range(nvars)] for f in curve.polys]
+    jacobian = [[partial_derivative_oracle(f, j) for j in range(nvars)] for f in curve.polys]
     gens = list(curve.polys) + [_determinant([[row[j] for j in cols] for row in jacobian])
                                 for cols in itertools.combinations(range(nvars), k)]
     D = nvars * (max(g.degree for g in gens) - 1) + 1

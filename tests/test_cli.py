@@ -398,6 +398,13 @@ def test_extension_field_flags(capsys):
     validate_report(report)
 
 
+@pytest.mark.parametrize("command", ["eotype", "hw"])
+def test_extension_degree_zero_exits_3(capsys, command):
+    # --ext 0 used to fall back to m = 1 and classify over GF(5)
+    assert main([command, "--p", "5", "--ext", "0", "--f", "x^3+y^3+z^3"]) == 3
+    assert "extension degree m = 0" in capsys.readouterr().err
+
+
 def test_abbreviated_flags_are_refused(capsys):
     # "--m 2" used to expand to "--modulus 2" and classify over GF(7)
     for argv in (["eotype", "--p", "7", "--m", "2", "--f", "x^3+y^3+z^3"],

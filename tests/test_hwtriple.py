@@ -789,3 +789,45 @@ def test_space_curve_checks_certify_smoothness_in_genus_4():
             assert accepted == smooth
             outcomes[smooth] = outcomes.get(smooth, 0) + 1
     assert outcomes == {True: 10, False: 10}
+
+
+def _random_curve(field, nvars, degrees, rng):
+    return CurveCI(field, [GradedPoly(field, nvars, d, field.random_elements(
+        rng, (len(monomial_basis(nvars, d)),))) for d in degrees])
+
+
+def test_u_first_nonzero_coordinate_is_one():
+    """u is the null space's reduced echelon row as it stands: its first
+    nonzero coordinate is 1 on seeded smooth plane quartics and (2,3)
+    curves over GF(p) and GF(p^2), two of each; a draw with dim U != 1 is
+    skipped."""
+    rng = np.random.default_rng(14)
+    for field in (field_new(5), field_new(7), field_new(5, 2), field_new(7, 2)):
+        for nvars, degrees in ((3, (4,)), (4, (2, 3))):
+            checked = 0
+            while checked < 2:
+                try:
+                    u = _random_curve(field, nvars, degrees, rng).u
+                except SingularCurveError:
+                    continue
+                vec = np.concatenate([comp.coeffs for comp in u])
+                assert vec[np.flatnonzero(vec)[0]] == field.from_int(1)
+                checked += 1
+
+
+def test_hw_general_matrix_builds_no_cube():
+    """With (f_1 f_2)^30 formed beforehand, the Hasse-Witt matrix of a
+    seeded smooth (2,3) curve over GF(31) reads the power's coefficients
+    without rebuilding its 151^3-cell exponent cube (26.3 MiB traced when
+    it did): the traced peak stays under 8 MiB."""
+    import tracemalloc
+    curve = _random_curve(field_new(31), 4, (2, 3), np.random.default_rng(0))
+    assert rank(curve.field, curve.mu) == 4  # dim U = 1 and a perfect pairing
+    curve._product_pm1
+    tracemalloc.start()
+    try:
+        A = _hw_general_matrix(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (4, 4) and 0 < peak < 8 * 2 ** 20

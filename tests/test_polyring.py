@@ -4,14 +4,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import GOLDEN_TERMS, conv_oracle, integer_power_terms, laurent_product_terms
+from conftest import (GOLDEN_TERMS, conv_oracle, integer_power_terms, laurent_product_terms,
+                      partial_derivative_oracle)
 from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass, coeff_of,
                      field_new, gather, monomial_basis, partial_derivative, poly_mul, poly_pow,
                      polyring, t_multiply, tmul_matrix)
 from eotypes.gf import is_prime
 from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, _conv_fft, _conv_field,
                               _digit_planes, _fft_error_bound, _fft_shape, _limb_split,
-                              power_work_bytes)
+                              _positions, power_work_bytes)
 
 
 def test_basis_fixtures():
@@ -167,6 +168,38 @@ def test_derivative_errors(F5, golden_poly):
 def test_derivative_of_zero_poly_is_closed(F5):
     z = GradedPoly.zero(F5, 3, 4)
     assert partial_derivative(z, 1).is_zero()
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (3, 2), (7, 3)])
+def test_partial_derivative_matches_cube_slicing_oracle(p, m):
+    """On seeded forms in 1 to 5 variables, of degrees below, at and above
+    p, the partial along every variable equals conftest's
+    partial_derivative_oracle, which slices the dense exponent cube."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(10 * p + m)
+    for nvars in range(1, 6):
+        for degree in sorted({1, 2, 3, p, 7}):
+            f = GradedPoly(field, nvars, degree, field.random_elements(
+                rng, (len(monomial_basis(nvars, degree)),)))
+            for j in range(nvars):
+                assert partial_derivative(f, j) == partial_derivative_oracle(f, j)
+
+
+def test_positions_invert_exponent_array():
+    """_positions sends each basis tuple to its index, for 1 to 6 variables
+    at degrees 0 to 20, and every tuple of the degree with a negative entry,
+    in any variable, to len(basis)."""
+    rng = np.random.default_rng(6)
+    for nvars in range(1, 7):
+        for degree in range(21):
+            basis = MonomialBasis(nvars, degree)
+            assert np.array_equal(_positions(basis, basis.exps), np.arange(len(basis)))
+            for k in range(nvars if nvars > 1 else 0):
+                moved = basis.exps.copy()
+                shift = moved[:, k] + rng.integers(1, 4, len(moved))
+                moved[:, k] -= shift
+                moved[:, (k + 1) % nvars] += shift
+                assert (_positions(basis, moved) == len(basis)).all()
 
 
 def test_coeff_of_errors(F5, golden_poly):
