@@ -16,6 +16,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 import time
 
@@ -107,7 +108,7 @@ def render_poly(poly: GradedPoly) -> str:
 # -- reports ------------------------------------------------------------------
 
 # The value of the optional report field "smoothness": it is present only
-# when --skip-smoothness bypassed the plane smoothness check.
+# when --skip-smoothness bypassed the smoothness check.
 SMOOTHNESS_SKIPPED = "skipped"
 
 _REPORT_FIELDS = {
@@ -223,7 +224,8 @@ def _output(args):
     """Stdout, or a buffer for the --out file when it is given. The file is
     opened before the block runs, so an unwritable path fails before any
     work, and written only when the block succeeds: a failing command leaves
-    an existing file as it was and creates none."""
+    an existing file as it was and creates none. Only a regular file is
+    truncated after the write; a device such as /dev/null is not."""
     path = getattr(args, "out", None)
     if not path:
         yield sys.stdout
@@ -241,7 +243,7 @@ def _output(args):
                 os.remove(path)
             raise
         fh.write(buf.getvalue())
-        if fh.seekable():
+        if stat.S_ISREG(os.fstat(fd).st_mode):
             fh.truncate()
 
 
@@ -469,7 +471,7 @@ def _add_curve_flags(sp):
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--out", type=str, default=None, help="write output to a file")
     sp.add_argument("--skip-smoothness", action="store_true",
-                    help="bypass the plane smoothness check (at your own risk)")
+                    help="bypass the smoothness check (at your own risk)")
 
 
 def build_parser() -> argparse.ArgumentParser:

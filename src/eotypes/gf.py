@@ -56,6 +56,7 @@ takes one limb.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -68,31 +69,13 @@ _INT64_MAX = int(np.iinfo(DTYPE).max)
 # is exact in float64, in any order of summation.
 _FLOAT_EXACT = 1 << 53
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division up to the square root, for n < 2^31: the
+    range of every p that ``GF`` accepts."""
+    if n >= 1 << 31:
+        raise ConstraintError(f"{n} is too large for primality by trial division")
+    return n >= 2 and all(n % b for b in range(2, isqrt(n) + 1))
 
 
 def split_limbs(x, k: int, limbs: int):
@@ -143,10 +126,10 @@ class GF:
     """The field GF(p^m), with vectorized arithmetic on code arrays."""
 
     def __init__(self, p: int, m: int = 1, modulus=None):
-        if not is_prime(p):
-            raise ConstraintError(f"p = {p} is not prime")
         if p >= 1 << 31:
             raise ConstraintError(f"p = {p} is too large: int64 arithmetic needs p < 2^31")
+        if not is_prime(p):
+            raise ConstraintError(f"p = {p} is not prime")
         if m < 1:
             raise ConstraintError(f"extension degree m = {m} must be >= 1")
         p, m = int(p), int(m)

@@ -10,12 +10,12 @@ second operator off f^(p-2), formed only when the kernel is nonzero. The
 general path gathers both from products F * Frob(t) (``_frob_times``).
 
 Smoothness is read off the generator u of the duality's relation space U,
-which the second operator needs anyway: a plane curve is smooth iff
-dim U = 1 and the catalecticant of u has rank 3
-(``plane_smoothness_check``), and for n >= 3 and genus at least 2,
-dim U = 1 and a rank-g pairing certify it (``pairing_matrix``). The
-relation matrix is one take per form from the coefficients of its
-partials (``_derivative_plan``).
+which the second operator needs anyway: a curve in P^n is smooth iff
+dim U = 1 and the catalecticant of u in degree 1 has rank n + 1
+(``plane_smoothness_check``). The same reader (``_catalecticant``) in
+degree d-n-1 is the duality pairing (``pairing_matrix``). The relation
+matrix is one take per form from the coefficients of its partials
+(``_derivative_plan``).
 """
 
 from __future__ import annotations
@@ -201,42 +201,61 @@ def genus(curve: CurveCI) -> int:
 
 
 def plane_smoothness_check(curve: CurveCI) -> bool:
-    """True iff the plane curve f = 0 is smooth, read off the duality's
-    relation space U (``CurveCI.u``, which the second operator reuses): the
-    curve is smooth iff dim U = 1 and the 3 x |S_(3d-7)| catalecticant
-    Cat(u)[i, m] = u(X_i * m) has rank 3.
+    """True iff the curve is smooth: dim U = 1 (``CurveCI.u``, which the
+    second operator reuses) and the catalecticant of u in degree 1
+    (``_catalecticant``), whose row i is X_i * u, has rank n + 1. The name
+    predates the check's reach to every n.
 
-    A class of T of degree -k-3 is a functional on S_k: t(s) is the
-    coefficient of 1/(X0 X1 X2) in s * t, and s' * t is the functional
-    s -> t(s' * s), so the action of S on T is dual to multiplication. The
-    relation matrix sends xi to (d f / dX_j * xi)_j; it is multiplication by
-    the partials from S_(2d-5)^3 into S_(3d-6), transposed, and its null
-    space U is the annihilator of J_(3d-6), J = (df/dX_0, df/dX_1, df/dX_2).
+    A class of T of degree -k-n-1 is a functional on S_k: t(s) is the
+    coefficient of 1/(X0...Xn) in s * t, and s' * t is s -> t(s' * s).
 
-    Smooth (p does not divide d, which ``CurveCI`` asserts): by Euler's
-    identity d*f = sum X_j df/dX_j a common zero of the partials is a
-    singular point, so there is none, the partials are a regular sequence,
-    and S/J is Gorenstein with socle degree 3(d-2) = 3d-6. Then
-    dim U = dim (S/J)_(3d-6) = 1, and rank Cat(u) = dim (S/J)_1 = 3: J has
-    no linear forms, and (S/J)_1 pairs perfectly with (S/J)_(3d-7) through
-    u. Singular at P in P^2 over the algebraic closure: evaluation at P
-    vanishes on J, so it lies in U tensored up. If dim U = 1, u is
-    proportional to it, and Cat(u) = P (x) (m(P))_m has rank 1. So
-    dim U != 1, or rank 1, means singular, and any rank other than 1 or 3
-    is an ``InternalInvariantError``.
+    Singular => dim U != 1 or rank 1, for every n. Let P, over the
+    algebraic closure, be a point of the curve where
+    sum_l lambda_l * grad f_l(P) = 0 for some lambda != 0. Evaluation at P
+    kills f_k times anything, so the tuple (lambda_l * ev_P)_l lies in each
+    component's dual module and satisfies the relations
+    sum_l (d f_l / dX_j) * xi_l = 0: it lies in U tensored up. If
+    dim U = 1, u is a multiple of it, and as X_i * ev_P = P_i * ev_P,
+    every row is a multiple of one vector.
 
-    The relation matrix is guarded as the smoothness check in
-    ``CurveCI._relations``, the catalecticant here."""
-    if curve.n != 2:
-        raise ConstraintError("smoothness check only implemented for plane curves")
+    Smooth => dim U = 1 and rank 3, for plane curves (p does not divide d,
+    which ``CurveCI`` asserts). U is the annihilator of J_(3d-6),
+    J = (df/dX_0, df/dX_1, df/dX_2). By Euler's identity a common zero of
+    the partials is a singular point, so there is none, the partials are a
+    regular sequence, and S/J is Gorenstein with socle degree 3d-6. Then
+    dim U = dim (S/J)_(3d-6) = 1, and the rank is dim (S/J)_1 = 3: J has no
+    linear forms, and (S/J)_1 pairs perfectly with (S/J)_(3d-7) through u.
+
+    Smooth => rank n + 1 for n >= 3 and genus g >= 2, given dim U = 1 and
+    the rank-g pairing, which ``hw_triple`` checks first. If a linear form
+    l had l * u = 0, l times every form of degree d-n-2 >= 0 would lie in
+    the pairing's kernel. That kernel holds the forms of degree d-n-1 that
+    vanish on C, as u's components lie in the dual module; they have
+    codimension g (C is projectively normal, with canonical sheaf
+    O_C(d-n-1)), so by the rank it holds no more. C is irreducible and in
+    no hyperplane, so every form of degree d-n-2 would vanish on C:
+    impossible. Genus 1 in P^3, the (2,2) curves, is checked against the
+    Jacobian criterion in the tests, not proved. Any rank other than 1 or
+    n + 1 is an ``InternalInvariantError``."""
     if curve._relations.shape[0] != 1:
         return False
-    monos = exponent_array(3, 3 * curve.d - 7)
-    _check_work("smoothness check", linalg_work_bytes(curve.field, 3, 3, len(monos)))
-    r = rank(curve.field, gather(curve.u[0], exponent_array(3, 1)[:, None] + monos[None]))
-    if r not in (1, 3):
-        raise InternalInvariantError(f"the catalecticant of u has rank {r}, not 1 or 3")
-    return r == 3
+    r = rank(curve.field, _catalecticant(curve, curve.u, 1))
+    if r not in (1, curve.nvars):
+        raise InternalInvariantError(f"the catalecticant of u has rank {r}, not 1 or n + 1")
+    return r == curve.nvars
+
+
+def _catalecticant(curve: CurveCI, u, k: int):
+    """The catalecticant of the stacked tuple u in degree k: row i is
+    m_i * u over the degree k monomials m_i, one gather per component. It
+    has no more rows than the relation matrix that ``CurveCI._relations``
+    guarded, and columns of no higher degree, so its guard refuses no curve
+    that got this far."""
+    monos = exponent_array(curve.nvars, k)
+    tails = [exponent_array(curve.nvars, comp.shifted_degree - k) for comp in u]
+    _check_work("smoothness check", linalg_work_bytes(
+        curve.field, curve.nvars, len(monos), sum(map(len, tails))))
+    return np.hstack([gather(comp, monos[:, None] + t[None]) for comp, t in zip(u, tails)])
 
 
 def ci_q_basis(curve: CurveCI) -> Subspace:
@@ -436,23 +455,11 @@ def _assert_tuple_relations(curve: CurveCI, xi_cols):
 
 
 def pairing_matrix(curve: CurveCI, u):
-    """Matrix mu whose column j is the stacked tuple monos[j] * u (degree
-    d-n-1 monomials); a rank other than g raises ``SingularCurveError``.
-
-    For n >= 3 and g >= 2 this rank and dim U = 1 (``CurveCI.u``) certify
-    the curve smooth. Let P, over the algebraic closure, be a point of the
-    curve where the Jacobian has rank below n-1, so that
-    sum_l lambda_l * grad f_l(P) = 0 for some lambda != 0. Evaluation at P
-    kills f_k times anything, as f_k(P) = 0, so the tuple
-    (lambda_l * ev_P)_l lies in each component's dual module and satisfies
-    sum_l (d f_l / dX_j) * lambda_l * ev_P = 0: it lies in U tensored up.
-    If dim U = 1, u is proportional to it, column m of mu is m(P) times it,
-    and rank mu <= 1 < g. Genus-1 space curves stay uncertified."""
-    field, nvars, k = curve.field, curve.nvars, curve.d - curve.n - 1
-    monos = exponent_array(nvars, k)
-    mu = np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]
-                           + monos[None]) for comp in u])
-    if rank(field, mu) != genus(curve):
+    """Matrix mu of the duality pairing fixed by u: the catalecticant of u in
+    degree d-n-1 (``_catalecticant``) transposed, so that column j is
+    monos[j] * u. A rank other than g raises ``SingularCurveError``."""
+    mu = _catalecticant(curve, u, curve.d - curve.n - 1).T
+    if rank(curve.field, mu) != genus(curve):
         raise SingularCurveError("duality pairing is degenerate")
     return mu
 
@@ -515,13 +522,14 @@ class HWTriple:
 
 
 def hw_triple(curve: CurveCI, check_smooth: bool = True) -> HWTriple:
-    """Full pipeline from a curve to its Hasse-Witt triple."""
+    """Full pipeline from a curve to its Hasse-Witt triple. For n >= 3,
+    dim Q = g, dim U = 1 and a perfect pairing are checked first, also at h = 0."""
     field = curve.field
-    if curve.n == 2 and check_smooth and not plane_smoothness_check(curve):
-        raise SingularCurveError("the plane curve is singular")
     g = genus(curve)
     if curve.n >= 3:
-        curve.mu  # dim U = 1 and a perfect pairing: necessary, also at h = 0
+        curve.mu
+    if check_smooth and not plane_smoothness_check(curve):
+        raise SingularCurveError(f"the {'plane' if curve.n == 2 else 'space'} curve is singular")
     A_phi = hasse_witt_matrix(curve)
     kappa = null_space(field, A_phi)
     if kappa.shape[0]:

@@ -554,8 +554,12 @@ def gather(x, exps):
     an integer array of exponent tuples along the last axis; 0 wherever a
     tuple has a negative entry. Every tuple must have x's (shifted) degree.
     One take at the tuples' basis positions (``_positions``) from the
-    coefficients with a zero appended; no cube is built."""
-    return np.append(x.coeffs, 0).take(_positions(x.basis, exps))
+    coefficients, clipped, with the sentinel positions then zeroed; neither
+    a cube nor a copy of the coefficients is built."""
+    pos = _positions(x.basis, exps)
+    out = np.asarray(x.coeffs.take(pos, mode="clip"))
+    out[pos == len(x.coeffs)] = 0
+    return out
 
 
 def tmul_matrix(s: GradedPoly, src_degree: int):

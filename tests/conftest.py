@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, gather, hw_triple,
-                     monomial_basis, null_space, poly_mul, rank,
+                     monomial_basis, null_space, poly_mul, poly_pow, rank,
                      t_multiply, theta_apply, tmul_matrix)
 from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
 from eotypes.gf import DTYPE
@@ -262,6 +262,33 @@ def macaulay_smoothness_oracle(curve):
     return rank(curve.field, cols) == len(target)
 
 
+def pairing_matrix_oracle(curve, u):
+    """hwtriple.pairing_matrix's matrix as it was gathered before the
+    catalecticant reader: per component, the tuples of degree
+    shifted - (d-n-1) plus each degree d-n-1 monomial, stacked."""
+    nvars, k = curve.nvars, curve.d - curve.n - 1
+    monos = exponent_array(nvars, k)
+    return np.vstack([gather(comp, exponent_array(nvars, comp.shifted_degree - k)[:, None]
+                             + monos[None]) for comp in u])
+
+
+def plane_catalecticant_oracle(curve):
+    """The 3 x |S_(3d-7)| catalecticant u(X_i * m) of a plane curve, as the
+    smoothness check gathered it before the catalecticant reader."""
+    monos = exponent_array(3, 3 * curve.d - 7)
+    return gather(curve.u[0], exponent_array(3, 1)[:, None] + monos[None])
+
+
+def module_action_catalecticant_oracle(u, k):
+    """The catalecticant of u in degree k through the module action: row i
+    is the stacked coefficients of m_i * u_l (t_multiply) over the degree k
+    monomials m_i."""
+    field, nvars = u[0].field, u[0].nvars
+    return np.array([np.concatenate([t_multiply(GradedPoly.monomial(field, nvars, e), comp).coeffs
+                                     for comp in u])
+                     for e in exponent_array(nvars, k).tolist()], DTYPE)
+
+
 def _determinant(rows):
     """Determinant of a square matrix of forms, by Leibniz's formula."""
     det = None
@@ -498,3 +525,56 @@ def general_path_oracle(curve):
     if not kappa.shape[0]:
         return A_phi, kappa, np.zeros((A_phi.shape[0], 0), DTYPE)
     return A_phi, kappa, _oracle_psi_general(curve, kappa, curve.u)
+
+
+# -- the Fermat family: a closed-form final type --------------------------------
+
+def fermat_final_type(p, d):
+    """Final type of the Fermat curve X^d + Y^d + Z^d in characteristic p,
+    p not dividing d, with no field arithmetic. H^1_dR has a basis of
+    eigenvectors e_t of the mu_d^2 action, one for each t = (a, b, c) with
+    1 <= a, b, c <= d-1 and a + b + c = 0 (mod d). The g with a + b + c = d
+    span H^0(Omega), which F kills; F sends each other e_t to a nonzero
+    multiple of e_(p*t mod d), as it has rank g. V kills the image of F and
+    sends each other e_s to a multiple of e_(s/p mod d). So the image under
+    F and the preimage under V of a span of e_t's is one again, and every
+    piece of the canonical filtration is a set of indices."""
+    index = [(a, b, c) for a in range(1, d) for b in range(1, d) for c in range(1, d)
+             if (a + b + c) % d == 0]
+    holomorphic = {t for t in index if sum(t) == d}
+
+    def twist(t, k):
+        return tuple(k * x % d for x in t)
+
+    def image(S):
+        return frozenset(twist(t, p) for t in S if t not in holomorphic)
+
+    ker_v, inverse = image(index), pow(p, -1, d)
+
+    def preimage(S):
+        return frozenset(s for s in index if s in ker_v or twist(s, inverse) in S)
+
+    members = {frozenset(), frozenset(index)}
+    while True:
+        new = {op(S) for S in members for op in (image, preimage)} - members
+        if not new:
+            break
+        members |= new
+    chain = sorted(members, key=len)
+    values = [0]
+    for a, b in zip(chain, chain[1:]):
+        if not a < b:
+            raise AssertionError("the canonical filtration is not a chain")
+        rise, width = len(image(b)) - len(image(a)), len(b) - len(a)
+        if rise not in (0, width):
+            raise AssertionError("the final type neither stays nor climbs by one a step")
+        values += [values[-1] + (rise > 0) * k for k in range(1, width + 1)]
+    return values
+
+
+def fermat_form(field, d, M=None):
+    """X^d + Y^d + Z^d at M * (X, Y, Z) for a 3 x 3 code matrix M (the
+    identity when None): the sum of the d-th powers of the rows of M as
+    linear forms."""
+    rows = np.eye(3, dtype=DTYPE) if M is None else M
+    return reduce(lambda a, b: a + b, (poly_pow(GradedPoly(field, 3, 1, row), d) for row in rows))

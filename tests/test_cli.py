@@ -500,3 +500,26 @@ def test_failing_curve_leaves_out_file_untouched(tmp_path, capsys):
     assert main(["eotype", "--p", "5", "--f", GOLDEN_TEXT, "--json", "--out", str(kept)]) == 0
     validate_report(json.loads(kept.read_text()))
     capsys.readouterr()
+
+
+def test_out_to_a_character_device(capsys):
+    """/dev/null reports itself seekable but cannot be truncated; the
+    report is written to it and the command exits 0."""
+    for command in ("eotype", "hw"):
+        assert main([command, "--p", "7", "--f", "x^3+y^3+z^3", "--out", "/dev/null"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+GENUS_ONE_SINGULAR = ["--n", "3", "--f", "X0*X1+X2*X3", "--f2", "X0*X1+X1^2+X2^2+X3^2"]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_singular_genus_one_space_curve_exits_4(capsys, p):
+    """Both forms vanish at (1:0:0:0) with equal gradients there, so the
+    (2,2) curve is singular. dim Q = g, dim U = 1 and the rank-1 pairing
+    all pass it; the catalecticant of u in degree 1 has rank 1, so it
+    exits 4. --skip-smoothness skips that check for space curves too."""
+    assert main(["eotype", "--p", str(p), *GENUS_ONE_SINGULAR]) == 4
+    assert "the space curve is singular" in capsys.readouterr().err
+    assert main(["eotype", "--p", str(p), *GENUS_ONE_SINGULAR, "--skip-smoothness"]) == 0
+    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()

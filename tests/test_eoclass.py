@@ -3,14 +3,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from conftest import fermat_final_type, fermat_form
 
 from eotypes import (ConstraintError, EOResult, FinalType, HWTriple,
                      InternalInvariantError, WeylCoset, assemble_dm, classify,
                      enumerate_polarized_dms, field_new, final_type_from_AF,
                      final_type_from_FV, full_fv_matrices,
-                     invariants_from_weyl, ordinary_result, random_hw_triple,
-                     stable_rank, standard_module, superspecial_result,
-                     weyl_from_final_type, weyl_word)
+                     hw_triple, invariants_from_weyl, ordinary_result, plane_curve,
+                     random_hw_triple, rank, stable_rank, standard_module,
+                     superspecial_result, weyl_from_final_type, weyl_word)
 from eotypes.dieudonne import _block_diag
 from eotypes.eoclass import final_type_from_weyl
 from eotypes.golden import (GOLDEN_FINAL_TYPE, GOLDEN_INVARIANTS, GOLDEN_WEYL,
@@ -240,3 +241,36 @@ def test_fast_tag_property_matches_triple():
             assert classify(assemble_dm(t)).fast_tag == t.fast_tag
             seen.add(t.fast_tag)
     assert seen == {"ordinary", "superspecial", "interesting"}
+
+
+def test_fermat_final_types_match_the_closed_form():
+    """classify(hw_triple(...)) agrees with conftest's fermat_final_type,
+    read off the eigenbasis index sets with no field arithmetic. The curves
+    are X^d + Y^d + Z^d over GF(p), p <= 13, for d = 3..10 (d <= 8 at
+    p = 11, 13), up to genus 36; and f(M * x) for seeded invertible M over
+    GF(p^2), GF(p^3) and GF(p), d = 3..8, as the EO type is geometric. Over
+    GF(p^m) those matrices leave GF(p), so a wrong Frobenius twist in psi
+    or in the canonical flag fails here."""
+    tags = {}
+
+    def check(field, d, M=None):
+        triple = hw_triple(plane_curve(field, fermat_form(field, d, M)))
+        assert list(classify(triple).final_type) == fermat_final_type(field.p, d), (field, d)
+        key = (field.m > 1, triple.fast_tag)
+        tags[key] = tags.get(key, 0) + 1
+        return triple.g
+
+    assert max(check(field_new(p), d) for p in (2, 3, 5, 7, 11, 13)
+               for d in range(3, 11 if p < 11 else 9) if d % p) == 36
+    rng = np.random.default_rng(33)
+    for p, m in ((2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 1), (7, 1)):
+        field = field_new(p, m)
+        for d in range(3, 9):
+            if d % p:
+                M = field.random_elements(rng, (3, 3))
+                while rank(field, M) < 3:
+                    M = field.random_elements(rng, (3, 3))
+                check(field, d, M)
+    assert tags == {(False, "interesting"): 20, (False, "ordinary"): 10,
+                    (False, "superspecial"): 14, (True, "interesting"): 13,
+                    (True, "ordinary"): 3, (True, "superspecial"): 8}
