@@ -17,7 +17,7 @@ import numpy as np
 from .dieudonne import PolarizedDM, assemble_dm
 from .errors import ConstraintError, InternalInvariantError
 from .gf import DTYPE, GF
-from .hwtriple import CurveCI, HWTriple, hw_triple
+from .hwtriple import CurveCI, HWTriple, fast_path_tag, hw_triple
 from .semilinear import (Subspace, TwistedMap, independent_subset, rank,
                          symplectic_perp, twisted_image, twisted_preimage)
 
@@ -108,10 +108,7 @@ class EOResult:
 
     @property
     def fast_tag(self) -> str:
-        """superspecial (a-number g), ordinary (p-rank g) or interesting."""
-        if self.a_number == self.weyl.g:
-            return "superspecial"
-        return "ordinary" if self.p_rank == self.weyl.g else "interesting"
+        return fast_path_tag(self.a_number, self.weyl.g)
 
     def __str__(self):
         return (f"w={list(self.weyl.one_line)} ({weyl_word(self.weyl)}), "

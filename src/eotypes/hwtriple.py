@@ -3,11 +3,12 @@
 For a smooth curve cut out by forms f_1..f_(n-1) in P^n (char p not dividing
 any degree), the triple consists of the space Q of dual classes in degree -d,
 the Hasse-Witt operator on it, and the second operator from the kernel of the
-first into the annihilator of its image. The plane-curve path extracts both
-operators by pure coefficient bookkeeping: the Hasse-Witt matrix off the half
-power f^((p-1)/2), as one product of two takes of its coefficients, and the
-second operator off f^(p-2), formed only when the kernel is nonzero. The
-general path gathers both from products F * Frob(t) (``_frob_times``).
+first into the annihilator of its image, both read by coefficient
+bookkeeping. A plane curve's Hasse-Witt matrix is read off the half power
+f^((p-1)/2), one product of two takes of its coefficients; a space curve's is
+gathered from products F * Frob(t) (``_frob_times``). The second operator is
+one such gather per form for every n; a plane curve's F is f^(p-2), formed
+only when the kernel is nonzero.
 
 Smoothness is read off the generator u of the duality's relation space U,
 which the second operator needs anyway: a curve in P^n is smooth iff
@@ -70,13 +71,13 @@ class CurveCI:
 
     @cached_property
     def _powers_pm2(self):
-        """f_i^(p-2) for each defining form; on the plane path only the
-        second operator reads it."""
+        """f_i^(p-2) for each defining form, for the second operator; a
+        plane curve forms it only when h > 0."""
         return tuple(poly_pow(f, self.field.p - 2) for f in self.polys)
 
     @cached_property
     def _powers_pm1(self):
-        """f_i^(p-1), each formed as f_i * f_i^(p-2); the general path only."""
+        """f_i^(p-1), each formed as f_i * f_i^(p-2); space curves only."""
         return tuple(poly_mul(f, fp) for f, fp in zip(self.polys, self._powers_pm2))
 
     @cached_property
@@ -86,25 +87,28 @@ class CurveCI:
 
     @cached_property
     def _products_pm1_over(self):
-        """(f_1 ... f_(n-1))^(p-1) / f_ell, for each ell."""
-        pm1, pm2 = self._powers_pm1, self._powers_pm2
-        return tuple(reduce(poly_mul, pm1[:ell] + pm2[ell:ell + 1] + pm1[ell + 1:])
-                     for ell in range(len(self.polys)))
+        """(f_1 ... f_(n-1))^(p-1) / f_ell, for each ell: the second
+        operator's powers. f_j^(p-1) is formed only for j != ell, so a plane
+        curve's one product is f^(p-2) itself."""
+        pm2 = self._powers_pm2
+        return tuple(reduce(poly_mul, [pm2[j] if j == ell else self._powers_pm1[j]
+                                       for j in range(len(pm2))])
+                     for ell in range(len(pm2)))
 
     @cached_property
     def q_basis(self) -> Subspace:
         """Echelon basis of Q: the joint kernel of multiplication by each f_i
-        on the degree -d piece of the dual module."""
+        on the degree -d piece of the dual module; the whole piece where
+        d - deg f_i <= n for every i, as f_i * t then has no class to land
+        in (every plane curve, and the (2,2), (2,3), (3,3) and (2,2,2) ones)."""
         field, nvars, d = self.field, self.nvars, self.d
         rows = sum(TClass.basis_size(nvars, f.degree - d) for f in self.polys)
-        _check_work("Q space", linalg_work_bytes(
-            field, nvars, rows, TClass.basis_size(nvars, -d)))
+        ambient = TClass.basis_size(nvars, -d)
+        if rows == 0:
+            return Subspace.full(field, ambient)
+        _check_work("Q space", linalg_work_bytes(field, nvars, rows, ambient))
         blocks = np.vstack([tmul_matrix(f, -d) for f in self.polys])
-        sub = Subspace.span(field, null_space(field, blocks),
-                            ambient=TClass.basis_size(nvars, -d))
-        if self.n == 2 and sub.dim != (d - 1) * (d - 2) // 2:
-            raise InternalInvariantError("plane curve Q space has wrong dimension")
-        return sub
+        return Subspace.span(field, null_space(field, blocks), ambient=ambient)
 
     @cached_property
     def _relations(self):
@@ -182,16 +186,12 @@ def plane_curve(field: GF, f: GradedPoly) -> CurveCI:
 
 
 def genus(curve: CurveCI) -> int:
-    """Arithmetic genus; for n >= 3 cross-checked against dim Q."""
-    if curve.n == 2:
-        d = curve.d
-        g = (d - 1) * (d - 2) // 2
-    else:
-        deg = prod(curve.degrees)
-        twice = deg * (curve.d - curve.n - 1)
-        if twice % 2:
-            raise InternalInvariantError("genus formula did not give an integer")
-        g = 1 + twice // 2
+    """Arithmetic genus 1 + deg(C) (d-n-1) / 2, for a plane curve
+    (d-1)(d-2)/2; for n >= 3 cross-checked against dim Q."""
+    twice = prod(curve.degrees) * (curve.d - curve.n - 1)
+    if twice % 2:
+        raise InternalInvariantError("genus formula did not give an integer")
+    g = 1 + twice // 2
     if g < 1:
         raise ConstraintError("genus 0 configurations are not supported")
     if curve.n >= 3 and ci_q_basis(curve).dim != g:
@@ -408,33 +408,14 @@ def u_generator(curve: CurveCI):
 
 def psi_matrix(curve: CurveCI, A_phi, kappa, u):
     """Columns are the second operator's values on the twisted kernel basis,
-    written in the dual of the Q basis."""
-    g = A_phi.shape[0]
-    kappa = np.asarray(kappa, DTYPE)
-    h = kappa.shape[0]
-    if h == 0:
-        return np.zeros((g, 0), DTYPE)
-    if curve.n == 2:
-        return _psi_plane(curve, kappa, u)
-    return _psi_general(curve, kappa, u)
-
-
-def _psi_plane(curve: CurveCI, kappa, u):
-    field, p, d = curve.field, curve.field.p, curve.d
-    mu = curve._mu_of(u)
-    md = exponent_array(3, d - 3)
-    big = exponent_array(3, 2 * d - 3)
-    # C[j, i] = coefficient of X^(p*m_j + p - 1 - M_i) in f^(p-2)
-    C = gather(curve._powers_pm2[0], p * md[:, None] + (p - 1) - big[None])
-    K = field.matmul(kappa, C)
-    _assert_tuple_relations(curve, K.T)
-    # transpose(A_psi) . transpose(mu) = kappa . C
-    return solve_matrix(field, mu, K.T)
-
-
-def _psi_general(curve: CurveCI, kappa, u):
-    """Column j is theta of (F_l * Frob(tau(kappa_j) . Q))_l, F_l = curve._products_pm1_over[l]."""
+    written in the dual of the Q basis: column j is theta of
+    (F_l * Frob(tau(kappa_j) . Q))_l, F_l = curve._products_pm1_over[l], one
+    gather per form (``_frob_times``); a plane curve's F_0 is f^(p-2). The
+    images must lie in the dual module and satisfy the derivative relations."""
     field, d = curve.field, curve.d
+    kappa = np.asarray(kappa, DTYPE)
+    if kappa.shape[0] == 0:
+        return np.zeros((A_phi.shape[0], 0), DTYPE)
     rows = field.matmul(field.frob(kappa, -1), ci_q_basis(curve).rows)
     comps = [_frob_times(curve, F, rows).T for F in curve._products_pm1_over]
     if any(field.matmul(tmul_matrix(f, -d - f_l.degree), comp).any()
@@ -477,6 +458,14 @@ def _dual_coords(curve: CurveCI, mu, xi_cols):
     return curve.field.matmul(ci_q_basis(curve).rows, solve_matrix(curve.field, mu, xi_cols))
 
 
+def fast_path_tag(a_number: int, g: int) -> str:
+    """ordinary iff a = 0, superspecial iff a = g, else interesting. A
+    triple's a is h; a minimal coset's p-rank is g iff a = 0."""
+    if a_number == 0:
+        return "ordinary"
+    return "superspecial" if a_number == g else "interesting"
+
+
 class HWTriple:
     """Hasse-Witt data: the operator matrix, the echelon basis of its linear
     null space, and the second operator's matrix on the twisted kernel."""
@@ -497,10 +486,7 @@ class HWTriple:
 
     @property
     def fast_tag(self) -> str:
-        """ordinary (h = 0), superspecial (first operator zero) or interesting."""
-        if self.h == 0:
-            return "ordinary"
-        return "interesting" if self.A_phi.any() else "superspecial"
+        return fast_path_tag(self.h, self.g)
 
     def validate(self):
         field, g, h = self.field, self.g, self.h

@@ -16,6 +16,7 @@ from eotypes.dieudonne import _block_diag
 from eotypes.eoclass import final_type_from_weyl
 from eotypes.golden import (GOLDEN_FINAL_TYPE, GOLDEN_INVARIANTS, GOLDEN_WEYL,
                             GOLDEN_WEYL_WORD)
+from eotypes.hwtriple import fast_path_tag
 
 
 def coset_from_module(mod, field):
@@ -241,6 +242,24 @@ def test_fast_tag_property_matches_triple():
             assert classify(assemble_dm(t)).fast_tag == t.fast_tag
             seen.add(t.fast_tag)
     assert seen == {"ordinary", "superspecial", "interesting"}
+
+
+def test_fast_path_tag_matches_p_rank_on_every_census_coset():
+    """On every census coset with g <= 4 the one tag rule of (a, g) agrees
+    with the p-rank definition: superspecial iff a = g, ordinary iff
+    p-rank = g, as a minimal representative has p-rank g iff a = 0."""
+    field = field_new(2)
+    for g in (1, 2, 3, 4):
+        cosets = {coset_from_module(m, field) for m in enumerate_polarized_dms(g)}
+        assert len(cosets) == 2 ** g
+        tags = set()
+        for w in cosets:
+            p_rank, a, _ = invariants_from_weyl(w, g)
+            by_p_rank = ("superspecial" if a == g else
+                         "ordinary" if p_rank == g else "interesting")
+            assert fast_path_tag(a, g) == by_p_rank
+            tags.add(by_p_rank)
+        assert len(tags) == min(g + 1, 3)
 
 
 def test_fermat_final_types_match_the_closed_form():

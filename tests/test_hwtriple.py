@@ -16,8 +16,9 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, InternalInvariantErro
                      theta_apply, u_generator)
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
-from eotypes.hwtriple import (_catalecticant, _derivative_matrix, _derivative_plan,
-                              _hw_general_matrix, _hw_plane_matrix, _psi_general, _psi_plane)
+from eotypes.hwtriple import (_assert_tuple_relations, _catalecticant, _derivative_matrix,
+                              _derivative_plan, _frob_times, _hw_general_matrix,
+                              _hw_plane_matrix)
 from eotypes.polyring import gather, linalg_work_bytes, poly_mul, poly_pow
 from eotypes.semilinear import null_space
 
@@ -162,9 +163,10 @@ def test_theta_apply_rejects_degenerate_pairing(golden_curve, ci_23_curve):
 
 
 def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
-    """The general complete-intersection path, run on plane curves, gives
-    the plane path's triple: the golden quartic plus seeded random smooth
-    quartics and quintics."""
+    """The general complete-intersection Hasse-Witt matrix, run on plane
+    curves, gives the plane path's, and the second operator agrees with
+    the dense Frobenius-class route (conftest's general_path_oracle): the
+    golden quartic plus seeded random smooth quartics and quintics."""
     rng = np.random.default_rng(11)
     curves = [golden_curve]
     for field in (F5, F7, F9):
@@ -185,8 +187,7 @@ def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
         kappa = null_space(curve.field, A_gen)
         if kappa.shape[0]:
             with_kernel += 1
-            psi_gen = _psi_general(curve, kappa, u_generator(curve))
-            assert np.array_equal(psi_gen, t.A_psi)
+            assert np.array_equal(general_path_oracle(curve)[2], t.A_psi)
     assert (len(curves), with_kernel) == (36, 6)
 
 
@@ -213,7 +214,7 @@ def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
             assert np.array_equal(_hw_general_matrix(curve), A_phi)
             assert np.array_equal(t.A_phi, A_phi) and np.array_equal(t.kappa, kappa)
             if t.h:
-                assert np.array_equal(_psi_general(curve, kappa, curve.u), A_psi)
+                assert np.array_equal(psi_matrix(curve, A_phi, kappa, curve.u), A_psi)
                 with_kernel.append(field.m)
             assert np.array_equal(t.A_psi, A_psi)
             classified.append(field.m)
@@ -226,15 +227,24 @@ def test_psi_general_refuses_image_outside_dual_module(ci_23_curve):
     the curve's dual module, and the check says so."""
     with pytest.raises(InternalInvariantError,
                        match="second operator image left the curve's dual module"):
-        _psi_general(ci_23_curve, [[1, 0, 0, 0]], u_generator(ci_23_curve))
+        psi_matrix(ci_23_curve, hasse_witt_matrix(ci_23_curve), [[1, 0, 0, 0]],
+                   u_generator(ci_23_curve))
 
 
 def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
     """A vector outside the golden quartic's kernel gives an image that
-    breaks the derivative relations, and the check says so."""
+    leaves the dual module and breaks the derivative relations. Every such
+    vector fails both checks, so psi_matrix reports the first, and the
+    second is run on the image columns directly."""
+    kappa = np.array([[0, 0, 1]])
+    with pytest.raises(InternalInvariantError,
+                       match="second operator image left the curve's dual module"):
+        psi_matrix(golden_curve, hasse_witt_matrix(golden_curve), kappa,
+                   u_generator(golden_curve))
+    image = _frob_times(golden_curve, golden_curve._products_pm1_over[0], kappa).T
     with pytest.raises(InternalInvariantError,
                        match="second operator image violates the derivative relations"):
-        _psi_plane(golden_curve, [[0, 0, 1]], u_generator(golden_curve))
+        _assert_tuple_relations(golden_curve, image)
 
 
 def test_triple_invariants_random_smooth_curves():
@@ -761,6 +771,45 @@ def test_prime_field_curve_singular_at_conjugate_pair_rejected_through_dim_u(p):
         with pytest.raises(SingularCurveError, match="the plane curve is singular"):
             hw_triple(curve)
         assert curve._relations.shape[0] >= 2
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_ci_23_singular_at_conjugate_pair_rejected(p):
+    """Seeded (2,3) curves over GF(p) whose coefficients solve the
+    GF(p)-linear conditions f_1(P) = f_2(P) = 0 and grad f_2(P) = 0 at a
+    point P = (1 : a : b : c) with a outside GF(p), so that P and its
+    conjugate are both singular (the X0 partial of f_2 vanishes by Euler's
+    identity). Each is rejected with dim U >= 2, also where the GF(p)
+    search finds no singular point."""
+    field, ext = field_new(p), field_new(p, 2)
+    rng = np.random.default_rng(20 + p)
+    unseen = 0
+    for _ in range(3):
+        point = np.array([[1, int(rng.integers(p, p * p)), *rng.integers(0, p * p, 2)]])
+        forms = []
+        for degree, partials in ((2, []), (3, [1, 2, 3])):
+            monos = [GradedPoly.monomial(ext, 4, e) for e in monomial_basis(4, degree).monomials]
+            # each monomial, and each of the given partials of each monomial, at P
+            values = [[int(form_values(g, point)[0])
+                       for g in [mono] + [partial_derivative(mono, j) for j in partials]]
+                      for mono in monos]
+            conditions = ext.decode(np.array(values, np.int64)).reshape(len(monos), -1).T
+            solutions = null_space(field, conditions)
+            coeffs = rng.integers(0, p, len(solutions)) @ solutions % p
+            assert coeffs.any()
+            forms.append(GradedPoly(field, 4, degree, coeffs))
+        # both forms and every partial of f_2 vanish at P and its conjugate
+        lifted = [GradedPoly(ext, 4, f.degree, f.coeffs) for f in forms]
+        checks = lifted + [partial_derivative(lifted[1], j) for j in range(4)]
+        conjugate = np.concatenate([[1], ext.frob(point[0, 1:], 1)])
+        for pt in (point, conjugate[None]):
+            assert not any(form_values(g, pt)[0] for g in checks)
+        curve = CurveCI(field, forms)
+        unseen += not rational_singular_points(curve)
+        with pytest.raises(SingularCurveError, match="dim U"):
+            hw_triple(curve)
+        assert curve._relations.shape[0] >= 2
+    assert unseen >= 1
 
 
 def test_space_curve_checks_certify_smoothness_in_genus_4():
