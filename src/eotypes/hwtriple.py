@@ -497,6 +497,8 @@ class HWTriple:
         if self.kappa.shape[0] and np.count_nonzero(
                 field.matmul(self.A_phi, self.kappa.T)):
             raise InternalInvariantError("kernel basis is not in the null space")
+        if rank(field, self.A_phi) != g - h:
+            raise InternalInvariantError("kernel basis does not span the null space")
         if rank(field, self.A_psi) != h:
             raise InternalInvariantError("second operator is not injective")
         if h and np.count_nonzero(field.matmul(self.A_psi.T, self.A_phi)):

@@ -5,11 +5,23 @@ A homogeneous polynomial of degree D in variables X_0..X_n is a coefficient
 vector over the degree-D monomials in graded-lex order (X_0 largest).
 Multiplication goes through a dense "cube" representation indexed by the
 exponents of X_1..X_n (X_0 is implied by homogeneity): a product is the
-convolution of the factors' digit planes (m of them over GF(p^m)), taken in
-balanced residues of absolute value at most p/2 and reduced once at the end.
+convolution of the factors' digit planes (m of them over GF(p^m)), reduced
+once at the end. A sum of more than ``GF.max_terms`` products is refused
+with ``ConstraintError`` before either route below runs.
 
-The convolution is a floating-point FFT (numpy's rfftn/irfftn over lengths
-2^a 3^b 5^c) rounded to integers. Percival's bound on the error of every
+A small product, up to ``_DIRECT_MAX_MULADDS`` padded multiply-adds, is one
+exact int64 ``np.convolve`` (``_conv_direct``): a Kronecker substitution
+lays each factor's digits in [0, p) out in the output's shape with a
+trailing digit axis of length 2m-1 and flattens them, so the flat index of
+a sum is the sum of the flat indices and nothing wraps. An entry of a
+digit plane sums at most m*terms non-negative products, so every partial
+sum lies in [0, terms*m*(p-1)^2], and after the fold through ``GF._red``
+an entry is at most terms*term_bound <= INT64_MAX: the route needs no error
+bound, no limbs and no rounding check.
+
+A larger product is a floating-point FFT (numpy's rfftn/irfftn over
+lengths 2^a 3^b 5^c) of the digits in balanced residues of absolute value
+at most p/2, rounded to integers. Percival's bound on the error of every
 output entry of a transform of size N = 2^n is
 ||a||*||b||*((6 + 3*sqrt(5))*n + sqrt(5))*eps for twiddle factors accurate
 to eps = 2^-53; it is taken as 16*(log2(N) + 1)*eps*||a||*||b||, with
@@ -20,9 +32,8 @@ an ``InternalInvariantError``. Where the digit planes fail the bound (large
 p), each balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a)
 of k bits that pass it: limb products land on digit i+j, limb a+b in the
 frequency domain, and the rounded limb planes P_t recombine by Horner's rule
-from the top limb. A sum of more than ``GF.max_terms`` products is refused
-with ``ConstraintError``, so for odd p every exact entry E of a digit plane
-has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial Horner sum
+from the top limb. With the term guard, for odd p every exact entry E of a
+digit plane has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial Horner sum
 lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never splits.
 
 A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
@@ -38,8 +49,8 @@ entry. In shifted exponents s*t sends source monomial a to target c with
 coefficient s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply``
 applies it to one class; the pipeline gathers stacks of products, Frobenius
 images included, and ``hwtriple._derivative_plan`` caches the positions of
-a relation matrix. The exponent cube is the format of the FFT products and
-of the plane Hasse-Witt matrix (``hwtriple._hw_plane_matrix``): its 2g x |z|
+a relation matrix. The exponent cube is the format of the products and of
+the plane Hasse-Witt matrix (``hwtriple._hw_plane_matrix``): its 2g x |z|
 entries of the two half powers are one take each from a zero-bordered copy
 of the cube at flat offsets.
 """
@@ -60,6 +71,17 @@ from .gf import DTYPE, GF, FieldElem, split_limbs
 # coefficient matrix may need; a curve that would exceed it is refused
 # before the arithmetic starts.
 WORK_BUDGET_BYTES = 1 << 30
+
+# Padded multiply-adds of one product of exponent cubes, the product of the
+# two factors' ``_kronecker_len``, up to which it is one int64 np.convolve
+# (``_conv_direct``) rather than an FFT; both give the same integers. The
+# FFT's fixed cost was reached near 1.2e5 multiply-adds on one axis, 1.5e5
+# to 1.9e5 on two (m = 1, 2, 3) and 2e5 on three. Squarings, direct against
+# FFT in us, min of 15 on a 2-vCPU VM: GF(5) ternary degree 12, 9.8e4
+# multiply-adds, 62 against 90; degree 14, 1.8e5, 98 against 86; GF(31^2)
+# degree 8, 1.9e5, 113 against 108; GF(7^3) degree 6, 1.8e5, 111 against
+# 117; GF(101) binary degree 400, 1.6e5, 88 against 70.
+_DIRECT_MAX_MULADDS = 150_000
 
 # Float64 unit roundoff, and the constant of the FFT error bound (see the
 # module docstring).
@@ -224,9 +246,47 @@ def _digit_planes(field: GF, cube):
     return digits - field.p * (digits > field.p // 2)
 
 
+def _kronecker_len(shape, out_shape, m: int) -> int:
+    """Length of a cube of the given shape laid out by ``_conv_direct`` and
+    cut after its last digit: one more than the flat index of cell
+    shape - 1, digit m - 1, in the layout out_shape + (2m-1,)."""
+    length, stride = m, 2 * m - 1
+    for s, n in zip(reversed(shape), reversed(out_shape)):
+        length += (s - 1) * stride
+        stride *= n
+    return length
+
+
+def _conv_direct(field: GF, ca, cb, out_shape):
+    """Unreduced product planes of two code cubes, digit axis last (2m-1),
+    by one int64 ``np.convolve``: a Kronecker substitution. Each factor's
+    digits in [0, p) (``GF.digit_view``) are laid out in the shape
+    out_shape + (2m-1,), flattened and cut after their last digit
+    (``_kronecker_len``). Cell x, digit i sits at flat index
+    sum_k x_k*s_k + i for the layout's strides s_k; as x_a + x_b stays
+    inside out_shape and i + j < 2m - 1, the flat index of a sum is the sum
+    of the flat indices, nothing wraps, and the convolution is the product
+    planes flattened, of length exactly prod(out_shape)*(2m-1). Squaring
+    (cb is ca) lays out once."""
+    m = field.m
+    shape = out_shape + (2 * m - 1,)
+
+    def flat(cube):
+        x = np.zeros(shape, DTYPE)
+        x[tuple(map(slice, cube.shape)) + (slice(0, m),)] = (
+            field.digit_view(cube).reshape(cube.shape + (m,)))
+        return x.reshape(-1)[:_kronecker_len(cube.shape, out_shape, m)]
+
+    fa = flat(ca)
+    return np.convolve(fa, fa if cb is ca else flat(cb)).reshape(shape)
+
+
 def _conv_field(field: GF, ca, cb):
     """Product of two dense exponent cubes of codes; pass the same array
-    twice to square."""
+    twice to square. Up to ``_DIRECT_MAX_MULADDS`` padded multiply-adds
+    (the product of the two ``_kronecker_len``) it is ``_conv_direct``,
+    above it ``_conv_fft``. The term guard makes both exact (module
+    docstring), so they give the same integers."""
     # an output entry sums at most one product per nonzero of the sparser cube
     terms = min(np.count_nonzero(ca), np.count_nonzero(cb))
     if terms > field.max_terms:
@@ -234,9 +294,13 @@ def _conv_field(field: GF, ca, cb):
             f"a product summing {terms} terms overflows int64 over {field!r}")
     if ca.ndim == 0:
         return field.mul(ca, cb)
+    out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
+    m = field.m
+    if (_kronecker_len(ca.shape, out_shape, m) * _kronecker_len(cb.shape, out_shape, m)
+            <= _DIRECT_MAX_MULADDS):
+        return field.reduce_digit_planes(_conv_direct(field, ca, cb, out_shape))
     da = _digit_planes(field, ca)
     db = da if cb is ca else _digit_planes(field, cb)
-    out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
     return field.reduce_digit_planes(np.moveaxis(_conv_fft(da, db, out_shape), 0, -1))
 
 
@@ -247,7 +311,11 @@ def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
     residual, integer) and four of m input digit planes. One limb per digit
     is all any curve within the work budget needs: with +-p/2 in every digit
     of every monomial of both factors the bound is at most about 0.02 (a
-    plane cubic over GF(1151)), below the 1/4 that calls for a second."""
+    plane cubic over GF(1151)), below the 1/4 that calls for a second. A
+    product below the crossover takes the direct route (``_conv_direct``)
+    instead: its two padded inputs and its output hold 2m-1 words per output
+    cell each, beside the factors' m digits and the fold's, so they stay
+    within the bytes charged here."""
     cells = prod(_fft_shape((degree + 1,) * (nvars - 1)))
     m = field.m
     return 8 * cells * ((4 * m - 1) + 4 * (2 * m - 1) + 4 * m)

@@ -208,12 +208,12 @@ def partial_derivative_oracle(a, j):
     return GradedPoly._from_cube(field, a.nvars, D - 1, out)
 
 
-def form_values(f, points):
-    """Values of the form f at the rows of a code array of points, by field
-    products of powers of the coordinates, one monomial at a time."""
-    field = f.field
+def term_values(field, terms, points):
+    """Values at the rows of a code array of points of the form given by
+    (exponent tuple, code) pairs, by field products of powers of the
+    coordinates, one monomial at a time."""
     out = np.zeros(len(points), DTYPE)
-    for row, c in zip(f.basis.exps, f.coeffs):
+    for row, c in terms:
         if c:
             term = np.full(len(points), c, DTYPE)
             for x, e in zip(points.T, row):
@@ -222,16 +222,26 @@ def form_values(f, points):
     return out
 
 
+def form_values(f, points):
+    """Values of the form f at the rows of a code array of points."""
+    return term_values(f.field, zip(f.basis.exps, f.coeffs), points)
+
+
+def projective_points(field, nvars):
+    """Every point of P^(nvars-1) over the field, each as its normalized
+    representative (first nonzero coordinate 1): the rows of a code array."""
+    q = field.p ** field.m
+    return np.array([(0,) * lead + (1,) + rest for lead in range(nvars)
+                     for rest in itertools.product(range(q), repeat=nvars - 1 - lead)], DTYPE)
+
+
 def rational_singular_points(curve):
     """Every point of P^n over the curve's own field GF(p^m) where all
     defining forms vanish and their Jacobian has rank below n-1, by brute
     force over the normalized representatives (first nonzero coordinate 1),
     as tuples of codes."""
     field, nvars = curve.field, curve.nvars
-    q = field.p ** field.m
-    points = np.array([(0,) * lead + (1,) + rest for lead in range(nvars)
-                       for rest in itertools.product(range(q), repeat=nvars - 1 - lead)],
-                      DTYPE)
+    points = projective_points(field, nvars)
     on_curve = np.ones(len(points), bool)
     for f in curve.polys:
         on_curve &= form_values(f, points) == 0
@@ -240,6 +250,37 @@ def rational_singular_points(curve):
                           for j in range(nvars)] for f in curve.polys], DTYPE)
     return [tuple(pt.tolist()) for pt, jac in zip(points, jacobian.transpose(2, 0, 1))
             if len(rref_oracle(field, jac)[1]) < len(curve.polys)]
+
+
+def point_count(field, forms, nvars):
+    """Number of points of P^(nvars-1) over the field where every form
+    vanishes, each form a dict {exponent tuple: code}, by brute force over
+    the normalized representatives: no polyring code. Codes below p name
+    the same element of GF(p) in every GF(p^k), so forms over GF(p) count
+    over an extension as they are."""
+    points = projective_points(field, nvars)
+    on_curve = np.ones(len(points), bool)
+    for terms in forms:
+        on_curve &= term_values(field, terms.items(), points) == 0
+    return int(on_curve.sum())
+
+
+def hasse_witt_trace(field, A, k):
+    """Tr(M^k) for M = A * A^sigma * ... * A^(sigma^(m-1)) over GF(p^m),
+    which lies in GF(p). For a smooth curve over GF(q) with Hasse-Witt
+    matrix A, #C(GF(q^k)) = 1 - Tr(M^k) (mod p) (Manin 1961)."""
+    M = np.eye(len(A), dtype=DTYPE)
+    for i in range(field.m):
+        M = field.matmul(M, field.frob(A, i))
+    power = np.eye(len(A), dtype=DTYPE)
+    for _ in range(k):
+        power = field.matmul(power, M)
+    trace = 0
+    for x in np.diagonal(power):
+        trace = int(field.add(trace, x))
+    if trace >= field.p:
+        raise AssertionError("Tr(M^k) does not lie in GF(p)")
+    return trace
 
 
 def derivative_matrix_oracle(curve, src_degrees):

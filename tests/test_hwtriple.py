@@ -1,14 +1,15 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, derivative_matrix_oracle, form_values,
-                      general_path_oracle, integer_power_terms, jacobian_smoothness_oracle,
-                      macaulay_smoothness_oracle, module_action_catalecticant_oracle,
-                      pairing_matrix_oracle, plane_catalecticant_oracle,
-                      rational_singular_points)
-from eotypes import (ConstraintError, CurveCI, GradedPoly, InternalInvariantError,
+                      general_path_oracle, hasse_witt_trace, integer_power_terms,
+                      jacobian_smoothness_oracle, macaulay_smoothness_oracle,
+                      module_action_catalecticant_oracle, pairing_matrix_oracle,
+                      plane_catalecticant_oracle, point_count, rational_singular_points)
+from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInvariantError,
                      SingularCurveError, partial_derivative,
                      TClass, ci_q_basis, classify, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
@@ -245,6 +246,16 @@ def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
     with pytest.raises(InternalInvariantError,
                        match="second operator image violates the derivative relations"):
         _assert_tuple_relations(golden_curve, image)
+
+
+def test_triple_refuses_kernel_short_of_the_null_space(F5):
+    """kappa must span the whole null space of A_phi: h = g - rank A_phi.
+    A zero A_phi with a one-row kernel in echelon form, in the null space
+    and with an injective second operator, is refused."""
+    with pytest.raises(InternalInvariantError,
+                       match="kernel basis does not span the null space"):
+        HWTriple(F5, 2, np.zeros((2, 2), int), [[1, 0]], [[1], [0]])
+    assert HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int), np.eye(2, dtype=int)).h == 2
 
 
 def test_triple_invariants_random_smooth_curves():
@@ -625,6 +636,73 @@ def test_plane_smoothness_matches_macaulay_oracle(monkeypatch):
                 key = (smooth, f"rank {ranks[0]}" if ranks else "dim U != 1")
                 outcomes[key] = outcomes.get(key, 0) + 1
     assert outcomes == {(True, "rank 3"): 119, (False, "rank 1"): 20, (False, "dim U != 1"): 45}
+
+
+def _plane_form(field, terms):
+    """The pipeline's form of a dict {exponent tuple: code}."""
+    return GradedPoly.from_terms(field, 3, {e: field.element_from_code(c)
+                                            for e, c in terms.items()})
+
+
+def test_hasse_witt_matrix_matches_point_counts():
+    """Manin's congruence #C(GF(q^k)) = 1 - Tr(M^k) (mod p) on seeded plane
+    curves the pipeline classifies: over GF(p) for k = 1, 2 and over GF(p^2)
+    for k = 1. The counts are brute force over P^2 (conftest.point_count)
+    and share no code with polyring, whose products give A_phi."""
+    rng = np.random.default_rng(1961)
+    checked = []
+    for p, m, d, draws in ((3, 1, 4, 6), (5, 1, 4, 6), (7, 1, 5, 3), (7, 1, 4, 3),
+                           (11, 1, 4, 2), (2, 2, 5, 3), (3, 2, 4, 4), (5, 2, 4, 3),
+                           (7, 2, 4, 2)):
+        field = field_new(p, m)
+        counted = [field] if m == 2 else [field, field_new(p, 2)]
+        monos = [(d - i - j, i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+        for _ in range(draws):
+            terms = dict(zip(monos, field.random_elements(rng, (len(monos),)).tolist()))
+            try:
+                A = hw_triple(plane_curve(field, _plane_form(field, terms))).A_phi
+            except SingularCurveError:
+                continue
+            for k, ext in enumerate(counted, 1):
+                assert point_count(ext, [terms], 3) % p == (1 - hasse_witt_trace(field, A, k)) % p
+            checked.append((p, m))
+    assert len(checked) == 29 and checked.count((7, 2)) == 2
+
+
+def test_ci_23_hasse_witt_matrix_matches_point_counts(ci_23_curve):
+    """The congruence on the smooth (2,3) curve in P^3 over GF(5), whose
+    A_phi comes from the general path, for k = 1, 2."""
+    field, A = ci_23_curve.field, hw_triple(ci_23_curve).A_phi
+    forms = [{e: 1 for e in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))},
+             {e: 1 for e in ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))}]
+    for k, ext in enumerate((field_new(5), field_new(5, 2)), 1):
+        assert point_count(ext, forms, 4) % 5 == (1 - hasse_witt_trace(field, A, k)) % 5
+
+
+def test_every_smooth_plane_cubic_over_gf2_matches_point_counts():
+    """All 1024 ternary cubics over GF(2): the pipeline classifies exactly
+    those the Macaulay oracle finds smooth, and each of them satisfies the
+    congruence for k = 1, 2, with A_phi the 1 x 1 Hasse invariant. A
+    singular cubic's singular points all lie over GF(4) or GF(8), where a
+    brute-force search (conftest.rational_singular_points) also finds 336
+    smooth cubics."""
+    F2, F4 = field_new(2), field_new(2, 2)
+    monos = [(3 - i - j, i, j) for i in range(4) for j in range(4 - i)]
+    smooth = supersingular = 0
+    for bits in itertools.product((0, 1), repeat=len(monos)):
+        terms = dict(zip(monos, bits))
+        curve = plane_curve(F2, _plane_form(F2, terms))
+        try:
+            A = hw_triple(curve).A_phi
+        except SingularCurveError:
+            assert not macaulay_smoothness_oracle(curve)
+            continue
+        assert macaulay_smoothness_oracle(curve)
+        for k, ext in ((1, F2), (2, F4)):
+            assert point_count(ext, [terms], 3) % 2 == (1 - hasse_witt_trace(F2, A, k)) % 2
+        smooth += 1
+        supersingular += not A.any()
+    assert (smooth, supersingular) == (336, 168)
 
 
 def test_catalecticant_of_rank_two_is_an_internal_error(F5):

@@ -10,8 +10,9 @@ from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass
                      field_new, gather, monomial_basis, partial_derivative, poly_mul, poly_pow,
                      polyring, t_multiply, tmul_matrix)
 from eotypes.gf import is_prime
-from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, _conv_fft, _conv_field,
-                              _digit_planes, _fft_error_bound, _fft_shape, _limb_split,
+from eotypes.polyring import (_DIRECT_MAX_MULADDS, WORK_BUDGET_BYTES, MonomialBasis,
+                              _conv_direct, _conv_fft, _conv_field, _digit_planes,
+                              _fft_error_bound, _fft_shape, _kronecker_len, _limb_split,
                               _positions, power_work_bytes)
 
 
@@ -567,10 +568,133 @@ def test_budget_admitted_products_need_one_limb():
 
 
 def test_fft_perturbed_inverse_transform_raises(monkeypatch, golden_poly):
+    # the last product of f^12, the square of f^6, lies above the crossover
     irfftn = np.fft.irfftn
     monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: irfftn(*args, **kw) + 0.3)
     with pytest.raises(InternalInvariantError, match="rounding residual"):
-        poly_pow(golden_poly, 3)
+        poly_pow(golden_poly, 12)
+
+
+def _muladds(field, x, y):
+    out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
+    return _kronecker_len(x.shape, out_shape, field.m) * _kronecker_len(y.shape, out_shape, field.m)
+
+
+def _spy_routes(monkeypatch):
+    """Record the route, "direct" or "fft", of every product of cubes."""
+    routes = []
+    direct, fft = polyring._conv_direct, polyring._conv_fft
+
+    def spy_direct(*args):
+        routes.append("direct")
+        return direct(*args)
+
+    def spy_fft(*args):
+        routes.append("fft")
+        return fft(*args)
+
+    monkeypatch.setattr(polyring, "_conv_direct", spy_direct)
+    monkeypatch.setattr(polyring, "_conv_fft", spy_fft)
+    return routes
+
+
+def test_kronecker_len_is_last_flat_index_plus_one():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        m = int(rng.integers(1, 4))
+        shape = tuple(int(s) for s in rng.integers(1, 6, int(rng.integers(1, 5))))
+        out_shape = tuple(s + int(t) for s, t in zip(shape, rng.integers(0, 6, len(shape))))
+        last = np.ravel_multi_index(tuple(s - 1 for s in shape) + (m - 1,),
+                                    out_shape + (2 * m - 1,))
+        assert _kronecker_len(shape, out_shape, m) == last + 1
+
+
+def test_products_take_the_route_of_their_padded_size(monkeypatch, golden_poly):
+    """Products up to the crossover never call _conv_fft, products above it
+    always do. One axis over GF(101) puts it between lengths 300 x n and
+    300 x (n+1); f^12 of the golden quartic takes f*f, f*f^2 and the
+    square of f^3 directly and the square of f^6 by FFT."""
+    routes = _spy_routes(monkeypatch)
+    field = field_new(101)
+    x = field.random_elements(np.random.default_rng(1), (300,))
+    below = _DIRECT_MAX_MULADDS // 300
+    for n, route in ((below, "direct"), (below + 1, "fft")):
+        y = field.random_elements(np.random.default_rng(n), (n,))
+        routes.clear()
+        _conv_field(field, x, y)
+        assert routes == [route]
+    routes.clear()
+    poly_pow(golden_poly, 12)
+    assert routes == ["direct", "direct", "direct", "fft"]
+    rng = np.random.default_rng(2)
+    for p, m in ((5, 1), (101, 1), (7, 3), (31, 2)):
+        field = field_new(p, m)
+        for axes in (1, 2, 3, 4):
+            top, step = {1: (600, 60), 2: (20, 2), 3: (9, 1), 4: (6, 1)}[axes]
+            for side in range(1, top, step):
+                shape = tuple(side + int(t) for t in rng.integers(0, 3, axes))
+                x = field.random_elements(rng, shape)
+                y = field.random_elements(rng, tuple(s + 1 for s in shape))
+                for a, b in ((x, y), (x, x)):
+                    routes.clear()
+                    _conv_field(field, a, b)
+                    assert routes == ["direct" if _muladds(field, a, b) <= _DIRECT_MAX_MULADDS
+                                      else "fft"]
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2147483647, 1), (7, 3), (31, 2),
+                                 (1048573, 2)])
+def test_products_match_window_loop_on_both_sides_of_crossover(monkeypatch, p, m):
+    """On seeded cubes with 1 to 4 axes, squares and products of two
+    different factors, at the largest side below the crossover and the
+    smallest above it: the product equals the window loop's on the
+    balanced digits, reduced, and below the crossover the direct route's
+    planes equal the window loop's on the digits in [0, p). The first
+    factor keeps at most GF.max_terms nonzeros, which thins it over
+    GF(2^31-1) and GF(1048573^2) only."""
+    routes = _spy_routes(monkeypatch)
+    field = field_new(p, m)
+    rng = np.random.default_rng(2000 * p + m)
+
+    def shapes(axes, side):
+        return (side,) * axes, tuple(side + k % 2 for k in range(axes))
+
+    for axes in (1, 2, 3, 4):
+        side = 1
+        while _muladds(field, *map(np.empty, shapes(axes, side + 1))) <= _DIRECT_MAX_MULADDS:
+            side += 1
+        below, side = shapes(axes, side), side + 1
+        while _muladds(field, *map(np.empty, shapes(axes, side)[:1] * 2)) <= _DIRECT_MAX_MULADDS:
+            side += 1
+        for (shape_a, shape_b), route in ((below, "direct"), (shapes(axes, side), "fft")):
+            ca, da = _random_planes(field, rng, shape_a, 0.5, field.max_terms)
+            cb, db = _random_planes(field, rng, shape_b, 0.5)
+            for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
+                out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
+                routes.clear()
+                assert np.array_equal(_conv_field(field, x, y), field.reduce_digit_planes(
+                    np.moveaxis(conv_oracle(dx, dy, out_shape), 0, -1)))
+                assert routes == [route]
+                if route == "direct":
+                    ux, uy = (np.moveaxis(field.decode(c), -1, 0) for c in (x, y))
+                    assert np.array_equal(_conv_direct(field, x, y, out_shape),
+                                          np.moveaxis(conv_oracle(ux, uy, out_shape), 0, -1))
+
+
+def test_product_over_max_terms_refused_before_either_route(monkeypatch):
+    """Three nonzeros in both factors over GF(2^31-1), whose max_terms is 2,
+    raise ConstraintError before either route runs, below the crossover and
+    above it."""
+    routes = _spy_routes(monkeypatch)
+    field = field_new(2147483647)
+    assert field.max_terms == 2
+    for n in (3, 1000):
+        x = np.zeros(n, np.int64)
+        x[:3] = field.p - 1
+        assert (_muladds(field, x, x) > _DIRECT_MAX_MULADDS) == (n > 3)
+        with pytest.raises(ConstraintError, match="overflows int64"):
+            _conv_field(field, x, x)
+    assert routes == []
 
 
 def test_power_work_estimate_bounds_measured_peak():
