@@ -33,8 +33,9 @@ p), each balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a)
 of k bits that pass it: limb products land on digit i+j, limb a+b in the
 frequency domain, and the rounded limb planes P_t recombine by Horner's rule
 from the top limb. With the term guard, for odd p every exact entry E of a
-digit plane has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial Horner sum
-lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never splits.
+digit plane has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial
+Horner sum lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never
+splits.
 
 A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
 Laurent monomials with every exponent <= -1, any product hitting a

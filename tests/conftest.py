@@ -211,13 +211,16 @@ def partial_derivative_oracle(a, j):
 def term_values(field, terms, points):
     """Values at the rows of a code array of points of the form given by
     (exponent tuple, code) pairs, by field products of powers of the
-    coordinates, one monomial at a time."""
+    coordinates, one monomial at a time; each power is taken once."""
     out = np.zeros(len(points), DTYPE)
+    powers = {}
     for row, c in terms:
         if c:
             term = np.full(len(points), c, DTYPE)
-            for x, e in zip(points.T, row):
-                term = field.mul(term, field.pow_int(x, int(e)))
+            for j, e in enumerate(map(int, row)):
+                if (j, e) not in powers:
+                    powers[j, e] = field.pow_int(points[:, j], e)
+                term = field.mul(term, powers[j, e])
             out = field.add(out, term)
     return out
 
