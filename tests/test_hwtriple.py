@@ -682,10 +682,10 @@ def test_ci_23_hasse_witt_matrix_matches_point_counts(ci_23_curve):
 def test_every_smooth_plane_cubic_over_gf2_matches_point_counts():
     """All 1024 ternary cubics over GF(2): the pipeline classifies exactly
     those the Macaulay oracle finds smooth, and each of them satisfies the
-    congruence for k = 1, 2, with A_phi the 1 x 1 Hasse invariant. A
-    singular cubic's singular points all lie over GF(4) or GF(8), where a
-    brute-force search (conftest.rational_singular_points) also finds 336
-    smooth cubics."""
+    congruence for k = 1, 2, with A_phi the 1 x 1 Hasse invariant. Every
+    singular point of a plane cubic over GF(2) lies over GF(2), GF(4) or
+    GF(8), and conftest.rational_singular_points over those three fields
+    also leaves 336 smooth cubics."""
     F2, F4 = field_new(2), field_new(2, 2)
     monos = [(3 - i - j, i, j) for i in range(4) for j in range(4 - i)]
     smooth = supersingular = 0
