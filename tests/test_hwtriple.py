@@ -404,6 +404,37 @@ def test_plane_triples_pinned():
         "a215079b05d5db780c5151fcab0f523215554a684b133880ca4601c2f23020b8")
 
 
+# (p, degrees, curves): (2,3) curves in P^3 and (2,2,2) curves in P^4, each
+# case with at least one curve of h > 0 over GF(7), GF(11) or GF(3); their
+# products run on 3- and 4-axis cubes, most of them by FFT
+PINNED_SPACE_CASES = [
+    (7, (2, 3), 12), (11, (2, 3), 8), (31, (2, 3), 1), (3, (2, 2, 2), 12), (7, (2, 2, 2), 2)]
+
+
+def test_space_triples_pinned():
+    """Seeded random space curves keep their outputs: the SHA-256 of every
+    A_phi, kappa, A_psi, tag and Weyl coset, or of the rejection, in order."""
+    digest, tags = hashlib.sha256(), {}
+    for p, degrees, count in PINNED_SPACE_CASES:
+        field, nvars = field_new(p), len(degrees) + 2
+        rng = np.random.default_rng(100 * p + nvars)
+        for _ in range(count):
+            try:
+                t = hw_triple(_random_curve(field, nvars, degrees, rng))
+            except SingularCurveError as exc:
+                digest.update(f"rejected: {exc};".encode())
+                tags["rejected"] = tags.get("rejected", 0) + 1
+                continue
+            for M in (t.A_phi, t.kappa, t.A_psi):
+                digest.update(repr(M.shape).encode() + M.astype("<i8").tobytes())
+            digest.update(f"{t.fast_tag}{classify(t).weyl.one_line};".encode())
+            key = f"{t.fast_tag} n={nvars - 1}" if t.h else t.fast_tag
+            tags[key] = tags.get(key, 0) + 1
+    assert tags == {"ordinary": 20, "interesting n=3": 2, "interesting n=4": 2, "rejected": 11}
+    assert digest.hexdigest() == (
+        "64625e6bd72f157d2bc21cfce4f6c306f7181568066538cc91f6d7dc5ea7875f")
+
+
 def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
     """An ordinary plane curve forms no power above (p-1)/2; a curve with
     h > 0 still forms f^(p-2) for the second operator."""
@@ -677,6 +708,29 @@ def test_ci_23_hasse_witt_matrix_matches_point_counts(ci_23_curve):
              {e: 1 for e in ((3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3))}]
     for k, ext in enumerate((field_new(5), field_new(5, 2)), 1):
         assert point_count(ext, forms, 4) % 5 == (1 - hasse_witt_trace(field, A, k)) % 5
+
+
+def test_seeded_ci_23_curves_match_point_counts():
+    """The congruence on seeded (2,3) curves in P^3 that the pipeline
+    classifies, one of them with h > 0: over GF(5) for k = 1, 2 and over
+    GF(7) for k = 1."""
+    rng = np.random.default_rng(3)
+    checked = []
+    for p, draws in ((5, 2), (7, 1)):
+        field = field_new(p)
+        counted = (field, field_new(p, 2)) if p == 5 else (field,)
+        for _ in range(draws):
+            curve = _random_curve(field, 4, (2, 3), rng)
+            forms = [dict(zip(f.basis.monomials, f.coeffs.tolist())) for f in curve.polys]
+            try:
+                t = hw_triple(curve)
+            except SingularCurveError:
+                continue
+            for k, ext in enumerate(counted, 1):
+                assert point_count(ext, forms, 4) % p == (
+                    1 - hasse_witt_trace(field, t.A_phi, k)) % p
+            checked.append((p, t.h))
+    assert checked == [(5, 1), (5, 0), (7, 0)]
 
 
 def test_every_smooth_plane_cubic_over_gf2_matches_point_counts():
