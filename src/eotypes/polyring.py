@@ -5,33 +5,39 @@ A homogeneous polynomial of degree D in variables X_0..X_n is a coefficient
 vector over the degree-D monomials in graded-lex order (X_0 largest).
 Multiplication goes through a dense "cube" representation indexed by the
 exponents of X_1..X_n (X_0 is implied by homogeneity): a product is the
-convolution of the factors' digit planes (m of them over GF(p^m)), reduced
-once at the end. A sum of more than ``GF.max_terms`` products is refused
-with ``ConstraintError`` before either route below runs.
+convolution of the factors' digits (m of them over GF(p^m)), reduced once
+at the end. A sum of more than ``GF.max_terms`` products is refused with
+``ConstraintError`` before either route below runs.
+
+Both routes lay out their operands one way (``_layout``), a Kronecker
+substitution: each factor's digits go into an array of the output's shape
+with trailing digit axes, flattened and cut after the factor's last entry.
+Digit i of one factor and j of the other land on digit i+j, and the flat
+index of a sum is the sum of the flat indices, so nothing wraps and one
+1-D convolution of the two flat arrays is the product laid out whole.
 
 A small product, up to ``_DIRECT_MAX_MULADDS`` padded multiply-adds, is one
-exact int64 ``np.convolve`` (``_conv_direct``): a Kronecker substitution
-lays each factor's digits in [0, p) out in the output's shape with a
-trailing digit axis of length 2m-1 and flattens them, so the flat index of
-a sum is the sum of the flat indices and nothing wraps. An entry of a
-digit plane sums at most m*terms non-negative products, so every partial
-sum lies in [0, terms*m*(p-1)^2], and after the fold through ``GF._red``
-an entry is at most terms*term_bound <= INT64_MAX: the route needs no error
-bound, no limbs and no rounding check.
+exact int64 ``np.convolve`` (``_conv_direct``) of the digits in [0, p)
+with a trailing digit axis of length 2m-1. An entry of a digit plane sums
+at most m*terms non-negative products, so every partial sum lies in
+[0, terms*m*(p-1)^2], and after the fold through ``GF._red`` an entry is at
+most terms*term_bound <= INT64_MAX: the route needs no error bound, no
+limbs and no rounding check.
 
-A larger product is a floating-point FFT (numpy's rfftn/irfftn over
-lengths 2^a 3^b 5^c) of the digits in balanced residues of absolute value
-at most p/2, rounded to integers. Percival's bound on the error of every
-output entry of a transform of size N = 2^n is
+A larger product (``_conv_fft``) is one floating-point ``np.fft.rfft`` and
+``irfft`` over a length 2^a 3^b 5^c of the digits in balanced residues of
+absolute value at most p/2, rounded to integers. Percival's bound on the
+error of every output entry of a transform of size N = 2^n is
 ||a||*||b||*((6 + 3*sqrt(5))*n + sqrt(5))*eps for twiddle factors accurate
 to eps = 2^-53; it is taken as 16*(log2(N) + 1)*eps*||a||*||b||, with
-||a|| <= sqrt(terms)*max|entry| summed over the planes transformed, and must
-stay below 1/4. That also keeps every exact entry below 2^47, so the rounded
-floats are the integers; a rounding residual of 1/4 or more at run time is
-an ``InternalInvariantError``. Where the digit planes fail the bound (large
-p), each balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a)
-of k bits that pass it: limb products land on digit i+j, limb a+b in the
-frequency domain, and the rounded limb planes P_t recombine by Horner's rule
+||a|| <= sqrt(nonzeros)*max|entry| of each flat array, and must stay below
+1/4. That also keeps every exact entry below 2^47, so the rounded floats
+are the integers; a rounding residual of 1/4 or more at run time is an
+``InternalInvariantError``. Where the digits fail the bound (large p), each
+balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a) of k
+bits that pass it, in a trailing limb axis of length 2*limbs-1 after the
+digit axis of length 2m-1: limb a of digit i and limb b of digit j land on
+digit i+j, limb a+b, and the rounded limbs P_t recombine by Horner's rule
 from the top limb. With the term guard, for odd p every exact entry E of a
 digit plane has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial
 Horner sum lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never
@@ -59,7 +65,6 @@ of the cube at flat offsets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from math import comb, prod
 
 import numpy as np
@@ -178,116 +183,102 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _fft_shape(out_shape):
-    return tuple(_fast_len(n) for n in out_shape)
+def _fft_error_bound(xa, xb, n: int) -> float:
+    """A-priori bound on the error of every entry of the FFT product, at
+    length n, of two flat arrays whose nonzeros are those of xa and xb:
+    Percival's bound with each array's norm bounded by sqrt(nonzeros) *
+    max |entry|."""
+    def norm(x):
+        return np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max())
+    na = norm(xa)
+    return na * (na if xb is xa else norm(xb)) * _EPS * _FFT_ERROR_CONSTANT * (np.log2(n) + 1)
 
 
-def _fft_error_bound(da, db, out_shape) -> float:
-    """A-priori bound on the error of every entry of the FFT product of the
-    planes da and db (leading axis): Percival's bound with each plane's norm
-    bounded by sqrt(terms) * max |entry|. The norms of all planes come from
-    one pass and are summed in plane order."""
-    def norm(planes):
-        flat = planes.reshape(len(planes), -1)
-        return sum((np.sqrt(np.count_nonzero(flat, axis=1)) * np.abs(flat).max(axis=1)).tolist())
-    na, log_n = norm(da), np.log2(prod(_fft_shape(out_shape)))
-    return na * (na if db is da else norm(db)) * _EPS * _FFT_ERROR_CONSTANT * (log_n + 1)
-
-
-def _limb_split(da, db, out_shape):
-    """(k, limbs, la, lb): the digit planes da and db as the fewest limbs of
-    k bits (``gf.split_limbs``) whose FFT product the a-priori bound proves
-    exact. Limb a of digit i is plane i*limbs + a of la. One limb is da
-    itself."""
-    def split(x):
-        return np.stack(split_limbs(x, k, limbs), axis=1).reshape((-1,) + x.shape[1:])
-
-    limbs, k, la, lb = 1, 0, da, db
-    while _fft_error_bound(la, lb, out_shape) >= 0.25:
-        bits = int(max(np.abs(da).max(), np.abs(db).max())).bit_length()
-        if limbs >= bits:
-            raise ConstraintError("no limb width makes this product an exact FFT convolution")
-        limbs += 1
-        k = -(-bits // limbs)
-        la = split(da)
-        lb = la if db is da else split(db)
-    return k, limbs, la, lb
-
-
-def _conv_fft(da, db, out_shape):
-    """Product planes of the digit planes da and db (leading axis, m each)
-    by floating-point FFT of their limb planes (``_limb_split``): the
-    product of digits i, j and limbs a, b lands on digit i+j, limb a+b, and
-    the limbs recombine by shifts. Squaring (db is da) transforms once."""
-    k, limbs, la, lb = _limb_split(da, db, out_shape)
-    fshape = _fft_shape(out_shape)
-    axes = tuple(range(1, la.ndim))
-    A = np.fft.rfftn(la, fshape, axes=axes)
-    B = A if lb is la else np.fft.rfftn(lb, fshape, axes=axes)
-    m, width = len(da), 2 * limbs - 1
-    spec = np.zeros(((2 * m - 1) * width,) + A.shape[1:], A.dtype)
-    for (i, a), (j, b) in product(product(range(m), range(limbs)), repeat=2):
-        spec[(i + j) * width + a + b] += A[i * limbs + a] * B[j * limbs + b]
-    out = np.fft.irfftn(spec, fshape, axes=axes)[(slice(None),) + tuple(map(slice, out_shape))]
-    rounded = np.rint(out)
-    if np.abs(out - rounded).max() >= 0.25:
-        raise InternalInvariantError(
-            "FFT convolution left a rounding residual of 1/4 or more inside its error bound")
-    limb_planes = rounded.astype(DTYPE).reshape((2 * m - 1, width) + out_shape)
-    planes = limb_planes[:, -1]
-    for t in range(width - 2, -1, -1):
-        planes = (planes << k) + limb_planes[:, t]
-    return planes
-
-
-def _digit_planes(field: GF, cube):
-    """Balanced digits of a code cube, plane axis first: residues of
-    absolute value at most p/2."""
-    digits = np.moveaxis(field.decode(cube), -1, 0)
-    return digits - field.p * (digits > field.p // 2)
-
-
-def _kronecker_len(shape, out_shape, m: int) -> int:
-    """Length of a cube of the given shape laid out by ``_conv_direct`` and
-    cut after its last digit: one more than the flat index of cell
-    shape - 1, digit m - 1, in the layout out_shape + (2m-1,)."""
-    length, stride = m, 2 * m - 1
-    for s, n in zip(reversed(shape), reversed(out_shape)):
+def _kronecker_len(shape, layout) -> int:
+    """Length of an array of the given shape laid out by ``_layout`` in the
+    layout's shape and cut after its last entry: one more than the flat
+    index of entry shape - 1 in the layout."""
+    length, stride = 1, 1
+    for s, n in zip(reversed(shape), reversed(layout)):
         length += (s - 1) * stride
         stride *= n
     return length
 
 
+def _layout(x, layout):
+    """The operand layout of both routes (module docstring): x, a cube's
+    cells with their digit (and limb) axes, placed at the origin of zeros
+    of the layout's shape, flattened and cut after its last entry. Two
+    layouts convolve to an array of length exactly prod(layout)."""
+    out = np.zeros(layout, x.dtype)
+    out[tuple(map(slice, x.shape))] = x
+    return out.reshape(-1)[:_kronecker_len(x.shape, layout)]
+
+
 def _conv_direct(field: GF, ca, cb, out_shape):
     """Unreduced product planes of two code cubes, digit axis last (2m-1),
-    by one int64 ``np.convolve``: a Kronecker substitution. Each factor's
-    digits in [0, p) (``GF.digit_view``) are laid out in the shape
-    out_shape + (2m-1,), flattened and cut after their last digit
-    (``_kronecker_len``). Cell x, digit i sits at flat index
-    sum_k x_k*s_k + i for the layout's strides s_k; as x_a + x_b stays
-    inside out_shape and i + j < 2m - 1, the flat index of a sum is the sum
-    of the flat indices, nothing wraps, and the convolution is the product
-    planes flattened, of length exactly prod(out_shape)*(2m-1). Squaring
+    by one int64 ``np.convolve`` of their digits in [0, p)
+    (``GF.digit_view``) laid out in the shape out_shape + (2m-1,). Squaring
     (cb is ca) lays out once."""
     m = field.m
-    shape = out_shape + (2 * m - 1,)
+    layout = out_shape + (2 * m - 1,)
 
     def flat(cube):
-        x = np.zeros(shape, DTYPE)
-        x[tuple(map(slice, cube.shape)) + (slice(0, m),)] = (
-            field.digit_view(cube).reshape(cube.shape + (m,)))
-        return x.reshape(-1)[:_kronecker_len(cube.shape, out_shape, m)]
+        return _layout(field.digit_view(cube).reshape(cube.shape + (m,)), layout)
 
     fa = flat(ca)
-    return np.convolve(fa, fa if cb is ca else flat(cb)).reshape(shape)
+    return np.convolve(fa, fa if cb is ca else flat(cb)).reshape(layout)
+
+
+def _conv_fft(field: GF, ca, cb, out_shape):
+    """Unreduced product planes of two code cubes, digit axis last (2m-1),
+    by one rfft/irfft of their balanced digits, split into the fewest limbs
+    of k bits (``gf.split_limbs``) that pass the a-priori bound and laid
+    out in the shape out_shape + (2m-1, 2*limbs-1). Squaring (cb is ca)
+    lays out and transforms once."""
+    m, p = field.m, field.p
+
+    def balanced(cube):
+        digits = field.digit_view(cube).reshape(cube.shape + (m, 1))
+        return digits - p * (digits > p // 2)
+
+    da = balanced(ca)
+    db = da if cb is ca else balanced(cb)
+    limbs, k, la, lb = 1, 0, da, db
+    while True:
+        layout = out_shape + (2 * m - 1, 2 * limbs - 1)
+        n = _fast_len(prod(layout))
+        if _fft_error_bound(la, lb, n) < 0.25:
+            break
+        bits = int(max(np.abs(da).max(), np.abs(db).max())).bit_length()
+        if limbs >= bits:
+            raise ConstraintError("no limb width makes this product an exact FFT convolution")
+        limbs += 1
+        k = -(-bits // limbs)
+        la = np.concatenate(split_limbs(da, k, limbs), axis=-1)
+        lb = la if db is da else np.concatenate(split_limbs(db, k, limbs), axis=-1)
+    fa = _layout(la.astype(np.float64), layout)
+    spec = np.fft.rfft(fa, n)
+    spec *= spec if lb is la else np.fft.rfft(_layout(lb.astype(np.float64), layout), n)
+    out = np.fft.irfft(spec, n)[:prod(layout)]
+    rounded = np.rint(out)
+    out -= rounded
+    if np.abs(out, out=out).max() >= 0.25:
+        raise InternalInvariantError(
+            "FFT convolution left a rounding residual of 1/4 or more inside its error bound")
+    limb_planes = rounded.astype(DTYPE).reshape(layout)
+    planes = limb_planes[..., -1]
+    for t in range(2 * limbs - 3, -1, -1):
+        planes = (planes << k) + limb_planes[..., t]
+    return planes
 
 
 def _conv_field(field: GF, ca, cb):
     """Product of two dense exponent cubes of codes; pass the same array
     twice to square. Up to ``_DIRECT_MAX_MULADDS`` padded multiply-adds
-    (the product of the two ``_kronecker_len``) it is ``_conv_direct``,
-    above it ``_conv_fft``. The term guard makes both exact (module
-    docstring), so they give the same integers."""
+    (the product of the two ``_kronecker_len`` in the direct route's
+    layout) it is ``_conv_direct``, above it ``_conv_fft``. The term guard
+    makes both exact (module docstring), so they give the same integers."""
     # an output entry sums at most one product per nonzero of the sparser cube
     terms = min(np.count_nonzero(ca), np.count_nonzero(cb))
     if terms > field.max_terms:
@@ -297,27 +288,26 @@ def _conv_field(field: GF, ca, cb):
         return field.mul(ca, cb)
     out_shape = tuple(a + b - 1 for a, b in zip(ca.shape, cb.shape))
     m = field.m
-    if (_kronecker_len(ca.shape, out_shape, m) * _kronecker_len(cb.shape, out_shape, m)
-            <= _DIRECT_MAX_MULADDS):
-        return field.reduce_digit_planes(_conv_direct(field, ca, cb, out_shape))
-    da = _digit_planes(field, ca)
-    db = da if cb is ca else _digit_planes(field, cb)
-    return field.reduce_digit_planes(np.moveaxis(_conv_fft(da, db, out_shape), 0, -1))
+    layout = out_shape + (2 * m - 1,)
+    conv = (_conv_direct if _kronecker_len(ca.shape + (m,), layout)
+            * _kronecker_len(cb.shape + (m,), layout) <= _DIRECT_MAX_MULADDS else _conv_fft)
+    return field.reduce_digit_planes(conv(field, ca, cb, out_shape))
 
 
 def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
-    """Peak bytes of a product of exponent cubes ending in degree `degree`,
-    in 8-byte words per cell of the padded transform: 4m-1 spectra (complex,
-    half the last axis), four arrays of 2m-1 output planes (real, rounded,
-    residual, integer) and four of m input digit planes. One limb per digit
-    is all any curve within the work budget needs: with +-p/2 in every digit
-    of every monomial of both factors the bound is at most about 0.02 (a
-    plane cubic over GF(1151)), below the 1/4 that calls for a second. A
-    product below the crossover takes the direct route (``_conv_direct``)
-    instead: its two padded inputs and its output hold 2m-1 words per output
-    cell each, beside the factors' m digits and the fold's, so they stay
-    within the bytes charged here."""
-    cells = prod(_fft_shape((degree + 1,) * (nvars - 1)))
+    """Peak bytes of a product of exponent cubes ending in degree `degree`:
+    16m-5 8-byte words per cell of the cube padded to 2^a 3^b 5^c on each
+    axis. With one limb the FFT route's five live flat arrays (a layout,
+    its spectrum, the inverse transform, the rounded floats and their
+    integers) hold 2m-1 words per output cell each, at most 15% more for
+    the transform's padding, and the factors' balanced digits and their
+    float copies m words per input cell each: 14m-5 words. One limb is all
+    any curve within the work budget needs: with +-p/2 in every digit of
+    every monomial of both factors the bound is at most about 0.02 (a plane
+    cubic over GF(1151)). The direct route's two padded inputs and output
+    hold 2m-1 words per output cell each, beside the factors' m digits and
+    the fold's, so they stay within the bytes charged here too."""
+    cells = _fast_len(degree + 1) ** (nvars - 1)
     m = field.m
     return 8 * cells * ((4 * m - 1) + 4 * (2 * m - 1) + 4 * m)
 

@@ -11,9 +11,8 @@ from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, TClass
                      polyring, t_multiply, tmul_matrix)
 from eotypes.gf import is_prime
 from eotypes.polyring import (_DIRECT_MAX_MULADDS, WORK_BUDGET_BYTES, MonomialBasis,
-                              _conv_direct, _conv_fft, _conv_field, _digit_planes,
-                              _fft_error_bound, _fft_shape, _kronecker_len, _limb_split,
-                              _positions, power_work_bytes)
+                              _conv_direct, _conv_fft, _conv_field, _fast_len, _fft_error_bound,
+                              _kronecker_len, _layout, _positions, power_work_bytes)
 
 
 def test_basis_fixtures():
@@ -407,13 +406,45 @@ def test_from_terms_refuses_malformed_tuples(F5):
     assert GradedPoly.from_terms(F5, 1, {(4,): 7}).coeffs.tolist() == [2]
 
 
+def _balanced_planes(field, codes):
+    """Digit planes of a code cube, plane axis first, in balanced residues
+    of absolute value at most p/2: the FFT route's digits, in the window
+    loop's format."""
+    digits = np.moveaxis(field.decode(codes), -1, 0)
+    return np.where(digits > field.p // 2, digits - field.p, digits)
+
+
 def _random_planes(field, rng, shape, density, max_nonzeros=None):
-    """Seeded codes of the given density, and their digit planes; with
-    max_nonzeros, only the first that many nonzeros are kept."""
+    """Seeded codes of the given density, and their balanced digit planes;
+    with max_nonzeros, only the first that many nonzeros are kept."""
     codes = field.random_elements(rng, shape) * (rng.random(shape) < density)
     if max_nonzeros is not None:
         codes = codes * (np.cumsum(codes != 0).reshape(shape) <= max_nonzeros)
-    return codes, _digit_planes(field, codes)
+    return codes, _balanced_planes(field, codes)
+
+
+def _fft_product(field, x, y, out_shape):
+    """The FFT route's product planes of code cubes x and y, plane axis
+    first as the window loop gives them, and the (bound, limb arrays) of
+    every limb count it tried; the last one is the count it used."""
+    tried = []
+    bound = polyring._fft_error_bound
+
+    def spy(xa, xb, n):
+        tried.append((bound(xa, xb, n), xa, xb))
+        return tried[-1][0]
+
+    polyring._fft_error_bound = spy
+    try:
+        planes = _conv_fft(field, x, y, out_shape)
+    finally:
+        polyring._fft_error_bound = bound
+    return np.moveaxis(planes, -1, 0), tried
+
+
+def _reduced(field, planes):
+    """Codes of product planes given plane axis first."""
+    return field.reduce_digit_planes(np.moveaxis(planes, 0, -1))
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2, 2), (7, 3), (31, 2), (1048573, 1),
@@ -422,8 +453,10 @@ def test_fft_convolution_matches_window_loop(p, m):
     """The FFT product planes equal the exact window loop's, bit for bit,
     on seeded cubes with 1 to 4 axes, for squares and distinct factors.
     The first factor keeps at most GF.max_terms nonzeros, which thins it
-    over GF(2^31-1) and GF(1048573^2) only. The three large fields split their digits into several limbs
-    wherever the one-limb bound fails; the small ones never do."""
+    over GF(2^31-1) and GF(1048573^2) only. The three large fields split
+    their digits into several limbs wherever the one-limb bound fails; the
+    small ones never do. A last case multiplies a dense factor of 400
+    cells by one of at most GF.max_terms nonzeros."""
     field = field_new(p, m)
     rng = np.random.default_rng(1000 * p + m)
     cases = limbs = 0
@@ -437,57 +470,68 @@ def test_fft_convolution_matches_window_loop(p, m):
             for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
                 out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
                 exact = conv_oracle(dx, dy, out_shape)
-                assert np.array_equal(_conv_fft(dx, dy, out_shape), exact)
-                assert np.array_equal(_conv_field(field, x, y),
-                                      field.reduce_digit_planes(np.moveaxis(exact, 0, -1)))
-                limbs = max(limbs, _limb_split(dx, dy, out_shape)[1])
+                planes, tried = _fft_product(field, x, y, out_shape)
+                assert np.array_equal(planes, exact)
+                assert np.array_equal(_conv_field(field, x, y), _reduced(field, exact))
+                limbs = max(limbs, tried[-1][1].shape[-1])
                 cases += 1
+    # a long dense factor against one of at most GF.max_terms nonzeros, as
+    # a sparse form times a dense power: over GF(1048573^2) only this case
+    # needs more than one limb
+    x, dx = _random_planes(field, rng, (4,), 1.0, field.max_terms)
+    y, dy = _random_planes(field, rng, (400,), 1.0)
+    exact = conv_oracle(dx, dy, (403,))
+    planes, tried = _fft_product(field, x, y, (403,))
+    assert np.array_equal(planes, exact)
+    assert np.array_equal(_conv_field(field, x, y), _reduced(field, exact))
+    limbs = max(limbs, tried[-1][1].shape[-1])
     assert cases == 24 and (limbs > 1) == (p > 1000)
 
 
 def test_limb_split_degree_30_forms_match_window_loop():
     """Two seeded degree-30 ternary forms over GF(1048573): the one-limb
-    bound is about 3.1, two limbs of 10 bits bring it far below 1/4, and
-    the product is the window loop's, bit for bit."""
+    bound on the flat arrays is about 3.1, two limbs of 10 bits bring it
+    far below 1/4, and the product is the window loop's, bit for bit."""
     field = field_new(1048573)
     rng = np.random.default_rng(30)
     size = len(monomial_basis(3, 30))
     a, b = (GradedPoly(field, 3, 30, field.random_elements(rng, (size,))) for _ in range(2))
-    da, db = _digit_planes(field, a._cube()), _digit_planes(field, b._cube())
     out_shape = (61, 61)
-    assert 3 < _fft_error_bound(da, db, out_shape) < 3.3
-    k, limbs, la, lb = _limb_split(da, db, out_shape)
-    assert (k, limbs) == (10, 2)
-    assert _fft_error_bound(la, lb, out_shape) < 0.25
-    exact = conv_oracle(da, db, out_shape)
-    assert np.array_equal(_conv_fft(da, db, out_shape), exact)
-    assert np.array_equal(poly_mul(a, b)._cube(),
-                          field.reduce_digit_planes(np.moveaxis(exact, 0, -1)))
+    planes, tried = _fft_product(field, a._cube(), b._cube(), out_shape)
+    assert len(tried) == 2 and 3 < tried[0][0] < 3.3 and tried[1][0] < 0.25
+    # two limbs of k = 10 bits: the low one balanced, and they recombine
+    la = tried[1][1]
+    assert la.shape[-1] == 2 and np.abs(la[..., 0]).max() <= 1 << 9
+    assert np.array_equal(la[..., 0] + (la[..., 1] << 10), tried[0][1][..., 0])
+    exact = conv_oracle(_balanced_planes(field, a._cube()), _balanced_planes(field, b._cube()),
+                        out_shape)
+    assert np.array_equal(planes, exact)
+    assert np.array_equal(poly_mul(a, b)._cube(), _reduced(field, exact))
 
 
 @pytest.mark.parametrize("axes", [1, 2])
 def test_fft_convolution_just_inside_bound(axes):
     """Dense cubes of full-size balanced residues over GF(1000003), grown
-    until one more step would leave the a-priori bound, stay exact."""
+    until one more step would leave the a-priori bound at the 1-D
+    transform's length, stay exact in one limb."""
     field = field_new(1000003)
     half = (field.p - 1) // 2
     rng = np.random.default_rng(axes)
     side = 1
     while True:
-        out_shape = (2 * side + 1,) * axes
-        trial = np.full((1,) + (side + 1,) * axes, half, np.int64)
-        if _fft_error_bound(trial, trial, out_shape) >= 0.25:
+        trial = np.full((side + 1,) * axes, half, np.int64)
+        if _fft_error_bound(trial, trial, _fast_len((2 * side + 1) ** axes)) >= 0.25:
             break
         side += 1
     out_shape = (2 * side - 1,) * axes
-    for signs in (np.ones((1,) + (side,) * axes, np.int64),
-                  rng.choice([-1, 1], (1,) + (side,) * axes)):
-        da = half * signs
-        db = half * rng.choice([-1, 1], da.shape)
-        assert 0.1 < _fft_error_bound(da, db, out_shape) < 0.25
-        for x, y in ((da, db), (da, da)):
-            assert _limb_split(x, y, out_shape)[1] == 1
-            assert np.array_equal(_conv_fft(x, y, out_shape), conv_oracle(x, y, out_shape))
+    for signs in (np.ones((side,) * axes, np.int64), rng.choice([-1, 1], (side,) * axes)):
+        ca = half * signs % field.p
+        cb = half * rng.choice([-1, 1], ca.shape) % field.p
+        for x, y in ((ca, cb), (ca, ca)):
+            dx, dy = _balanced_planes(field, x), _balanced_planes(field, y)
+            planes, tried = _fft_product(field, x, y, out_shape)
+            assert len(tried) == 1 and 0.1 < tried[0][0] < 0.25
+            assert np.array_equal(planes, conv_oracle(dx, dy, out_shape))
 
 
 def test_fft_above_one_limb_bound_splits_limbs():
@@ -495,40 +539,48 @@ def test_fft_above_one_limb_bound_splits_limbs():
     # one-limb bound; the fewest limbs that satisfy it give the exact product
     field = field_new(2147483647)
     a = GradedPoly.from_terms(field, 3, {(1, 0, 0): field.p // 2, (0, 1, 0): -(field.p // 2)})
-    da = _digit_planes(field, a._cube())
-    out_shape = tuple(2 * s - 1 for s in a._cube().shape)
+    cube = a._cube()
+    out_shape = tuple(2 * s - 1 for s in cube.shape)
     h = field.p // 2
     # Percival's bound as documented: 16 (log2 N + 1) eps ||a|| ||b||, N = 3 x 3
     expected = 16 * (np.log2(9) + 1) * 2.0 ** -53 * (np.sqrt(2) * h) ** 2
-    assert _fft_error_bound(da, da, out_shape) == pytest.approx(expected, rel=1e-12)
     assert expected >= 0.25
-    k, limbs, la, lb = _limb_split(da, da, out_shape)
-    assert lb is la and (k, limbs) == (15, 2)
-    assert _fft_error_bound(la, la, out_shape) < 0.25
-    # the low limb is balanced, and the limbs recombine to the digits
-    assert np.abs(la[0]).max() <= 1 << (k - 1)
-    assert np.array_equal(la[0] + (la[1] << k), da[0])
-    assert np.array_equal(_conv_fft(da, da, out_shape), conv_oracle(da, da, out_shape))
+    planes, tried = _fft_product(field, cube, cube, out_shape)
+    assert len(tried) == 2 and tried[0][0] == pytest.approx(expected, rel=1e-12)
+    assert tried[1][0] < 0.25
+    # two limbs of k = 15 bits, the same array for both factors of a square:
+    # the low one is balanced, and they recombine to the digits
+    _, la, lb = tried[1]
+    assert lb is la and la.shape[-1] == 2
+    assert np.abs(la[..., 0]).max() <= 1 << 14
+    assert np.array_equal(la[..., 0] + (la[..., 1] << 15), tried[0][1][..., 0])
+    da = _balanced_planes(field, cube)
+    assert np.array_equal(planes, conv_oracle(da, da, out_shape))
     assert poly_mul(a, a) == GradedPoly.from_terms(
         field, 3, {(2, 0, 0): h * h, (1, 1, 0): -2 * h * h, (0, 2, 0): h * h})
 
 
-def test_fft_error_bound_sums_every_plane():
-    # the bound reads all planes in one pass; it must equal, bit for bit,
-    # the sum over planes of sqrt(nonzeros) * max |entry| taken in order
-    def per_plane(planes):
-        return sum(np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max()) for x in planes)
+def test_fft_error_bound_reads_the_flat_arrays():
+    # the bound is Percival's on the two flat arrays at the transform length,
+    # with each norm sqrt(nonzeros) * max |entry|, bit for bit; read off the
+    # limb arrays before their layout, it is the same number
+    def norm(x):
+        return np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max())
     rng = np.random.default_rng(8)
     for _ in range(200):
         shape = tuple(int(s) for s in rng.integers(1, 7, int(rng.integers(1, 4))))
-        out_shape = tuple(2 * s - 1 for s in shape)
+        cells = (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+        layout = tuple(2 * s - 1 for s in shape) + tuple(2 * c - 1 for c in cells)
+        n = _fast_len(prod(layout))
         top = int(rng.choice([2, 50, 1 << 20, 1 << 40]))
-        da, db = (rng.integers(-top, top, (int(rng.integers(1, 9)),) + shape) for _ in range(2))
-        da[rng.random(da.shape) < rng.random()] = 0
-        log_n = np.log2(prod(_fft_shape(out_shape)))
-        for x, y in ((da, db), (da, da)):
-            expected = per_plane(x) * per_plane(y) * 2.0 ** -53 * 16 * (log_n + 1)
-            assert _fft_error_bound(x, y, out_shape) == expected
+        xa, xb = (rng.integers(-top, top, shape + cells) for _ in range(2))
+        xa[rng.random(xa.shape) < rng.random()] = 0
+        xa.reshape(-1)[0] = top
+        for x, y in ((xa, xb), (xa, xa)):
+            expected = norm(x) * norm(y) * 2.0 ** -53 * 16 * (np.log2(n) + 1)
+            assert _fft_error_bound(x, y, n) == expected
+            fx = _layout(x, layout)
+            assert _fft_error_bound(fx, _layout(y, layout), n) == expected
 
 
 def test_budget_admitted_products_need_one_limb():
@@ -536,8 +588,10 @@ def test_budget_admitted_products_need_one_limb():
     limb: both factors carry +-p/2 in every digit of every monomial, their
     degrees split the largest admitted output degree p*d evenly (the term
     count is log-concave in the degree), over every admitted field size,
-    ambient dimension and prime. The worst bound, about 0.02, belongs to a
-    plane cubic over GF(1151); its actual cubes give one limb."""
+    ambient dimension and prime. The bound is taken on the flat arrays,
+    m digits of each monomial, at the 1-D transform's length. The worst,
+    about 0.02, belongs to a plane cubic over GF(1151); its actual cubes
+    give one limb."""
     worst = (0.0,)
     for nvars in range(3, 8):
         k = nvars - 1
@@ -551,34 +605,32 @@ def test_budget_admitted_products_need_one_limb():
                     while power_work_bytes(fake, nvars, p * (d + 1)) <= WORK_BUDGET_BYTES:
                         d += 1
                     half = -(-p * d // 2)
-                    norm = m * (p // 2) * np.sqrt(comb(half + k, k))
-                    log_n = np.log2(prod(_fft_shape((p * d + 1,) * k)))
+                    norm = (p // 2) * np.sqrt(m * comb(half + k, k))
+                    log_n = np.log2(_fast_len((p * d + 1) ** k * (2 * m - 1)))
                     bound = norm ** 2 * 2.0 ** -53 * 16 * (log_n + 1)
                     worst = max(worst, (bound, nvars, m, p, d))
                 p += 1
     assert worst[1:] == (3, 1, 1151, 3) and 0.02 < worst[0] < 0.025
-    # the cubes themselves, the halves of degree 1727 and 1726
-    field = field_new(1151)
-    da, db = (np.where(np.add.outer(np.arange(e + 1), np.arange(e + 1)) <= e,
-                       field.p // 2, 0)[None] for e in (1727, 1726))
-    out_shape = (3454, 3454)
-    assert _fft_error_bound(da, db, out_shape) <= worst[0]
-    assert _limb_split(da, db, out_shape)[1] == 1
-    assert power_work_bytes(field, 3, 3 * 1151) <= WORK_BUDGET_BYTES
+    # the cubes themselves, the halves of degree 1727 and 1726: the first
+    # limb count the route tries passes the bound
+    da, db = (np.where(np.add.outer(np.arange(e + 1), np.arange(e + 1)) <= e, 1151 // 2, 0)
+              for e in (1727, 1726))
+    assert _fft_error_bound(da, db, _fast_len(3454 * 3454)) <= worst[0]
+    assert power_work_bytes(field_new(1151), 3, 3 * 1151) <= WORK_BUDGET_BYTES
 
 
 def test_fft_perturbed_inverse_transform_raises(monkeypatch, golden_poly):
     # the last product of f^12, the square of f^6, lies above the crossover
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *args, **kw: irfftn(*args, **kw) + 0.3)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.3)
     with pytest.raises(InternalInvariantError, match="rounding residual"):
         poly_pow(golden_poly, 12)
 
 
 def _muladds(m, shape_a, shape_b):
     """Padded multiply-adds of a product of cubes of these shapes."""
-    out_shape = tuple(a + b - 1 for a, b in zip(shape_a, shape_b))
-    return _kronecker_len(shape_a, out_shape, m) * _kronecker_len(shape_b, out_shape, m)
+    layout = tuple(a + b - 1 for a, b in zip(shape_a, shape_b)) + (2 * m - 1,)
+    return _kronecker_len(shape_a + (m,), layout) * _kronecker_len(shape_b + (m,), layout)
 
 
 def _spy_routes(monkeypatch):
@@ -662,8 +714,8 @@ def test_products_match_window_loop_on_both_sides_of_crossover(monkeypatch, p, m
             for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
                 out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
                 routes.clear()
-                assert np.array_equal(_conv_field(field, x, y), field.reduce_digit_planes(
-                    np.moveaxis(conv_oracle(dx, dy, out_shape), 0, -1)))
+                assert np.array_equal(_conv_field(field, x, y),
+                                      _reduced(field, conv_oracle(dx, dy, out_shape)))
                 assert routes == [route]
                 if route == "direct":
                     ux, uy = (np.moveaxis(field.decode(c), -1, 0) for c in (x, y))
@@ -688,19 +740,23 @@ def test_product_over_max_terms_refused_before_either_route(monkeypatch):
 
 
 def test_power_work_estimate_bounds_measured_peak():
+    """The charge bounds the traced peak of plane powers f^(p-2), of a power
+    over GF(3^4), and of a (2,3)-type power (f_1 f_2)^(p-1) over GF(31),
+    whose products run on 3-axis cubes."""
     import tracemalloc
-    for p, m, d in ((31, 1, 4), (7, 3, 5), (31, 2, 4)):
+    for p, m, nvars, d, e in ((31, 1, 3, 4, 29), (7, 3, 3, 5, 5), (31, 2, 3, 4, 29),
+                              (3, 4, 3, 5, 20), (31, 1, 4, 5, 30)):
         field = field_new(p, m)
-        f = GradedPoly(field, 3, d, field.random_elements(np.random.default_rng(p), (
-            len(monomial_basis(3, d)),)))
-        monomial_basis(3, (p - 2) * d)
+        f = GradedPoly(field, nvars, d, field.random_elements(np.random.default_rng(p), (
+            len(monomial_basis(nvars, d)),)))
+        monomial_basis(nvars, e * d)
         tracemalloc.start()
         try:
-            poly_pow(f, p - 2)
+            poly_pow(f, e)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0 < peak <= power_work_bytes(field, 3, (p - 2) * d)
+        assert 0 < peak <= power_work_bytes(field, nvars, e * d)
 
 
 def test_monomial_basis_cache_is_bounded():
