@@ -39,23 +39,22 @@ Every matrix product of the arithmetic goes through one kernel,
 ``exact_matmul``: the digit products of ``matmul``, and for m > 1 the
 products with _bp of ``mul_outer`` and ``scale_by_inverse`` (for m = 1
 these sum nothing and stay elementwise). It forms the product in float64
-BLAS. An integer sum whose partial sums all stay below 2^53 is exact in
-float64 in any order of summation, so a GEMM that sums the products, as
-OpenBLAS and the reference BLAS do, returns the int64 product exactly when
-terms * max|a| * max|b| < 2^53. The bound is a priori and asserted: each
-factor's largest entry is the one its contract allows, p - 1 for digits and
+BLAS where that is exact, and in int64 otherwise. An integer sum whose
+partial sums all stay below 2^53 is exact in float64 in any order of
+summation, so a GEMM that sums the products, as OpenBLAS and the reference
+BLAS do, returns the int64 product exactly when
+terms * max|a| * max|b| < 2^53. The bound is a priori: each factor's
+largest entry is the one its contract allows, p - 1 for digits and
 m*(p-1)^2 for a product of digits with _bp. Where it fails, as over
-GF(2^31-1), the right factor is split into the fewest k-bit limbs
-(``split_limbs``, the split of polyring's FFT products) that pass it, a
-balanced limb being at most 2^(k-1) and the top one at most
-(bmax >> k*(limbs-1)) + 1, and the limb products recombine in int64 from the
-top limb (``product_limbs``). Every field of the benchmark's workloads
-takes one limb.
+GF(2^31-1), the product is numpy's int64 ``a @ b``, exact because every sum
+it forms stays within int64: ``matmul`` refuses more than max_terms terms,
+and the products of ``mul_outer`` and ``scale_by_inverse`` are
+mul_digits' integers, non-negative sums of at most term_bound. Every field
+of the benchmark's workloads takes the float64 product.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -78,48 +77,14 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % b for b in range(2, isqrt(n) + 1))
 
 
-def split_limbs(x, k: int, limbs: int):
-    """The limbs x = sum_a x_a 2^(k*a) of an int64 array, lowest first:
-    every limb but the top one balanced in [-2^(k-1), 2^(k-1))."""
-    out = []
-    for _ in range(limbs - 1):
-        out.append(((x + (1 << (k - 1))) & ((1 << k) - 1)) - (1 << (k - 1)))
-        x = (x - out[-1]) >> k
-    return out + [x]
-
-
-@lru_cache(maxsize=1024)
-def product_limbs(terms: int, amax: int, bmax: int):
-    """(k, limbs): the fewest limbs of k bits (``split_limbs``) of a right
-    factor with entries of absolute value at most bmax whose products with
-    a left factor of entries at most amax, summing terms products, are exact
-    in float64: terms * amax * (largest limb) < 2^53. A balanced limb is at
-    most 2^(k-1), the top one at most (bmax >> k*(limbs-1)) + 1. One limb
-    (k = 0) is the factor itself."""
-    limbs, k, top = 1, 0, bmax
-    bits = bmax.bit_length()
-    while terms * amax * max(top, 1 << k >> 1) >= _FLOAT_EXACT:
-        if limbs >= bits:
-            raise ConstraintError("no limb width makes this product exact in float64")
-        limbs += 1
-        k = -(-bits // limbs)
-        top = (bmax >> k * (limbs - 1)) + 1
-    return k, limbs
-
-
 def exact_matmul(a, b, amax: int, bmax: int):
     """a @ b for int64 matrices with entries of absolute value at most amax
-    and bmax: float64 BLAS products of a with the limbs of b
-    (``product_limbs``), recombined in int64 from the top limb."""
-    k, limbs = product_limbs(a.shape[-1], amax, bmax)
-    fa = a.astype(np.float64)
-    if limbs == 1:
-        return (fa @ b.astype(np.float64)).astype(DTYPE)
-    parts = split_limbs(b, k, limbs)
-    out = (fa @ parts[-1].astype(np.float64)).astype(DTYPE)
-    for part in reversed(parts[:-1]):
-        out = (out << k) + (fa @ part.astype(np.float64)).astype(DTYPE)
-    return out
+    and bmax: the float64 BLAS product where terms * amax * bmax < 2^53,
+    which makes it exact, and the int64 product otherwise (module
+    docstring)."""
+    if a.shape[-1] * amax * bmax < _FLOAT_EXACT:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(DTYPE)
+    return a @ b
 
 
 class GF:
@@ -132,6 +97,10 @@ class GF:
             raise ConstraintError(f"p = {p} is not prime")
         if m < 1:
             raise ConstraintError(f"extension degree m = {m} must be >= 1")
+        # q = p^m >= 2^m: refused before any power is formed, which for a
+        # huge m would take minutes
+        if m > 62:
+            raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         p, m = int(p), int(m)
         self.p, self.m, self.q = p, m, p ** m
         # Largest entry of one unreduced product of digits in [0, p): a digit

@@ -11,7 +11,7 @@ at the end. A sum of more than ``GF.max_terms`` products is refused with
 
 Both routes lay out their operands one way (``_layout``), a Kronecker
 substitution: each factor's digits go into an array of the output's shape
-with trailing digit axes, flattened and cut after the factor's last entry.
+with a trailing digit axis, flattened and cut after the factor's last entry.
 Digit i of one factor and j of the other land on digit i+j, and the flat
 index of a sum is the sum of the flat indices, so nothing wraps and one
 1-D convolution of the two flat arrays is the product laid out whole.
@@ -21,8 +21,8 @@ exact int64 ``np.convolve`` (``_conv_direct``) of the digits in [0, p)
 with a trailing digit axis of length 2m-1. An entry of a digit plane sums
 at most m*terms non-negative products, so every partial sum lies in
 [0, terms*m*(p-1)^2], and after the fold through ``GF._red`` an entry is at
-most terms*term_bound <= INT64_MAX: the route needs no error bound, no
-limbs and no rounding check.
+most terms*term_bound <= INT64_MAX: the route needs no error bound and
+no rounding check.
 
 A larger product (``_conv_fft``) is one floating-point ``np.fft.rfft`` and
 ``irfft`` over a length 2^a 3^b 5^c of the digits in balanced residues of
@@ -33,15 +33,10 @@ to eps = 2^-53; it is taken as 16*(log2(N) + 1)*eps*||a||*||b||, with
 ||a|| <= sqrt(nonzeros)*max|entry| of each flat array, and must stay below
 1/4. That also keeps every exact entry below 2^47, so the rounded floats
 are the integers; a rounding residual of 1/4 or more at run time is an
-``InternalInvariantError``. Where the digits fail the bound (large p), each
-balanced digit is split into the fewest limbs x = sum_a x_a 2^(k*a) of k
-bits that pass it, in a trailing limb axis of length 2*limbs-1 after the
-digit axis of length 2m-1: limb a of digit i and limb b of digit j land on
-digit i+j, limb a+b, and the rounded limbs P_t recombine by Horner's rule
-from the top limb. With the term guard, for odd p every exact entry E of a
-digit plane has |E| <= m*terms*((p-1)/2)^2 <= INT64_MAX/4, and every partial
-Horner sum lies within |E| + 2*max|P_t| < |E| + 2^48 in int64; p = 2 never
-splits.
+``InternalInvariantError``. Where the digits fail the bound (a product of
+forms called directly at p far above any admitted curve's), the product is
+``_conv_direct``'s, exact by the term guard alone, whatever its size. No
+curve within the work budget comes near the bound (``power_work_bytes``).
 
 A ``TClass`` is a class of degree m <= -(n+1) in the dual module T: a span of
 Laurent monomials with every exponent <= -1, any product hitting a
@@ -70,7 +65,7 @@ from math import comb, prod
 import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError
-from .gf import DTYPE, GF, FieldElem, split_limbs
+from .gf import DTYPE, GF, FieldElem
 
 
 # Largest working set, in bytes, that one product of exponent cubes or one
@@ -207,7 +202,7 @@ def _kronecker_len(shape, layout) -> int:
 
 def _layout(x, layout):
     """The operand layout of both routes (module docstring): x, a cube's
-    cells with their digit (and limb) axes, placed at the origin of zeros
+    cells with their digit axis, placed at the origin of zeros
     of the layout's shape, flattened and cut after its last entry. Two
     layouts convolve to an array of length exactly prod(layout)."""
     out = np.zeros(layout, x.dtype)
@@ -232,45 +227,30 @@ def _conv_direct(field: GF, ca, cb, out_shape):
 
 def _conv_fft(field: GF, ca, cb, out_shape):
     """Unreduced product planes of two code cubes, digit axis last (2m-1),
-    by one rfft/irfft of their balanced digits, split into the fewest limbs
-    of k bits (``gf.split_limbs``) that pass the a-priori bound and laid
-    out in the shape out_shape + (2m-1, 2*limbs-1). Squaring (cb is ca)
-    lays out and transforms once."""
+    by one rfft/irfft of their balanced digits laid out in the shape
+    out_shape + (2m-1,), or ``_conv_direct``'s where they fail the
+    a-priori bound. Squaring (cb is ca) lays out and transforms once."""
     m, p = field.m, field.p
 
     def balanced(cube):
-        digits = field.digit_view(cube).reshape(cube.shape + (m, 1))
+        digits = field.digit_view(cube).reshape(cube.shape + (m,))
         return digits - p * (digits > p // 2)
 
     da = balanced(ca)
     db = da if cb is ca else balanced(cb)
-    limbs, k, la, lb = 1, 0, da, db
-    while True:
-        layout = out_shape + (2 * m - 1, 2 * limbs - 1)
-        n = _fast_len(prod(layout))
-        if _fft_error_bound(la, lb, n) < 0.25:
-            break
-        bits = int(max(np.abs(da).max(), np.abs(db).max())).bit_length()
-        if limbs >= bits:
-            raise ConstraintError("no limb width makes this product an exact FFT convolution")
-        limbs += 1
-        k = -(-bits // limbs)
-        la = np.concatenate(split_limbs(da, k, limbs), axis=-1)
-        lb = la if db is da else np.concatenate(split_limbs(db, k, limbs), axis=-1)
-    fa = _layout(la.astype(np.float64), layout)
-    spec = np.fft.rfft(fa, n)
-    spec *= spec if lb is la else np.fft.rfft(_layout(lb.astype(np.float64), layout), n)
+    layout = out_shape + (2 * m - 1,)
+    n = _fast_len(prod(layout))
+    if _fft_error_bound(da, db, n) >= 0.25:
+        return _conv_direct(field, ca, cb, out_shape)
+    spec = np.fft.rfft(_layout(da.astype(np.float64), layout), n)
+    spec *= spec if db is da else np.fft.rfft(_layout(db.astype(np.float64), layout), n)
     out = np.fft.irfft(spec, n)[:prod(layout)]
     rounded = np.rint(out)
     out -= rounded
     if np.abs(out, out=out).max() >= 0.25:
         raise InternalInvariantError(
             "FFT convolution left a rounding residual of 1/4 or more inside its error bound")
-    limb_planes = rounded.astype(DTYPE).reshape(layout)
-    planes = limb_planes[..., -1]
-    for t in range(2 * limbs - 3, -1, -1):
-        planes = (planes << k) + limb_planes[..., t]
-    return planes
+    return rounded.astype(DTYPE).reshape(layout)
 
 
 def _conv_field(field: GF, ca, cb):
@@ -297,14 +277,14 @@ def _conv_field(field: GF, ca, cb):
 def power_work_bytes(field: GF, nvars: int, degree: int) -> int:
     """Peak bytes of a product of exponent cubes ending in degree `degree`:
     16m-5 8-byte words per cell of the cube padded to 2^a 3^b 5^c on each
-    axis. With one limb the FFT route's five live flat arrays (a layout,
-    its spectrum, the inverse transform, the rounded floats and their
-    integers) hold 2m-1 words per output cell each, at most 15% more for
-    the transform's padding, and the factors' balanced digits and their
-    float copies m words per input cell each: 14m-5 words. One limb is all
-    any curve within the work budget needs: with +-p/2 in every digit of
-    every monomial of both factors the bound is at most about 0.02 (a plane
-    cubic over GF(1151)). The direct route's two padded inputs and output
+    axis. The FFT route's five live flat arrays (a layout, its spectrum,
+    the inverse transform, the rounded floats and their integers) hold 2m-1
+    words per output cell each, at most 15% more for the transform's
+    padding, and the factors' balanced digits and their float copies m
+    words per input cell each: 14m-5 words. Every product of a curve within
+    the work budget passes the FFT's bound: with +-p/2 in every digit of
+    every monomial of both factors it is at most about 0.02 (a plane cubic
+    over GF(1151)). The direct route's two padded inputs and output
     hold 2m-1 words per output cell each, beside the factors' m digits and
     the fold's, so they stay within the bytes charged here too."""
     cells = _fast_len(degree + 1) ** (nvars - 1)

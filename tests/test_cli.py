@@ -405,6 +405,19 @@ def test_extension_degree_zero_exits_3(capsys, command):
     assert "extension degree m = 0" in capsys.readouterr().err
 
 
+def test_huge_extension_degree_exits_3_fast(tmp_path, capsys):
+    # q = 5^(10^8) used to be formed before it was refused: eotype ran for
+    # minutes, and m = 10^7 took seconds in both commands
+    path = tmp_path / "module.txt"
+    path.write_text("1 5 100000000\n1\n0\n")
+    for argv in (["eotype", "--p", "5", "--ext", "100000000", "--f", "x^3+y^3+z^3"],
+                 ["classify-dm", str(path)]):
+        t0 = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - t0 < 1.0
+        assert "GF(5^100000000) is too large" in capsys.readouterr().err
+
+
 def test_abbreviated_flags_are_refused(capsys):
     # "--m 2" used to expand to "--modulus 2" and classify over GF(7)
     for argv in (["eotype", "--p", "7", "--m", "2", "--f", "x^3+y^3+z^3"],

@@ -5,9 +5,10 @@ import pytest
 from conftest import matmul_oracle, mul_outer_oracle, scale_by_inverse_oracle
 
 import eotypes.gf as gf
+import eotypes.polyring as polyring
 from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError, classify,
                      field_new, frobenius, hw_triple, monomial_basis)
-from eotypes.gf import is_prime, product_limbs
+from eotypes.gf import is_prime
 
 
 def test_prime_field_basics(F5):
@@ -272,7 +273,8 @@ def test_product_table_matches_mul_digits(p, m):
         assert np.array_equal(F.from_digit_view(scaled), F.mul(a, F.inv_scalar(s)))
 
 
-# Fields of the extension tests, where the large ones go through limbs.
+# Fields of the extension tests, where the large ones take exact_matmul's int64
+# route.
 KERNEL_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (7, 3), (31, 2),
                  (2147483647, 1), (1048573, 3)]
 
@@ -300,18 +302,25 @@ def test_products_match_int64_oracle(p, m):
         assert np.array_equal(F.scale_by_inverse(da, ds), scale_by_inverse_oracle(F, da, ds))
 
 
-def test_product_limbs_pinned():
-    # GF(2^31-1): a product of two entries of p - 1 needs two 16-bit limbs
+def test_exact_matmul_past_the_float_bound_takes_int64():
+    """Past terms * amax * bmax < 2^53 exact_matmul is the int64 product:
+    over GF(2^31-1) a sum of max_terms = 2 products of p - 1 is
+    2^63 - 2^34 + 8, which float64 rounds to 2^63 - 2^34."""
     p = 2147483647
-    assert product_limbs(1, p - 1, p - 1) == (16, 2)
-    assert product_limbs(field_new(p).max_terms, p - 1, p - 1) == (16, 2)
-    # GF(1048573^3): mul_outer's products x^i * b need two 21-bit limbs
+    F = field_new(p)
+    top = np.full((1, F.max_terms), p - 1)
+    exact = F.max_terms * (p - 1) ** 2
+    assert exact >= 1 << 53 and exact == (1 << 63) - (1 << 34) + 8
+    assert int((top.astype(np.float64) @ top.T.astype(np.float64))[0, 0]) == exact - 8
+    assert gf.exact_matmul(top, top.T, p - 1, p - 1).tolist() == [[exact]]
+    assert F.matmul(top, top.T).tolist() == [[exact % p]]
+    # GF(1048573^3): mul_outer's products x^i * b fail the bound and take
+    # int64, the digit products of matmul pass it
     F = field_new(1048573, 3)
-    assert product_limbs(F.m, F.p - 1, F._bp_max) == (21, 2)
-    assert product_limbs(F.max_terms, F.p - 1, F.p - 1) == (0, 1)
-    # beyond what a left factor alone allows, no split helps
-    with pytest.raises(ConstraintError):
-        product_limbs(1 << 40, 1 << 13, 1)
+    assert F.max_terms * (F.p - 1) ** 2 < 1 << 53 <= F.m * (F.p - 1) * F._bp_max
+    da = F.digit_view(np.array([F.q - 1]))
+    assert np.array_equal(F.mul_outer(da, da), mul_outer_oracle(F, da, da))
+    assert F.mul_outer(da, da).max() > 1 << 53
 
 
 # (p, m, d) of the benchmark's workloads: scan-p5-d4, plane-large-p and
@@ -322,14 +331,23 @@ WORKLOAD_CASES = [(5, 1, 4), (31, 1, 6), (53, 1, 5), (101, 1, 4),
 
 @pytest.mark.parametrize("p,m,d", WORKLOAD_CASES)
 def test_workload_products_take_one_limb(monkeypatch, p, m, d):
-    seen = []
+    """Every product of the benchmark's workloads stays in the float
+    kernels: each matrix product passes exact_matmul's 2^53 bound and each
+    FFT product Percival's bound, so neither hands a product to its exact
+    int64 route."""
+    matmul_bounds, fft_bounds = [], []
+    matmul, error_bound = gf.exact_matmul, polyring._fft_error_bound
 
-    def spy(terms, amax, bmax):
-        out = product_limbs(terms, amax, bmax)
-        seen.append(out[1])
-        return out
+    def spy_matmul(a, b, amax, bmax):
+        matmul_bounds.append(a.shape[-1] * amax * bmax)
+        return matmul(a, b, amax, bmax)
 
-    monkeypatch.setattr(gf, "product_limbs", spy)
+    def spy_bound(xa, xb, n):
+        fft_bounds.append(error_bound(xa, xb, n))
+        return fft_bounds[-1]
+
+    monkeypatch.setattr(gf, "exact_matmul", spy_matmul)
+    monkeypatch.setattr(polyring, "_fft_error_bound", spy_bound)
     F = field_new(p, m)
     rng = np.random.default_rng(p * d + m)
     n = len(monomial_basis(3, d).exps)
@@ -339,7 +357,8 @@ def test_workload_products_take_one_limb(monkeypatch, p, m, d):
             classify(hw_triple(curve))
         except SingularCurveError:
             pass
-    assert seen and set(seen) == {1}
+    assert matmul_bounds and max(matmul_bounds) < 1 << 53
+    assert all(b < 0.25 for b in fft_bounds)
 
 
 @pytest.mark.parametrize("p,m", [(257, 2), (65537, 1), (1048573, 3), (2147483647, 1)])

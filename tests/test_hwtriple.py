@@ -733,6 +733,29 @@ def test_seeded_ci_23_curves_match_point_counts():
     assert checked == [(5, 1), (5, 0), (7, 0)]
 
 
+def test_seeded_ci_222_curves_match_point_counts():
+    """The congruence on seeded (2,2,2) curves in P^4 that the pipeline
+    classifies, one of them with h > 0: over GF(3) for k = 1, 2 and over
+    GF(5) for k = 1. Four of the six draws are rejected with dim U > 1."""
+    rng = np.random.default_rng(5)
+    checked = []
+    for p, draws in ((3, 4), (5, 2)):
+        field = field_new(p)
+        counted = (field, field_new(p, 2)) if p == 3 else (field,)
+        for _ in range(draws):
+            curve = _random_curve(field, 5, (2, 2, 2), rng)
+            forms = [dict(zip(f.basis.monomials, f.coeffs.tolist())) for f in curve.polys]
+            try:
+                t = hw_triple(curve)
+            except SingularCurveError:
+                continue
+            for k, ext in enumerate(counted, 1):
+                assert point_count(ext, forms, 5) % p == (
+                    1 - hasse_witt_trace(field, t.A_phi, k)) % p
+            checked.append((p, t.h))
+    assert checked == [(3, 1), (5, 0)]
+
+
 def test_every_smooth_plane_cubic_over_gf2_matches_point_counts():
     """All 1024 ternary cubics over GF(2): the pipeline classifies exactly
     those the Macaulay oracle finds smooth, and each of them satisfies the
@@ -942,6 +965,46 @@ def test_ci_23_singular_at_conjugate_pair_rejected(p):
             hw_triple(curve)
         assert curve._relations.shape[0] >= 2
     assert unseen >= 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ci_222_singular_at_conjugate_pair_rejected(p):
+    """Seeded (2,2,2) curves over GF(p) whose coefficients solve the
+    GF(p)-linear conditions f_1(P) = f_2(P) = f_3(P) = 0 and
+    d f_3 / d X_j (P) = 0 for j = 1..4 at a point P = (1 : a : b : c : e)
+    with a outside GF(p), so that P and its conjugate are both singular
+    (the X0 partial of f_3 vanishes by Euler's identity). Each is rejected
+    by the dim U check, with dim U = 4..8 over GF(3) and 2 over GF(5); over
+    GF(5) the GF(p) search finds no singular point."""
+    field, ext = field_new(p), field_new(p, 2)
+    rng = np.random.default_rng(30 + p)
+    monos = [GradedPoly.monomial(ext, 5, e) for e in monomial_basis(5, 2).monomials]
+    unseen = 0
+    for _ in range(3):
+        point = np.array([[1, int(rng.integers(p, p * p)), *rng.integers(0, p * p, 3)]])
+        forms = []
+        for partials in ([], [], [1, 2, 3, 4]):
+            # each monomial, and each of the given partials of each monomial, at P
+            values = [[int(form_values(g, point)[0])
+                       for g in [mono] + [partial_derivative(mono, j) for j in partials]]
+                      for mono in monos]
+            conditions = ext.decode(np.array(values, np.int64)).reshape(len(monos), -1).T
+            solutions = null_space(field, conditions)
+            coeffs = rng.integers(0, p, len(solutions)) @ solutions % p
+            assert coeffs.any()
+            forms.append(GradedPoly(field, 5, 2, coeffs))
+        # the three forms and every partial of f_3 vanish at P and its conjugate
+        lifted = [GradedPoly(ext, 5, 2, f.coeffs) for f in forms]
+        checks = lifted + [partial_derivative(lifted[2], j) for j in range(5)]
+        conjugate = np.concatenate([[1], ext.frob(point[0, 1:], 1)])
+        for pt in (point, conjugate[None]):
+            assert not any(form_values(g, pt)[0] for g in checks)
+        curve = CurveCI(field, forms)
+        unseen += not rational_singular_points(curve)
+        with pytest.raises(SingularCurveError, match="dim U"):
+            hw_triple(curve)
+        assert curve._relations.shape[0] >= 2
+    assert unseen == (3 if p == 5 else 0)
 
 
 def test_space_curve_checks_certify_smoothness_in_genus_4():

@@ -425,8 +425,8 @@ def _random_planes(field, rng, shape, density, max_nonzeros=None):
 
 def _fft_product(field, x, y, out_shape):
     """The FFT route's product planes of code cubes x and y, plane axis
-    first as the window loop gives them, and the (bound, limb arrays) of
-    every limb count it tried; the last one is the count it used."""
+    first as the window loop gives them, and the (bound, balanced digit
+    arrays) it computed, in a list of one."""
     tried = []
     bound = polyring._fft_error_bound
 
@@ -447,73 +447,83 @@ def _reduced(field, planes):
     return field.reduce_digit_planes(np.moveaxis(planes, 0, -1))
 
 
+def _unreduced_oracle(field, x, y, out_shape, bound):
+    """The window loop's planes of code cubes x and y, plane axis first, as
+    the FFT route returns them: on the balanced digits where the bound
+    holds, and as _conv_direct gives them, on the digits in [0, p), where
+    it fails."""
+    if bound < 0.25:
+        return conv_oracle(_balanced_planes(field, x), _balanced_planes(field, y), out_shape)
+    ux, uy = (np.moveaxis(field.decode(c), -1, 0) for c in (x, y))
+    return conv_oracle(ux, uy, out_shape)
+
+
 @pytest.mark.parametrize("p,m", [(5, 1), (101, 1), (2, 2), (7, 3), (31, 2), (1048573, 1),
                                  (2147483647, 1), (1048573, 2)])
 def test_fft_convolution_matches_window_loop(p, m):
-    """The FFT product planes equal the exact window loop's, bit for bit,
-    on seeded cubes with 1 to 4 axes, for squares and distinct factors.
-    The first factor keeps at most GF.max_terms nonzeros, which thins it
-    over GF(2^31-1) and GF(1048573^2) only. The three large fields split
-    their digits into several limbs wherever the one-limb bound fails; the
-    small ones never do. A last case multiplies a dense factor of 400
-    cells by one of at most GF.max_terms nonzeros."""
+    """The FFT route's product planes equal the exact window loop's, bit for
+    bit, on seeded cubes with 1 to 4 axes, for squares and distinct
+    factors. The first factor keeps at most GF.max_terms nonzeros, which
+    thins it over GF(2^31-1) and GF(1048573^2) only. Where the balanced
+    digits fail the a-priori bound the route returns _conv_direct's planes:
+    the three large fields do that somewhere, the small ones never. A last
+    case multiplies a dense factor of 400 cells by one of at most
+    GF.max_terms nonzeros."""
     field = field_new(p, m)
     rng = np.random.default_rng(1000 * p + m)
-    cases = limbs = 0
+    cases = past_bound = 0
     for axes in (1, 2, 3, 4):
         side = {1: 40, 2: 12, 3: 6, 4: 4}[axes]
         for density in (0.1, 0.5, 1.0):
             shape_a = tuple(int(s) for s in rng.integers(1, side + 1, axes))
             shape_b = tuple(int(s) for s in rng.integers(1, side + 1, axes))
-            ca, da = _random_planes(field, rng, shape_a, density, field.max_terms)
-            cb, db = _random_planes(field, rng, shape_b, density)
-            for x, dx, y, dy in ((ca, da, cb, db), (ca, da, ca, da)):
+            ca, _ = _random_planes(field, rng, shape_a, density, field.max_terms)
+            cb, _ = _random_planes(field, rng, shape_b, density)
+            for x, y in ((ca, cb), (ca, ca)):
                 out_shape = tuple(a + b - 1 for a, b in zip(x.shape, y.shape))
-                exact = conv_oracle(dx, dy, out_shape)
                 planes, tried = _fft_product(field, x, y, out_shape)
-                assert np.array_equal(planes, exact)
+                exact = _unreduced_oracle(field, x, y, out_shape, tried[0][0])
+                assert len(tried) == 1 and np.array_equal(planes, exact)
                 assert np.array_equal(_conv_field(field, x, y), _reduced(field, exact))
-                limbs = max(limbs, tried[-1][1].shape[-1])
+                past_bound += tried[0][0] >= 0.25
                 cases += 1
     # a long dense factor against one of at most GF.max_terms nonzeros, as
     # a sparse form times a dense power: over GF(1048573^2) only this case
-    # needs more than one limb
-    x, dx = _random_planes(field, rng, (4,), 1.0, field.max_terms)
-    y, dy = _random_planes(field, rng, (400,), 1.0)
-    exact = conv_oracle(dx, dy, (403,))
+    # fails the bound
+    x, _ = _random_planes(field, rng, (4,), 1.0, field.max_terms)
+    y, _ = _random_planes(field, rng, (400,), 1.0)
     planes, tried = _fft_product(field, x, y, (403,))
+    exact = _unreduced_oracle(field, x, y, (403,), tried[0][0])
     assert np.array_equal(planes, exact)
     assert np.array_equal(_conv_field(field, x, y), _reduced(field, exact))
-    limbs = max(limbs, tried[-1][1].shape[-1])
-    assert cases == 24 and (limbs > 1) == (p > 1000)
+    past_bound += tried[0][0] >= 0.25
+    assert cases == 24 and (past_bound > 0) == (p > 1000)
 
 
-def test_limb_split_degree_30_forms_match_window_loop():
-    """Two seeded degree-30 ternary forms over GF(1048573): the one-limb
-    bound on the flat arrays is about 3.1, two limbs of 10 bits bring it
-    far below 1/4, and the product is the window loop's, bit for bit."""
+def test_degree_30_forms_past_the_bound_take_the_direct_route(monkeypatch):
+    """Two seeded degree-30 ternary forms over GF(1048573): the a-priori
+    bound on the flat arrays is about 3.1, so the FFT route hands the
+    product to _conv_direct, whose planes are the window loop's on the
+    digits in [0, p), bit for bit."""
     field = field_new(1048573)
     rng = np.random.default_rng(30)
     size = len(monomial_basis(3, 30))
     a, b = (GradedPoly(field, 3, 30, field.random_elements(rng, (size,))) for _ in range(2))
     out_shape = (61, 61)
     planes, tried = _fft_product(field, a._cube(), b._cube(), out_shape)
-    assert len(tried) == 2 and 3 < tried[0][0] < 3.3 and tried[1][0] < 0.25
-    # two limbs of k = 10 bits: the low one balanced, and they recombine
-    la = tried[1][1]
-    assert la.shape[-1] == 2 and np.abs(la[..., 0]).max() <= 1 << 9
-    assert np.array_equal(la[..., 0] + (la[..., 1] << 10), tried[0][1][..., 0])
-    exact = conv_oracle(_balanced_planes(field, a._cube()), _balanced_planes(field, b._cube()),
-                        out_shape)
+    assert len(tried) == 1 and 3 < tried[0][0] < 3.3
+    exact = _unreduced_oracle(field, a._cube(), b._cube(), out_shape, tried[0][0])
     assert np.array_equal(planes, exact)
+    routes = _spy_routes(monkeypatch)
     assert np.array_equal(poly_mul(a, b)._cube(), _reduced(field, exact))
+    assert routes == ["fft", "direct"]
 
 
 @pytest.mark.parametrize("axes", [1, 2])
 def test_fft_convolution_just_inside_bound(axes):
     """Dense cubes of full-size balanced residues over GF(1000003), grown
     until one more step would leave the a-priori bound at the 1-D
-    transform's length, stay exact in one limb."""
+    transform's length, go through the FFT and stay exact."""
     field = field_new(1000003)
     half = (field.p - 1) // 2
     rng = np.random.default_rng(axes)
@@ -534,9 +544,9 @@ def test_fft_convolution_just_inside_bound(axes):
             assert np.array_equal(planes, conv_oracle(dx, dy, out_shape))
 
 
-def test_fft_above_one_limb_bound_splits_limbs():
+def test_fft_above_bound_takes_the_direct_route():
     # at p = 2^31 - 1 two products of full-size residues already break the
-    # one-limb bound; the fewest limbs that satisfy it give the exact product
+    # a-priori bound, and the product is _conv_direct's
     field = field_new(2147483647)
     a = GradedPoly.from_terms(field, 3, {(1, 0, 0): field.p // 2, (0, 1, 0): -(field.p // 2)})
     cube = a._cube()
@@ -546,16 +556,9 @@ def test_fft_above_one_limb_bound_splits_limbs():
     expected = 16 * (np.log2(9) + 1) * 2.0 ** -53 * (np.sqrt(2) * h) ** 2
     assert expected >= 0.25
     planes, tried = _fft_product(field, cube, cube, out_shape)
-    assert len(tried) == 2 and tried[0][0] == pytest.approx(expected, rel=1e-12)
-    assert tried[1][0] < 0.25
-    # two limbs of k = 15 bits, the same array for both factors of a square:
-    # the low one is balanced, and they recombine to the digits
-    _, la, lb = tried[1]
-    assert lb is la and la.shape[-1] == 2
-    assert np.abs(la[..., 0]).max() <= 1 << 14
-    assert np.array_equal(la[..., 0] + (la[..., 1] << 15), tried[0][1][..., 0])
-    da = _balanced_planes(field, cube)
-    assert np.array_equal(planes, conv_oracle(da, da, out_shape))
+    assert len(tried) == 1 and tried[0][0] == pytest.approx(expected, rel=1e-12)
+    assert np.array_equal(np.moveaxis(planes, 0, -1), _conv_direct(field, cube, cube, out_shape))
+    assert np.array_equal(planes, _unreduced_oracle(field, cube, cube, out_shape, tried[0][0]))
     assert poly_mul(a, a) == GradedPoly.from_terms(
         field, 3, {(2, 0, 0): h * h, (1, 1, 0): -2 * h * h, (0, 2, 0): h * h})
 
@@ -563,7 +566,7 @@ def test_fft_above_one_limb_bound_splits_limbs():
 def test_fft_error_bound_reads_the_flat_arrays():
     # the bound is Percival's on the two flat arrays at the transform length,
     # with each norm sqrt(nonzeros) * max |entry|, bit for bit; read off the
-    # limb arrays before their layout, it is the same number
+    # arrays before their layout, it is the same number
     def norm(x):
         return np.sqrt(np.count_nonzero(x)) * float(np.abs(x).max())
     rng = np.random.default_rng(8)
@@ -584,14 +587,15 @@ def test_fft_error_bound_reads_the_flat_arrays():
 
 
 def test_budget_admitted_products_need_one_limb():
-    """The worst-case product of any curve the work budget admits has one
-    limb: both factors carry +-p/2 in every digit of every monomial, their
+    """The worst-case product of any curve the work budget admits passes the
+    FFT's a-priori bound, so it never leaves the FFT for the direct route:
+    both factors carry +-p/2 in every digit of every monomial, their
     degrees split the largest admitted output degree p*d evenly (the term
     count is log-concave in the degree), over every admitted field size,
     ambient dimension and prime. The bound is taken on the flat arrays,
     m digits of each monomial, at the 1-D transform's length. The worst,
     about 0.02, belongs to a plane cubic over GF(1151); its actual cubes
-    give one limb."""
+    pass the bound too."""
     worst = (0.0,)
     for nvars in range(3, 8):
         k = nvars - 1
@@ -611,8 +615,7 @@ def test_budget_admitted_products_need_one_limb():
                     worst = max(worst, (bound, nvars, m, p, d))
                 p += 1
     assert worst[1:] == (3, 1, 1151, 3) and 0.02 < worst[0] < 0.025
-    # the cubes themselves, the halves of degree 1727 and 1726: the first
-    # limb count the route tries passes the bound
+    # the cubes themselves, the halves of degree 1727 and 1726, pass the bound
     da, db = (np.where(np.add.outer(np.arange(e + 1), np.arange(e + 1)) <= e, 1151 // 2, 0)
               for e in (1727, 1726))
     assert _fft_error_bound(da, db, _fast_len(3454 * 3454)) <= worst[0]
@@ -693,10 +696,13 @@ def test_products_match_window_loop_on_both_sides_of_crossover(monkeypatch, p, m
     balanced digits, reduced, and below the crossover the direct route's
     planes equal the window loop's on the digits in [0, p). The first
     factor keeps at most GF.max_terms nonzeros, which thins it over
-    GF(2^31-1) and GF(1048573^2) only."""
+    GF(2^31-1) and GF(1048573^2) only. Above the crossover, a product
+    whose balanced digits fail the FFT's a-priori bound goes on from
+    _conv_fft to _conv_direct: over GF(2^31-1) only."""
     routes = _spy_routes(monkeypatch)
     field = field_new(p, m)
     rng = np.random.default_rng(2000 * p + m)
+    past_bound = 0
 
     def shapes(axes, side):
         return (side,) * axes, tuple(side + k % 2 for k in range(axes))
@@ -716,11 +722,15 @@ def test_products_match_window_loop_on_both_sides_of_crossover(monkeypatch, p, m
                 routes.clear()
                 assert np.array_equal(_conv_field(field, x, y),
                                       _reduced(field, conv_oracle(dx, dy, out_shape)))
-                assert routes == [route]
+                n = _fast_len(prod(out_shape) * (2 * m - 1))
+                passed_on = int(route == "fft" and _fft_error_bound(dx, dy, n) >= 0.25)
+                assert routes == [route] + ["direct"] * passed_on
+                past_bound += passed_on
                 if route == "direct":
                     ux, uy = (np.moveaxis(field.decode(c), -1, 0) for c in (x, y))
                     assert np.array_equal(_conv_direct(field, x, y, out_shape),
                                           np.moveaxis(conv_oracle(ux, uy, out_shape), 0, -1))
+    assert (past_bound > 0) == (p == 2147483647)
 
 
 def test_product_over_max_terms_refused_before_either_route(monkeypatch):
