@@ -11,15 +11,15 @@ arrays.
 
 For m > 1 one matrix defines the field: ``_red``, whose row t holds the
 digits of x^(m+t) modulo the modulus. Products reduce through it, and the
-rest derives from products: the Frobenius sigma has the digits of x^(p*j)
-as column j. Inverses come from a table for q <= 2^16; otherwise
-``inv_scalar`` takes the norm identity a^(-1) = N(a)^(-1) * sigma(a) ...
-sigma^(m-1)(a), with N(a) in GF(p) inverted by Python's ``pow``. A monic
-modulus is accepted iff sigma^m = 1 (so the ring is reduced and its factor
-degrees divide m) and sigma fixes only a line (so there is one factor):
-Berlekamp's test, whose rank is taken in the candidate ring itself. The
-default modulus is the first accepted one in code order; a candidate with
-a root in GF(p) is skipped before the test.
+rest derives from products: the Frobenius sigma has the digits of x^(p*j) as
+column j. Inverses come from a table for q <= 2^16; otherwise ``inv_scalar``
+inverts an element of GF(p) by Python's ``pow``, and any other by the norm
+identity a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), with N(a) in
+GF(p) inverted by ``pow``. A monic modulus is accepted iff sigma^m = 1 (so
+the ring is reduced and its factor degrees divide m) and sigma fixes only a
+line (so there is one factor): Berlekamp's test, whose rank is taken in the
+candidate ring itself. The default modulus is the first accepted one in code
+order; a candidate with a root in GF(p) is skipped before the test.
 
 The product rule lives in ``mul_digits``, the unreduced product of two
 *digit views* (the codes themselves for m = 1, their digits otherwise): the
@@ -280,15 +280,15 @@ class GF:
         return self.encode(self._fold(planes))
 
     def inv_scalar(self, code):
-        """Inverse of a single element: a table lookup, or the norm identity
-        a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), where the norm
-        N(a) = a * sigma(a) ... sigma^(m-1)(a) lies in GF(p)."""
+        """Inverse of a single element: a table lookup, Python's ``pow`` in
+        GF(p) (the codes below p), or the norm identity a^(-1) = N(a)^(-1) *
+        sigma(a) ... sigma^(m-1)(a), N(a) = a * sigma(a) ... lying in GF(p)."""
         code = int(code)
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self._inv_table is not None:
             return int(self._inv_table[code])
-        if self.m == 1:
+        if code < self.p:
             return pow(code, -1, self.p)
         conj = self.frob(code, 1)
         for k in range(2, self.m):

@@ -15,28 +15,29 @@ are exactly the pivot columns of the matrix whose columns they are.
 array itself over GF(p), its digits (rows, cols, m) over GF(p^m). An entry
 is reduced mod p only where it is read: the pivot column before the pivot
 search, and the pivot row before it is scaled. A pivot step makes the same
-few numpy calls for every m. The pivot is the first row of the reduced
-column with a nonzero digit. The pivot row is scaled by one product with
-the multiplication matrix of the pivot's inverse
+few numpy calls for every m. At step r the pivot is the first row i >= r of
+the reduced column c with a nonzero digit. Row i is scaled where it lies, by
+one product with the multiplication matrix of the pivot's inverse
 (``GF.scale_by_inverse``), and the elimination subtracts the unreduced
 products of the column and the scaled row (``GF.mul_outer``) from the
 trailing columns, with no reduction; both products go through ``GF._bp``.
-Headroom: a multiplication matrix has entries of at most
-(p-1) + (m-1)*(p-1)^2, so a product of digits in [0, p) lies in
-[0, term_bound], term_bound = m*(p-1)^2*(1 + (m-1)*(p-1)). The view starts
-in [0, p), so after k steps every entry lies in [-k*term_bound, p). A full
-reduction mod p every ``max_terms`` = INT64_MAX // term_bound steps keeps
-it within int64. Between full reductions an entry only falls or is
-overwritten from [0, p), so one at or above p can only have wrapped; each
-full reduction and the end of the loop check for that.
+Then row r's trailing segment is copied to row i and the scaled row to row
+r: a row swap, as rows r and below are 0 mod p left of column c, and row r,
+0 in column c if i != r, is left alone by the update. Headroom: a product of
+digits in [0, p) lies in [0, term_bound] (``GF.mul_digits``), so after k
+steps from [0, p) every entry lies in [-k*term_bound, p), and a full
+reduction mod p every ``max_terms`` = INT64_MAX // term_bound steps keeps it
+within int64. Between those an entry only falls, is overwritten from [0, p)
+or copied from an entry of the same run, so one at or above p can only have
+wrapped; each full reduction and the end of the loop check for that.
 
-``rank`` runs the same loop but stops at an echelon form (``rref``'s
-private argument ``_reduced``): a pivot step updates only the rows below
-the pivot. The pivot search reads only those rows, so the pivots are the
-same, and the reduced form's back-substitution above each pivot is never
-done. ``independent_subset``, which reads only the pivots, takes the same
-pass. Each update subtracts the same integers as in the reduced form, on a
-subset of the rows, so the headroom argument above holds unchanged.
+``rank`` runs the same loop but stops at an echelon form (``rref``'s private
+argument ``_reduced``): a pivot step updates only the rows below row i, as
+rows r to i-1 are 0 in column c. The pivot search reads only those rows, so
+the pivots are the same, and no back-substitution is done.
+``independent_subset``, which reads only the pivots, takes the same pass.
+Each update subtracts the same integers as in the reduced form, on fewer
+rows, so the headroom argument holds unchanged.
 """
 
 from __future__ import annotations
@@ -70,12 +71,11 @@ def rref(field: GF, M, _reduced=True):
             D %= p
             steps = 0
         i = r + int(nz[0])
-        if i != r:
-            D[[r, i]] = D[[i, r]]
-            col[[r, i]] = col[[i, r]]
-        row = field.scale_by_inverse(D[r, c:] % p, col[r]) % p
-        top = 0 if _reduced else r + 1
+        row = field.scale_by_inverse(D[i, c:] % p, col[i]) % p
+        top = 0 if _reduced else i + 1
         D[top:, c:] -= field.mul_outer(col[top:], row)
+        if i != r:
+            D[i, c:] = D[r, c:]
         D[r, c:] = row
         pivots.append(c)
         steps += 1

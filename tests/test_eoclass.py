@@ -226,6 +226,23 @@ def test_classify_extension_field_triple():
         assert final_type_from_FV(full_F, full_V, F9) == res.final_type
 
 
+@pytest.mark.parametrize("p,m", [(2, 3), (3, 3), (5, 3), (7, 3), (2, 4)])
+def test_fv_route_matches_classify_where_the_twist_matters(p, m):
+    """Over GF(p^m) with m >= 3, sigma^(-1) differs from sigma, so the twist
+    of V in full_fv_matrices decides the F/V route's final type. Seeded
+    interesting triples, the ones classify reads off the module rather than
+    a fast tag, agree with classify."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    compared = 0
+    while compared < 4:
+        t = random_hw_triple(field, int(rng.integers(2, 5)), rng)
+        if t.fast_tag == "interesting":
+            full_F, full_V = full_fv_matrices(assemble_dm(t))
+            assert final_type_from_FV(full_F, full_V, field) == classify(t).final_type
+            compared += 1
+
+
 def test_final_type_from_weyl_inverse():
     f = FinalType(GOLDEN_FINAL_TYPE)
     assert final_type_from_weyl(weyl_from_final_type(f)) == f

@@ -374,6 +374,30 @@ def test_inverse_by_norm_matches_power(p, m):
     assert np.all(F.mul(codes, expected) == 1)
 
 
+def test_prime_field_codes_invert_without_products(monkeypatch):
+    # GF(257^2) has no inverse table: an element of GF(p), a code below p,
+    # is inverted by pow in GF(p), with none of the norm identity's products
+    F = field_new(257, 2)
+    assert F._inv_table is None
+    products = []
+    mul = F.mul
+
+    def spy(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(F, "mul", spy)
+    prime = np.arange(1, F.p)
+    inverses = [F.inv_scalar(c) for c in prime]
+    assert products == []
+    wide = F.random_elements(np.random.default_rng(21), (60,))
+    wide = wide[wide >= F.p]
+    assert wide.size > 50
+    codes = np.concatenate([prime, wide])
+    inverses += [F.inv_scalar(c) for c in wide]
+    assert np.all(mul(codes, np.array(inverses)) == 1)
+
+
 # Default moduli of every other (p, m) the tests build; DEFAULT_MODULI holds
 # the benchmark's.
 MORE_DEFAULT_MODULI = {(101, 3): (1, 1, 0, 1), (251, 2): (1, 0, 1), (257, 2): (3, 0, 1),

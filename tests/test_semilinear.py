@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from conftest import independent_subset_oracle, rref_oracle
 
-from eotypes import (ConstraintError, InternalInvariantError, Subspace,
-                     TwistedMap, field_new, independent_subset, null_space,
-                     rank, rref, solve_matrix, standard_gram, symplectic_perp,
-                     twisted_image, twisted_kernel, twisted_preimage)
+from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, Subspace,
+                     TwistedMap, field_new, independent_subset, monomial_basis,
+                     null_space, plane_curve, rank, rref, solve_matrix, standard_gram,
+                     symplectic_perp, twisted_image, twisted_kernel, twisted_preimage)
 from eotypes.golden import GOLDEN_HW
+from eotypes.hwtriple import _derivative_matrix
 
 
 def test_twisted_kernel_fixtures(F5, F4):
@@ -281,6 +282,74 @@ def test_rref_worst_case_digits_without_headroom():
     update = F.mul_outer(F.digit_view(M[1:, 0]), scaled % F.p)
     largest = F.mul_digits(F.digit_view(top), F.digit_view(top)).max()
     assert scaled.max() == update.max() == largest > F.term_bound // 4
+
+
+def _pivot_rows(monkeypatch, F, M):
+    """The row each pivot of rank's pass is taken from: an echelon step
+    updates the rows below its pivot row i, len(M) - 1 - i of them."""
+    rows = []
+    mul_outer = F.mul_outer
+
+    def spy(a, b):
+        rows.append(len(M) - 1 - len(a))
+        return mul_outer(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(F, "mul_outer", spy)
+        rank(F, M)
+    return rows
+
+
+def _assert_both_modes_match_oracle(F, M):
+    """rref and its echelon mode against the oracle; returns rref's result."""
+    R, pivots = rref(F, M)
+    R_oracle, pivots_oracle = rref_oracle(F, M)
+    assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
+    assert rank(F, M) == len(pivots)
+    E, echelon_pivots = rref(F, M, _reduced=False)
+    assert echelon_pivots == pivots_oracle
+    assert np.array_equal(rref(F, E)[0], R_oracle)
+    return R, pivots
+
+
+@pytest.mark.parametrize("p,m", [(2 ** 31 - 1, 1), (1048573, 3)])
+def test_rref_headroom_schedule_with_pivots_from_below(monkeypatch, p, m):
+    # the schedule of test_rref_headroom_schedule (over GF(1048573^3) its
+    # -1 is q - 1, every digit p - 1) below a zero row, each row twice: at
+    # step s rows s.. hold the zero row and the duplicates the earlier steps
+    # reduced to 0 mod p, unreduced, so every pivot row comes from below and
+    # the rows copied down hold what the run has subtracted so far
+    F = field_new(p, m)
+    assert F.max_terms == (2 if m == 1 else 1)
+    i, j = np.indices((8, 12))
+    H = np.where(i == j, i + 1, np.minimum(i, j) - 1) % F.q
+    M = np.vstack([np.zeros((1, 12), np.int64), np.repeat(H, 2, axis=0)])
+    R, pivots = _assert_both_modes_match_oracle(F, M)
+    assert pivots == tuple(range(8)) and np.array_equal(R, rref(F, H)[0])
+    assert _pivot_rows(monkeypatch, F, M) == [2 * s + 1 for s in range(8)]
+
+
+# (p, d, m) of the benchmark's workloads: scan-p5-d4, plane-large-p and
+# ext-field
+WORKLOAD_RELATIONS = [(5, 4, 1), (31, 6, 1), (53, 5, 1), (101, 4, 1),
+                      (7, 4, 3), (7, 5, 2), (31, 4, 2)]
+
+
+@pytest.mark.parametrize("p,d,m", WORKLOAD_RELATIONS)
+def test_rref_matches_oracle_on_relation_matrices(monkeypatch, p, d, m):
+    """The relation matrices of seeded plane curves, many of whose pivot
+    rows come from below, reduce as the oracle does in both modes."""
+    F = field_new(p, m)
+    rng = np.random.default_rng(p * d + m)
+    n = len(monomial_basis(3, d).exps)
+    from_below = 0
+    for _ in range(3):
+        curve = plane_curve(F, GradedPoly(F, 3, d, F.random_elements(rng, (n,))))
+        M = _derivative_matrix(curve, curve._relation_degrees)
+        _assert_both_modes_match_oracle(F, M)
+        rows = _pivot_rows(monkeypatch, F, M)
+        from_below += sum(i > r for r, i in enumerate(rows))
+    assert from_below > 0
 
 
 RANK_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (7, 3), (31, 2), (2 ** 31 - 1, 1),
