@@ -107,10 +107,6 @@ def render_poly(poly: GradedPoly) -> str:
 
 # -- reports ------------------------------------------------------------------
 
-# The value of the optional report field "smoothness": it is present only
-# when --skip-smoothness bypassed the smoothness check.
-SMOOTHNESS_SKIPPED = "skipped"
-
 _REPORT_FIELDS = {
     "p": int,
     "ext_degree": int,
@@ -137,8 +133,6 @@ def validate_report(report: dict) -> None:
             raise InternalInvariantError(f"report field {key!r} has the wrong type")
     if len(report["final_type"]) != 2 * report["genus"] + 1:
         raise InternalInvariantError("final_type length must be 2g+1")
-    if report.get("smoothness", SMOOTHNESS_SKIPPED) != SMOOTHNESS_SKIPPED:
-        raise InternalInvariantError("report field 'smoothness' can only say it was skipped")
     if json.loads(json.dumps(report)) != report:
         raise InternalInvariantError("report does not round-trip through JSON")
 
@@ -149,10 +143,8 @@ def _matrix_entries(field: GF, M):
     return [[[int(d) for d in field.decode(np.asarray(x))] for x in row] for row in M]
 
 
-def build_report(curve: CurveCI, triple, result: EOResult, timings: dict, *,
-                 smoothness_skipped: bool = False) -> dict:
-    """The report of a classified curve. A curve whose smoothness was not
-    checked gets the extra field "smoothness": "skipped"."""
+def build_report(curve: CurveCI, triple, result: EOResult, timings: dict) -> dict:
+    """The report of a classified curve."""
     field = curve.field
     report = {
         "p": field.p,
@@ -170,8 +162,6 @@ def build_report(curve: CurveCI, triple, result: EOResult, timings: dict, *,
         "fast_tag": result.fast_tag,
         "timings": timings,
     }
-    if smoothness_skipped:
-        report["smoothness"] = SMOOTHNESS_SKIPPED
     validate_report(report)
     return report
 
@@ -181,8 +171,6 @@ def _print_report(report: dict, out):
           (f"^{report['ext_degree']})" if report["ext_degree"] > 1 else ")"), file=out)
     print(f"curve: degrees {report['degrees']} in P^{report['n']}, genus {report['genus']}",
           file=out)
-    if "smoothness" in report:
-        print(f"smoothness: {report['smoothness']}", file=out)
     print("hasse-witt matrix:", file=out)
     for row in report["hasse_witt"]:
         print("  " + " ".join(str(x) for x in row), file=out)
@@ -252,13 +240,12 @@ def cmd_eotype(args) -> int:
         field = _field_from_args(args)
         curve = _curve_from_args(args, field)
         t0 = time.perf_counter()
-        triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
+        triple = hw_triple(curve)
         t1 = time.perf_counter()
         result = classify(triple)
         t2 = time.perf_counter()
         report = build_report(curve, triple, result, {
-            "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0},
-            smoothness_skipped=args.skip_smoothness)
+            "hw_triple_s": t1 - t0, "classify_s": t2 - t1, "total_s": t2 - t0})
         if args.json:
             json.dump(report, out, indent=2)
             out.write("\n")
@@ -271,7 +258,7 @@ def cmd_hw(args) -> int:
     with _output(args) as out:
         field = _field_from_args(args)
         curve = _curve_from_args(args, field)
-        triple = hw_triple(curve, check_smooth=not args.skip_smoothness)
+        triple = hw_triple(curve)
         if args.json:
             payload = {
                 "p": field.p,
@@ -284,14 +271,10 @@ def cmd_hw(args) -> int:
                 "kernel_basis": _matrix_entries(field, triple.kappa),
                 "second_operator": _matrix_entries(field, triple.A_psi),
             }
-            if args.skip_smoothness:
-                payload["smoothness"] = SMOOTHNESS_SKIPPED
             json.dump(payload, out, indent=2)
             out.write("\n")
         else:
             print(f"genus {triple.g}, tag {triple.fast_tag}", file=out)
-            if args.skip_smoothness:
-                print(f"smoothness: {SMOOTHNESS_SKIPPED}", file=out)
             print("hasse-witt matrix:", file=out)
             for row in triple.A_phi:
                 print("  " + " ".join(field.format_element(x) for x in row), file=out)
@@ -470,8 +453,6 @@ def _add_curve_flags(sp):
                         help=argparse.SUPPRESS)
     sp.add_argument("--json", action="store_true", help="emit JSON")
     sp.add_argument("--out", type=str, default=None, help="write output to a file")
-    sp.add_argument("--skip-smoothness", action="store_true",
-                    help="bypass the smoothness check (at your own risk)")
 
 
 def build_parser() -> argparse.ArgumentParser:

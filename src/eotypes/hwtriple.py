@@ -4,11 +4,13 @@ For a smooth curve cut out by forms f_1..f_(n-1) in P^n (char p not dividing
 any degree), the triple consists of the space Q of dual classes in degree -d,
 the Hasse-Witt operator on it, and the second operator from the kernel of the
 first into the annihilator of its image, both read by coefficient
-bookkeeping. A plane curve's Hasse-Witt matrix is read off the half power
-f^((p-1)/2), one product of two takes of its coefficients; a space curve's is
-gathered from products F * Frob(t) (``_frob_times``). The second operator is
-one such gather per form for every n; a plane curve's F is f^(p-2), formed
-only when the kernel is nonzero.
+bookkeeping off products F * Frob(t) (``_frob_times``): F is
+(f_1...f_(n-1))^(p-1) for the first and that power over f_l for the second,
+one table per form. One reader (``_split_read``) takes every coefficient of F
+it needs as one product of two takes from two factors whose product is F, so
+F itself is never formed, for every n: a plane curve's factors are the half
+powers f^a and f^(p-1-a), a = (p-1)/2, or f^(p-2-a) and f^a, and a space
+curve's are one form's power and the product of the others' (p-1) powers.
 
 Smoothness is read off the generator u of the duality's relation space U,
 which the second operator needs anyway: a curve in P^n is smooth iff
@@ -65,35 +67,32 @@ class CurveCI:
         if n == 2 and self.d < 3:
             raise ConstraintError("a plane curve must have degree >= 3")
         check_power_budget(field, nvars, self.d)
+        self._formed = {}
 
     def __repr__(self):
         return f"CurveCI(P^{self.n}, degrees={self.degrees}, {self.field!r})"
 
-    @cached_property
-    def _powers_pm2(self):
-        """f_i^(p-2) for each defining form, for the second operator; a
-        plane curve forms it only when h > 0."""
-        return tuple(poly_pow(f, self.field.p - 2) for f in self.polys)
+    def _split(self, ell: int, e: int):
+        """Two factors whose product is f_ell^e times f_j^(p-1) for every
+        j != ell, each as its degree and a tuple of (form index, exponent)
+        pairs. A plane curve's are f^(e-a) and f^a, a = (p-1)//2, so that no
+        power above f^(p-1-a) is formed; otherwise they are f_ell^e and the
+        product of the other forms' (p-1) powers."""
+        p, d = self.field.p, self.d
+        if self.n == 2:
+            a = (p - 1) // 2
+            return ((e - a) * d, ((0, e - a),)), (a * d, ((0, a),))
+        others = tuple((j, p - 1) for j in range(len(self.polys)) if j != ell)
+        return (e * self.degrees[ell], ((ell, e),)), ((p - 1) * (d - self.degrees[ell]), others)
 
-    @cached_property
-    def _powers_pm1(self):
-        """f_i^(p-1), each formed as f_i * f_i^(p-2); space curves only."""
-        return tuple(poly_mul(f, fp) for f, fp in zip(self.polys, self._powers_pm2))
-
-    @cached_property
-    def _product_pm1(self) -> GradedPoly:
-        """(f_1 ... f_(n-1))^(p-1)."""
-        return reduce(poly_mul, self._powers_pm1)
-
-    @cached_property
-    def _products_pm1_over(self):
-        """(f_1 ... f_(n-1))^(p-1) / f_ell, for each ell: the second
-        operator's powers. f_j^(p-1) is formed only for j != ell, so a plane
-        curve's one product is f^(p-2) itself."""
-        pm2 = self._powers_pm2
-        return tuple(reduce(poly_mul, [pm2[j] if j == ell else self._powers_pm1[j]
-                                       for j in range(len(pm2))])
-                     for ell in range(len(pm2)))
+    def _factor(self, factor) -> GradedPoly:
+        """The product of f_j^e over the pairs (j, e) of a factor; every
+        power and product is formed once per curve."""
+        if factor not in self._formed:
+            self._formed[factor] = (
+                poly_pow(self.polys[factor[0][0]], factor[0][1]) if len(factor) == 1
+                else reduce(poly_mul, [self._factor((pair,)) for pair in factor]))
+        return self._formed[factor]
 
     @cached_property
     def q_basis(self) -> Subspace:
@@ -168,9 +167,13 @@ class CurveCI:
 
 def check_power_budget(field: GF, nvars: int, d: int):
     """Refuse a curve of total degree d before any of its powers is formed.
-    The largest cube it builds is (f_1...f_(n-1))^(p-1), of degree (p-1)*d;
-    no Frobenius image of degree -p*d is formed. The check is on p*d, which
-    bounds that cube and f^(p-2)."""
+    It forms only the split reader's factors (``CurveCI._split``): a plane
+    curve's half powers f^a and f^(p-1-a), and f^(p-2-a) when the kernel is
+    nonzero, and a space curve's f_i^(p-1), f_i^(p-2) and products of the
+    (p-1) powers of all forms but one, of degree at most
+    (p-1)*(d - min deg f_i). No product power (f_1...f_(n-1))^(p-1) and no
+    Frobenius image of degree -p*d is formed. The charge on degree p*d is
+    kept unchanged as an upper bound on every one of them."""
     _check_work("powers", power_work_bytes(field, nvars, field.p * d))
 
 
@@ -264,101 +267,105 @@ def ci_q_basis(curve: CurveCI) -> Subspace:
 
 
 def hasse_witt_matrix(curve: CurveCI):
-    """Matrix of the Hasse-Witt operator: left action, twist 1."""
-    if curve.n == 2:
-        return _hw_plane_matrix(curve)
-    return _hw_general_matrix(curve)
+    """Matrix of the Hasse-Witt operator: left action, twist 1. Column j is
+    F * Frob(q_j), F = (f_1...f_(n-1))^(p-1), in the coordinates of the Q
+    basis rows q_j. F is split at the form of largest degree, so that the
+    product of the other forms' powers is the least. Where Q is the whole
+    degree -d piece its basis is the identity, and the matrix is the
+    reader's own (``_frob_times``)."""
+    qb = ci_q_basis(curve)
+    split = curve._split(curve.degrees.index(max(curve.degrees)), curve.field.p - 1)
+    if qb.dim == qb.ambient:
+        return _frob_times(curve, split, None, "Hasse-Witt matrix")
+    return qb.coords_of(_frob_times(curve, split, qb.rows, "Hasse-Witt matrix").T).T
 
 
-def _hw_plane_matrix(curve: CurveCI):
-    """A[i, j] = [f^(p-1)]_(c_j - m_i) with c_j = p*m_j + (p-1) over the
-    degree d-3 monomials m_i, read off the half powers lo = f^a and
-    hi = f^(p-1-a), a = (p-1)//2: one form for odd p, and 1 and f for p = 2.
-    Splitting f^(p-1) = lo * hi at z = m_i + (the exponent taken from lo),
-    A[i, j] = sum over z of degree (a+1)d - 3 of lo_(z - m_i) hi_(c_j - z),
-    so A = L R^T with L[i, z] = lo_(z - m_i) and R[j, z] = hi_(c_j - z). The
-    whole f^(p-2) is never formed here; psi forms it when h > 0.
-
-    On the exponents of X1 and X2, hi_(c_j - z) = hi'_(z - s_j) for the
-    cube hi' of hi flipped on both axes and s_j = c_j - (D, D), D = deg hi.
-    lo and hi' are each copied once into a zero border wide enough for
-    every z - m_i or z - s_j, so that L and R are each one take at the flat
-    offsets zf - sf: those of the z in the copy less those of the m_i or
-    the s_j. A difference with a negative entry, or whose X0 exponent
-    would be negative, lands on a zero of the copy, so no difference array
-    is built.
-
-    The two copies, the g x g result and one column of L and R must fit the
-    work budget together. The copies are never what refuses a curve that
-    ``check_power_budget`` admitted: lo's side is (a+2)d - 5 <= pd and hi''s
-    at most p(d-3) + (a+1)d - 2 < 2pd, so together they take under 40 bytes
-    a cell of the degree-p*d cube, where a product ending in that degree is
-    charged at least 88. The largest pair within the budget is 235 MB
-    (p = 37, d = 93). L and R are guarded as one 2g x |z| matrix: beyond
-    the budget left by the copies, L[:, blk] R[:, blk]^T is summed over
-    blocks of the widest column range it allows (one block on every plane
-    case of the benchmark), all read from the same two copies.
-
-    A block's product sums at most |z| terms, and ``GF.matmul`` refuses more
-    than ``max_terms``. No admitted curve gets there: the power check admits
-    p*d <= 3455, so (a+1)d - 3 < 2pd/3 and |z| < 2.7M, while max_terms is at
-    least 8.2e9 over every field that admits a curve (GF(571^3) is the
-    least)."""
-    field, p, d = curve.field, curve.field.p, curve.d
-    md = exponent_array(3, d - 3)
-    g = len(md)
-    a = (p - 1) // 2
-    top = (a + 1) * d - 3  # the largest exponent of X1 or X2 in a z
-    # for lo and for hi flipped: the degree, and the offsets o of the reads
-    # z - o on the exponents of X1 and X2, which lie in [-max o, top - min o]
-    D = (p - 1 - a) * d
-    reads = ((a * d, md[:, 1:]), (D, p * md[:, 1:] + (p - 1 - D)))
-    before = [max(0, int(o.max())) for _, o in reads]
-    sides = [b + max(deg + 1, top - int(o.min()) + 1) for b, (deg, o) in zip(before, reads)]
-    copy_bytes = 8 * sum(side * side for side in sides)
-    column = linalg_work_bytes(field, 3, 2 * g, 1)
-    _check_work("Hasse-Witt matrix",
-                copy_bytes + max(linalg_work_bytes(field, 3, g, g), column))
-    width = (WORK_BUDGET_BYTES - copy_bytes) // column
-    lo = poly_pow(curve.polys[0], a)
-    hi = lo if 2 * a == p - 1 else poly_pow(curve.polys[0], p - 1 - a)
-    cube = lo._cube()
-    cubes = (cube, (cube if hi is lo else hi._cube())[::-1, ::-1])
-    _, z1, z2 = exponent_array(3, top).T
-    bordered, zf, of = [], [], []
-    for cube, (_, o), b, side in zip(cubes, reads, before, sides):
-        bordered.append(_bordered(cube, b, side))
-        zf.append(z1 * side + z2 + b * (side + 1))
-        of.append(o[:, 0] * side + o[:, 1])
-    A = np.zeros((g, g), DTYPE)
-    for start in range(0, len(z1), width):
-        L, R = (c.take(f[None, start:start + width] - o[:, None])
-                for c, f, o in zip(bordered, zf, of))
-        A = field.add(A, field.matmul(L, R.T))
-    return A
-
-
-def _bordered(cube, before: int, side: int):
-    """A side x side array of zeros holding the square cube at (before, before)."""
-    out = np.zeros((side, side), DTYPE)
-    out[before:before + len(cube), before:before + len(cube)] = cube
-    return out
-
-
-def _frob_times(curve: CurveCI, F: GradedPoly, rows):
-    """Rows of F * Frob(t) for the degree -d classes t given as rows. In
-    shifted exponents (F * Frob(t))_c = sum over s of sigma(t_s) F[p*s+p-1-c],
-    so no Frobenius image is formed. As d >= n+1, the |T_-d| x |T_(deg F-p*d)|
-    gather is no larger than the relation-space matrix ``curve.mu`` guards."""
+def _frob_times(curve: CurveCI, split, rows, what: str):
+    """Columns F * Frob(t), F the product of the two factors of split
+    (``CurveCI._split``), for the degree -d classes t given as rows, or for
+    every basis class when rows is None. In shifted exponents
+    (F * Frob(t))_c = sum over s of sigma(t_s) F_(p*s+p-1-c), so no
+    Frobenius image is formed, and F_(p*s+p-1-c) is read off the factors
+    (``_split_read``) with the targets c as the m_i and c_j = p*s_j + p-1."""
     field, p, nvars = curve.field, curve.field.p, curve.nvars
     src = exponent_array(nvars, curve.d - nvars)
-    tgt = exponent_array(nvars, p * curve.d - F.degree - nvars)
-    return field.matmul(field.frob(rows, 1), gather(F, (p * src + p - 1)[:, None] - tgt[None]))
+    tgt = exponent_array(nvars, p * curve.d - nvars - split[0][0] - split[1][0])
+    G = _split_read(curve, split, tgt, p * src + p - 1, what)
+    return G if rows is None else field.matmul(G, field.frob(rows, 1).T)
 
 
-def _hw_general_matrix(curve: CurveCI):
-    qb = ci_q_basis(curve)
-    return qb.coords_of(_frob_times(curve, curve._product_pm1, qb.rows)).T
+def _split_read(curve: CurveCI, split, m, c, what: str):
+    """G[i, j] = (P*Q)_(c_j - m_i) for exponent rows m_i and c_j, P and Q
+    the two factors of split, P the one of lower degree. Splitting P*Q at
+    z = m_i + (the exponent taken from P), G[i, j] is the sum over z of
+    degree deg P + deg m_i of P_(z - m_i) Q_(c_j - z), so G = L R^T with
+    L[i, z] = P_(z - m_i) and R[j, z] = Q_(c_j - z); P*Q is never formed.
+
+    On the cube axes (the exponents of X1..Xn), Q_(c_j - z) = Q'_(z - s_j)
+    for the cube Q' of Q flipped on every axis and s_j = c_j - (D, ..., D),
+    D = deg Q. Reading P at z - m_i or Q' at z - s_j is reading a cube of
+    degree deg at z - o, which on each axis lies in [-max o, top - min o],
+    top = deg z. The cube is copied once into the corner of a zero cube of
+    side k > max(deg + max(0, max o), top - min o), so that L and R are
+    each one take at the flat offsets zf - of: those of the z less those
+    of the o. A read whose X0 exponent would be negative lands on a zero
+    of the factor's cube. One with a negative entry borrows from the axes
+    before it, and on the last such axis lands at k + (that entry) > deg,
+    past the factor's cube; a negative flat offset counts from the end.
+
+    The two copies, the |m| x |c| result and one column of L and R must fit
+    the work budget together, checked before either factor is formed.
+    Beyond the budget left by the copies, L[:, blk] R[:, blk]^T is summed
+    over blocks of the widest column range it allows (one block on every
+    curve of the benchmark), all read from the same two copies.
+
+    The copies are never what refuses a curve that reaches the reader in
+    ``hw_triple``. With e = d-n-1 and t = deg m_i, their sides are
+    deg P + t + 1 and max(D + 1, pd - n - p + 1) on n axes: Q's offsets
+    have max o <= p(e+1) - 1 - D, and pd - n - p + 1 exceeds D plus that
+    by (p-1)(n-1) + 1. ``check_power_budget`` admits p*d <= 3455 for n = 2,
+    224 for n = 3, 53 for n = 4, 24 for n = 5 and nothing above: 15,616
+    configurations (n, degrees, p, m), all swept. There the copies take at
+    most 18% of the power charge (the second operator of a plane curve at
+    p = 2, where both factors are 1), under 16 bytes a cell of the
+    degree-p*d cube where 88 or more are charged. Each of the 4,032
+    configurations that pass the relation-space guard, which ``hw_triple``
+    runs before either operator, passes this guard for both operators.
+
+    A block's product sums at most |z| terms, and ``GF.matmul`` refuses
+    more than ``max_terms``. No admitted curve gets there: |z| < 6M, while
+    max_terms is at least 8.2e9 over every field that admits a curve
+    (GF(571^3) is the least)."""
+    field, nvars = curve.field, curve.nvars
+    axes = nvars - 1
+    (lo_degree, lo), (hi_degree, hi) = sorted(split)
+    top = lo_degree + int(m[0].sum())  # the degree of every z
+    # for P and for Q flipped: the degree, and the offsets o of the reads
+    # z - o on the cube axes
+    reads = ((lo_degree, m[:, 1:]), (hi_degree, c[:, 1:] - hi_degree))
+    sides = [max(deg + 1 + max(0, int(o.max())), top - int(o.min()) + 1) for deg, o in reads]
+    copy_bytes = 8 * sum(side ** axes for side in sides)
+    column = linalg_work_bytes(field, nvars, len(m) + len(c), 1)
+    _check_work(what, copy_bytes + max(linalg_work_bytes(field, nvars, len(m), len(c)), column))
+    width = (WORK_BUDGET_BYTES - copy_bytes) // column
+    P, Q = curve._factor(lo), curve._factor(hi)
+    lo_cube = P._cube()
+    cubes = (lo_cube, (lo_cube if Q is P else Q._cube())[(slice(None, None, -1),) * axes])
+    z = exponent_array(nvars, top)[:, 1:]
+    copies, zf, of = [], [], []
+    for cube, (deg, o), side in zip(cubes, reads, sides):
+        copies.append(np.zeros((side,) * axes, DTYPE))
+        copies[-1][(slice(deg + 1),) * axes] = cube
+        strides = side ** np.arange(axes - 1, -1, -1)
+        zf.append(z @ strides)
+        of.append(o @ strides)
+    G = None
+    for start in range(0, len(z), width):
+        L, R = (copy.take(f[None, start:start + width] - o[:, None])
+                for copy, f, o in zip(copies, zf, of))
+        block = field.matmul(L, R.T)
+        G = block if G is None else field.add(G, block)
+    return G
 
 
 def _derivative_matrix(curve: CurveCI, src_degrees):
@@ -409,15 +416,17 @@ def u_generator(curve: CurveCI):
 def psi_matrix(curve: CurveCI, A_phi, kappa, u):
     """Columns are the second operator's values on the twisted kernel basis,
     written in the dual of the Q basis: column j is theta of
-    (F_l * Frob(tau(kappa_j) . Q))_l, F_l = curve._products_pm1_over[l], one
-    gather per form (``_frob_times``); a plane curve's F_0 is f^(p-2). The
-    images must lie in the dual module and satisfy the derivative relations."""
+    (F_l * Frob(tau(kappa_j) . Q))_l, F_l = f_l^(p-2) times the other
+    forms' (p-1) powers, one read per form (``_frob_times``); a plane
+    curve's F_0 = f^(p-2) is read off f^(p-2-a) and f^a. The images must
+    lie in the dual module and satisfy the derivative relations."""
     field, d = curve.field, curve.d
     kappa = np.asarray(kappa, DTYPE)
     if kappa.shape[0] == 0:
         return np.zeros((A_phi.shape[0], 0), DTYPE)
     rows = field.matmul(field.frob(kappa, -1), ci_q_basis(curve).rows)
-    comps = [_frob_times(curve, F, rows).T for F in curve._products_pm1_over]
+    comps = [_frob_times(curve, curve._split(ell, field.p - 2), rows, "second operator")
+             for ell in range(len(curve.polys))]
     if any(field.matmul(tmul_matrix(f, -d - f_l.degree), comp).any()
            for comp, f_l in zip(comps, curve.polys) for f in curve.polys):
         raise InternalInvariantError("second operator image left the curve's dual module")
@@ -509,14 +518,14 @@ class HWTriple:
         return f"HWTriple(g={self.g}, h={self.h}, tag={self.fast_tag})"
 
 
-def hw_triple(curve: CurveCI, check_smooth: bool = True) -> HWTriple:
+def hw_triple(curve: CurveCI) -> HWTriple:
     """Full pipeline from a curve to its Hasse-Witt triple. For n >= 3,
     dim Q = g, dim U = 1 and a perfect pairing are checked first, also at h = 0."""
     field = curve.field
     g = genus(curve)
     if curve.n >= 3:
         curve.mu
-    if check_smooth and not plane_smoothness_check(curve):
+    if not plane_smoothness_check(curve):
         raise SingularCurveError(f"the {'plane' if curve.n == 2 else 'space'} curve is singular")
     A_phi = hasse_witt_matrix(curve)
     kappa = null_space(field, A_phi)

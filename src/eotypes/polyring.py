@@ -49,12 +49,12 @@ shifted T-class, at an array of exponent tuples as one take from its
 coefficients with a zero appended, the zero wherever a tuple has a negative
 entry. In shifted exponents s*t sends source monomial a to target c with
 coefficient s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply``
-applies it to one class; the pipeline gathers stacks of products, Frobenius
-images included, and ``hwtriple._derivative_plan`` caches the positions of
-a relation matrix. The exponent cube is the format of the products and of
-the plane Hasse-Witt matrix (``hwtriple._hw_plane_matrix``): its 2g x |z|
-entries of the two half powers are one take each from a zero-bordered copy
-of the cube at flat offsets.
+applies it to one class; the pipeline gathers stacks of products, and
+``hwtriple._derivative_plan`` caches the positions of a relation matrix.
+The exponent cube is the format of the products and of the split reads of
+both Hasse-Witt operators (``hwtriple._split_read``): the entries of L and
+R, read off two factor powers whose product is never formed, are one take
+each from a zero-bordered copy of a factor's cube at flat offsets.
 """
 
 from __future__ import annotations

@@ -525,13 +525,41 @@ def parse_oracle(text, nvars, field):
     return GradedPoly(field, nvars, degree, coeffs)
 
 
+# -- whole product powers: the oracle of hwtriple's split reads ---------------
+
+def product_pm1(curve):
+    """(f_1 ... f_(n-1))^(p-1), formed whole, each f_i^(p-1) as f_i * f_i^(p-2)."""
+    p = curve.field.p
+    return reduce(poly_mul, [poly_mul(f, poly_pow(f, p - 2)) for f in curve.polys])
+
+
+def products_pm1_over(curve):
+    """(f_1 ... f_(n-1))^(p-1) / f_ell for each ell, formed whole: the
+    second operator's powers. A plane curve's one product is f^(p-2)."""
+    p = curve.field.p
+    return [reduce(poly_mul, [poly_pow(f, p - 2 if j == ell else p - 1)
+                              for j, f in enumerate(curve.polys)])
+            for ell in range(len(curve.polys))]
+
+
+def full_product_frob_times(curve, F, rows):
+    """Columns F * Frob(t) for the degree -d classes t given as rows, with F
+    formed whole and read by one gather: (F * Frob(t))_c is the sum over s
+    of sigma(t_s) F_(p*s+p-1-c). The route hwtriple._split_read replaced."""
+    field, p, nvars = curve.field, curve.field.p, curve.nvars
+    src = exponent_array(nvars, curve.d - nvars)
+    tgt = exponent_array(nvars, p * curve.d - F.degree - nvars)
+    return field.matmul(gather(F, (p * src + p - 1)[None] - tgt[:, None]),
+                        field.frob(rows, 1).T)
+
+
 # -- the general path through Frobenius T-classes: the oracle of hwtriple's ---
-# -- coefficient-row route (_frob_times) --------------------------------------
+# -- coefficient reads ----------------------------------------------------------
 
 def _oracle_hw_general_matrix(curve):
     field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
-    F = curve._product_pm1
+    F = product_pm1(curve)
     images = [t_multiply(F, TClass(field, nvars, -d, row).frobenius()).coeffs
               for row in qb.rows]
     return qb.coords_of(np.array(images, DTYPE)).T
@@ -540,12 +568,13 @@ def _oracle_hw_general_matrix(curve):
 def _oracle_psi_general(curve, kappa, u):
     field, nvars, d = curve.field, curve.nvars, curve.d
     qb = ci_q_basis(curve)
+    products = products_pm1_over(curve)
     cols = []
     for kap in kappa:
         tau_kap = field.frob(kap, -1)
         vec = field.matmul(tau_kap[None, :], qb.rows)[0]
         t = TClass(field, nvars, -d, vec).frobenius()
-        xi = tuple(t_multiply(F, t) for F in curve._products_pm1_over)
+        xi = tuple(t_multiply(F, t) for F in products)
         for comp in xi:
             _oracle_assert_in_dual_module(curve, comp)
         _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])
@@ -569,6 +598,18 @@ def general_path_oracle(curve):
     if not kappa.shape[0]:
         return A_phi, kappa, np.zeros((A_phi.shape[0], 0), DTYPE)
     return A_phi, kappa, _oracle_psi_general(curve, kappa, curve.u)
+
+
+def substituted_form(field, f, M):
+    """f(M * x) over field, for a form f over GF(p), p = field.p, and an
+    nvars x nvars code matrix M over field: the sum over the monomials of
+    f of its coefficient, lifted from GF(p), times the product of the
+    powers of the rows of M as linear forms."""
+    powers = [[poly_pow(GradedPoly(field, f.nvars, 1, row), k) for k in range(f.degree + 1)]
+              for row in M]
+    terms = [reduce(poly_mul, [powers[i][k] for i, k in enumerate(e)]).scale(int(c))
+             for e, c in zip(f.basis.monomials, f.coeffs) if c]
+    return reduce(lambda a, b: a + b, terms, GradedPoly.zero(field, f.nvars, f.degree))
 
 
 # -- the Fermat family: a closed-form final type --------------------------------

@@ -218,13 +218,6 @@ def test_space_curve_on_reducible_quadric_exits_singular(capsys):
     assert "dim U = 3" in capsys.readouterr().err
 
 
-def test_skip_smoothness_flag(capsys):
-    # singular input sneaks past the check but trips the rank-1 relation space
-    code = main(["eotype", "--p", "5", "--f", "X0^4+X1^4", "--skip-smoothness"])
-    assert code == 4
-    capsys.readouterr()
-
-
 def test_cmd_hw(capsys):
     assert main(["hw", "--p", "5", "--f", GOLDEN_TEXT, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -460,32 +453,17 @@ def test_linear_algebra_beyond_work_budget_exits_fast(capsys):
 NODAL_CUBIC = "y^2*z - x^3 - x^2*z"
 
 
-def test_skipped_smoothness_is_recorded(capsys):
+def test_skip_smoothness_is_an_unknown_flag(capsys):
+    """No flag skips the smoothness check: the nodal cubic, which it once
+    let through as ordinary with exit 0, exits 4, and --skip-smoothness
+    exits 2 as an unknown flag for both commands."""
     assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC]) == 4
     capsys.readouterr()
-    assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    validate_report(report)
-    assert report["smoothness"] == "skipped"
-    assert report["genus"] == 1 and report["fast_tag"] == "ordinary"
-    assert main(["eotype", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness"]) == 0
-    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()
-    assert main(["hw", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["smoothness"] == "skipped"
-    assert main(["hw", "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness"]) == 0
-    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()
-    assert main(["hw", "--p", "5", "--f", GOLDEN_TEXT]) == 0
-    assert "smoothness" not in capsys.readouterr().out
-
-
-def test_report_smoothness_field_only_says_skipped(golden_curve, golden_triple):
-    from eotypes import classify
-    from eotypes.errors import InternalInvariantError
-    result = classify(golden_triple)
-    report = build_report(golden_curve, golden_triple, result, {}, smoothness_skipped=True)
-    assert report["smoothness"] == "skipped"
-    with pytest.raises(InternalInvariantError):
-        validate_report(dict(report, smoothness="checked"))
+    for command in ("eotype", "hw"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--p", "7", "--f", NODAL_CUBIC, "--skip-smoothness"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --skip-smoothness" in capsys.readouterr().err
 
 
 def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
@@ -531,8 +509,6 @@ def test_singular_genus_one_space_curve_exits_4(capsys, p):
     """Both forms vanish at (1:0:0:0) with equal gradients there, so the
     (2,2) curve is singular. dim Q = g, dim U = 1 and the rank-1 pairing
     all pass it; the catalecticant of u in degree 1 has rank 1, so it
-    exits 4. --skip-smoothness skips that check for space curves too."""
+    exits 4."""
     assert main(["eotype", "--p", str(p), *GENUS_ONE_SINGULAR]) == 4
     assert "the space curve is singular" in capsys.readouterr().err
-    assert main(["eotype", "--p", str(p), *GENUS_ONE_SINGULAR, "--skip-smoothness"]) == 0
-    assert "smoothness: skipped" in capsys.readouterr().out.splitlines()

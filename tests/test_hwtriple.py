@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, derivative_matrix_oracle, form_values,
-                      general_path_oracle, hasse_witt_trace, integer_power_terms,
+                      full_product_frob_times, general_path_oracle, hasse_witt_trace,
+                      integer_power_terms,
                       jacobian_smoothness_oracle, macaulay_smoothness_oracle,
                       module_action_catalecticant_oracle, pairing_matrix_oracle,
-                      plane_catalecticant_oracle, point_count, rational_singular_points)
+                      plane_catalecticant_oracle, point_count, product_pm1,
+                      products_pm1_over, rational_singular_points)
 from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInvariantError,
                      SingularCurveError, partial_derivative,
                      TClass, ci_q_basis, classify, field_new, genus, hasse_witt_matrix,
@@ -18,9 +20,8 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInv
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
 from eotypes.hwtriple import (_assert_tuple_relations, _catalecticant, _derivative_matrix,
-                              _derivative_plan, _frob_times, _hw_general_matrix,
-                              _hw_plane_matrix)
-from eotypes.polyring import gather, linalg_work_bytes, poly_mul, poly_pow
+                              _derivative_plan, _frob_times)
+from eotypes.polyring import WORK_BUDGET_BYTES, gather, linalg_work_bytes, poly_mul, poly_pow
 from eotypes.semilinear import null_space
 
 
@@ -164,10 +165,11 @@ def test_theta_apply_rejects_degenerate_pairing(golden_curve, ci_23_curve):
 
 
 def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
-    """The general complete-intersection Hasse-Witt matrix, run on plane
-    curves, gives the plane path's, and the second operator agrees with
-    the dense Frobenius-class route (conftest's general_path_oracle): the
-    golden quartic plus seeded random smooth quartics and quintics."""
+    """On plane curves the Hasse-Witt matrix read off the half powers equals
+    the gather from the whole f^(p-1) (conftest's full-product oracle), and
+    the second operator agrees with the dense Frobenius-class route
+    (conftest's general_path_oracle): the golden quartic plus seeded random
+    smooth quartics and quintics."""
     rng = np.random.default_rng(11)
     curves = [golden_curve]
     for field in (F5, F7, F9):
@@ -183,7 +185,7 @@ def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
     with_kernel = 0
     for curve in curves:
         t = hw_triple(curve)
-        A_gen = _hw_general_matrix(curve)
+        A_gen = full_product_frob_times(curve, product_pm1(curve), ci_q_basis(curve).rows)
         assert np.array_equal(A_gen, t.A_phi)
         kappa = null_space(curve.field, A_gen)
         if kappa.shape[0]:
@@ -193,10 +195,9 @@ def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
 
 
 def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
-    """The coefficient-row route of the general path gives the triple of
-    the route through dense Frobenius T-classes (conftest's
-    general_path_oracle) on seeded space curves, and on plane quartics
-    over GF(3^2) run through the general path."""
+    """The split reads give the triple of the route through dense Frobenius
+    T-classes (conftest's general_path_oracle) on seeded space curves, and
+    on plane quartics over GF(3^2)."""
     F3 = field_new(3)
     plan = [((2, 3), F5, 10), ((2, 3), F7, 6), ((2, 4), F9, 3), ((3, 3), F4, 12),
             ((2, 2, 2), F3, 10), ((2, 2, 2), F9, 4), ((4,), F9, 30)]
@@ -212,7 +213,7 @@ def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
             except SingularCurveError:
                 continue
             A_phi, kappa, A_psi = general_path_oracle(curve)
-            assert np.array_equal(_hw_general_matrix(curve), A_phi)
+            assert np.array_equal(hasse_witt_matrix(curve), A_phi)
             assert np.array_equal(t.A_phi, A_phi) and np.array_equal(t.kappa, kappa)
             if t.h:
                 assert np.array_equal(psi_matrix(curve, A_phi, kappa, curve.u), A_psi)
@@ -242,7 +243,7 @@ def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
                        match="second operator image left the curve's dual module"):
         psi_matrix(golden_curve, hasse_witt_matrix(golden_curve), kappa,
                    u_generator(golden_curve))
-    image = _frob_times(golden_curve, golden_curve._products_pm1_over[0], kappa).T
+    image = _frob_times(golden_curve, golden_curve._split(0, 3), kappa, "second operator")
     with pytest.raises(InternalInvariantError,
                        match="second operator image violates the derivative relations"):
         _assert_tuple_relations(golden_curve, image)
@@ -354,9 +355,9 @@ def test_extension_field_curve_pipeline(F9):
     (3, 1, (4, 5, 7)), (7, 1, (3, 4, 5, 6)), (101, 1, (3, 4, 5, 6, 7)), (2, 2, (3, 5, 7)),
     (7, 3, (3, 4, 5, 6)), (31, 2, (3, 4, 5, 6, 7))])
 def test_hw_plane_matrix_matches_full_product(p, m, degrees):
-    """The Hasse-Witt matrix read off the half powers equals the gather from
-    the full product f * f^(p-2) it replaces, on random forms, the Fermat
-    curve of each degree and, over GF(5), the golden quartic."""
+    """The plane Hasse-Witt matrix read off the half powers equals the
+    gather from the full product f * f^(p-2) it replaces, on random forms,
+    the Fermat curve of each degree and, over GF(5), the golden quartic."""
     field = field_new(p, m)
     rng = np.random.default_rng(97 * p + m)
     for d in degrees:
@@ -368,7 +369,30 @@ def test_hw_plane_matrix_matches_full_product(p, m, degrees):
         for f in forms:
             full = poly_mul(f, poly_pow(f, p - 2))
             expected = gather(full, p * md[None] + (p - 1) - md[:, None])
-            assert np.array_equal(_hw_plane_matrix(plane_curve(field, f)), expected)
+            assert np.array_equal(hasse_witt_matrix(plane_curve(field, f)), expected)
+
+
+@pytest.mark.parametrize("p,m,degrees", [
+    (2, 1, (3,)), (2, 1, (5,)), (3, 1, (4,)), (3, 1, (5,)), (5, 1, (4,)), (7, 1, (4,)),
+    (7, 1, (5,)), (13, 1, (4,)), (31, 1, (4,)), (101, 1, (4,)), (3, 2, (4,)), (7, 3, (4,)),
+    (31, 2, (4,)), (5, 1, (2, 3)), (7, 1, (2, 3)), (3, 2, (2, 4)), (2, 2, (3, 3)),
+    (2, 1, (3, 3)), (3, 1, (2, 2, 2)), (5, 1, (2, 2, 2))],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_split_read_matches_full_product_oracle(p, m, degrees):
+    """A_phi and each psi_l table, read off two factor powers, equal the
+    gather from the whole product F_l (conftest's full-product oracle) on
+    three seeded curves: plane curves at p = 2, 3, 5, 7, 13, 31 and 101, so
+    that (p-1)/2 takes both parities, and over GF(3^2), GF(7^3) and
+    GF(31^2); (2,3), (2,4), (3,3) and (2,2,2) curves. The psi tables are
+    taken on the Q basis rows, so every curve runs them, whatever its h."""
+    for seed in range(3):
+        curve = _seeded_curve(p, m, degrees, 10 * seed + len(degrees))
+        qb = ci_q_basis(curve)
+        expected = full_product_frob_times(curve, product_pm1(curve), qb.rows)
+        assert np.array_equal(hasse_witt_matrix(curve), qb.coords_of(expected.T).T)
+        for ell, F in enumerate(products_pm1_over(curve)):
+            table = _frob_times(curve, curve._split(ell, p - 2), qb.rows, "second operator")
+            assert np.array_equal(table, full_product_frob_times(curve, F, qb.rows))
 
 
 # (p, m, d, curves): p = 2, p = 1 and 3 (mod 4), so that (p-1)/2 is even and
@@ -437,7 +461,8 @@ def test_space_triples_pinned():
 
 def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
     """An ordinary plane curve forms no power above (p-1)/2; a curve with
-    h > 0 still forms f^(p-2) for the second operator."""
+    h > 0 forms f^(p-2-a) beside it for the second operator, a = (p-1)/2,
+    and never f^(p-2): at p = 5, f^1."""
     formed = []
     original = hwtriple.poly_pow
     monkeypatch.setattr(hwtriple, "poly_pow", lambda f, e: formed.append(e) or original(f, e))
@@ -448,7 +473,7 @@ def test_plane_path_forms_half_power_unless_psi_runs(monkeypatch, F5):
     assert formed == [50]
     formed.clear()
     assert hw_triple(plane_curve(F5, GradedPoly.from_terms(F5, 3, GOLDEN_TERMS))).h > 0
-    assert formed == [2, 3]
+    assert formed == [2, 1]
 
 
 class _CountedReads(np.ndarray):
@@ -461,78 +486,106 @@ class _CountedReads(np.ndarray):
         return np.asarray(self).take(indices, *args, **kwargs)
 
 
-def _record_plane_reads(monkeypatch):
-    """Wrap hwtriple._bordered so that its copies are kept and count their
-    reads; returns (copies, widths)."""
-    copies, widths = [], []
-    original = hwtriple._bordered
+class _RecordedNumpy:
+    """numpy as hwtriple sees it, with every zero cube of the given number
+    of axes kept and its takes counted: the split reader's bordered
+    copies."""
 
-    def bordered(cube, before, side):
-        copies.append(original(cube, before, side).view(_CountedReads))
-        copies[-1].widths = widths
-        return copies[-1]
+    def __init__(self, axes):
+        self.axes, self.copies, self.widths = axes, [], []
 
-    monkeypatch.setattr(hwtriple, "_bordered", bordered)
-    return copies, widths
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        out = np.zeros(shape, dtype)
+        if np.ndim(shape) == 1 and len(shape) == self.axes and len(set(shape)) == 1:
+            out = out.view(_CountedReads)
+            out.widths = self.widths
+            self.copies.append(out)
+        return out
 
 
-@pytest.mark.parametrize("p,m,d", [(2, 1, 5), (31, 1, 5), (3, 2, 4), (7, 3, 4)])
+def _record_split_reads(monkeypatch, curve):
+    """Keep the split reader's copies and count their reads."""
+    recorded = _RecordedNumpy(curve.nvars - 1)
+    monkeypatch.setattr(hwtriple, "np", recorded)
+    return recorded
+
+
+def _seeded_curve(p, m, degrees, seed):
+    field = field_new(p, m)
+    if len(degrees) == 1:
+        return plane_curve(field, GradedPoly(field, 3, degrees[0], field.random_elements(
+            np.random.default_rng(seed), (len(monomial_basis(3, degrees[0])),))))
+    return _random_curve(field, len(degrees) + 2, degrees, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("p,m,d", [(2, 1, 5), (31, 1, 5), (3, 2, 4), (7, 3, 4),
+                                   pytest.param(31, 1, (2, 3), id="31-1-(2,3)")])
 def test_hw_plane_matrix_in_column_blocks_matches_one_block(monkeypatch, p, m, d):
     """With a work budget that fits the two bordered copies and half of the
-    columns of L and R, the block sum equals the one-block matrix. Both
-    blocks read the same two copies, and each formed power has its cube
-    built once, not once per block."""
-    field = field_new(p, m)
-    rng = np.random.default_rng(p + d)
-    curve = plane_curve(field, GradedPoly(
-        field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),))))
-    g = len(monomial_basis(3, d - 3))
-    columns = len(monomial_basis(3, (p - 1) // 2 * d + d - 3))
-    copies, widths = _record_plane_reads(monkeypatch)
-    whole = _hw_plane_matrix(curve)
-    assert len(copies) == 2 and widths == [columns, columns]
-    copy_bytes = sum(c.nbytes for c in copies)
-    copies.clear()
-    widths.clear()
+    columns of L and R, the block sum equals the one-block matrix, on
+    plane curves and a (2,3) curve. Both blocks read the same two copies,
+    and each formed power has its cube built once, not once per block."""
+    curve = _seeded_curve(p, m, d if isinstance(d, tuple) else (d,), p + sum(np.atleast_1d(d)))
+    field, nvars = curve.field, curve.nvars
+    g = TClass.basis_size(nvars, -curve.d)
+    split = curve._split(curve.degrees.index(max(curve.degrees)), p - 1)
+    columns = len(monomial_basis(nvars, min(split)[0] + curve.d - nvars))
+    recorded = _record_split_reads(monkeypatch, curve)
+    whole = hasse_witt_matrix(curve)
+    assert len(recorded.copies) == 2 and recorded.widths == [columns, columns]
+    copy_bytes = sum(c.nbytes for c in recorded.copies)
+    recorded.copies.clear()
+    recorded.widths.clear()
+    curve._formed.clear()
     formed, cubes = [], []
     original_pow, original_cube = hwtriple.poly_pow, GradedPoly._cube
     monkeypatch.setattr(hwtriple, "poly_pow",
                         lambda f, e: formed.append(original_pow(f, e)) or formed[-1])
     monkeypatch.setattr(GradedPoly, "_cube", lambda x: cubes.append(x) or original_cube(x))
     monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES",
-                        copy_bytes + linalg_work_bytes(field, 3, 2 * g, -(-columns // 2)))
-    assert np.array_equal(_hw_plane_matrix(curve), whole)
-    assert len(widths) == 4 and sum(widths) == 2 * columns
-    assert len(copies) == 2
-    assert len(formed) == (2 if p == 2 else 1)
-    assert [id(x) for x in cubes if x is not curve.polys[0]] == [id(x) for x in formed]
+                        copy_bytes + linalg_work_bytes(field, nvars, 2 * g, -(-columns // 2)))
+    assert np.array_equal(hasse_witt_matrix(curve), whole)
+    assert len(recorded.widths) == 4 and sum(recorded.widths) == 2 * columns
+    assert len(recorded.copies) == 2
+    assert len(formed) == len(set(split))
+    assert [id(x) for x in cubes if all(x is not f for f in curve.polys)] == \
+        [id(x) for x in formed]
 
 
 def test_hw_plane_matrix_copies_counted_in_budget(monkeypatch):
     """The Hasse-Witt estimate is the two bordered copies plus the larger of
     the g x g result and one column of L and R: at exactly that budget the
     matrix is read; one byte less refuses the curve before any power or copy
-    is formed."""
-    field = field_new(101)
-    curve = plane_curve(field, GradedPoly(
-        field, 3, 4, field.random_elements(np.random.default_rng(0), (15,))))
-    copies, _ = _record_plane_reads(monkeypatch)
-    whole = _hw_plane_matrix(curve)
-    need = sum(c.nbytes for c in copies) + max(linalg_work_bytes(field, 3, 3, 3),
-                                               linalg_work_bytes(field, 3, 6, 1))
-    copies.clear()
-    formed = []
+    is formed. On a plane quartic over GF(101) and a (2,3) curve over
+    GF(31)."""
+    curves = [(_seeded_curve(101, 1, (4,), 0), 3, [50]),
+              (_seeded_curve(31, 1, (2, 3), 0), 4, [30, 30])]
     original_pow = hwtriple.poly_pow
+    formed = []
     monkeypatch.setattr(hwtriple, "poly_pow", lambda f, e: formed.append(e) or original_pow(f, e))
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
-    assert np.array_equal(_hw_plane_matrix(curve), whole)
-    assert formed == [50] and len(copies) == 2
-    formed.clear()
-    copies.clear()
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
-    with pytest.raises(ConstraintError, match="Hasse-Witt matrix"):
-        _hw_plane_matrix(curve)
-    assert formed == [] and copies == []
+    for curve, g, powers in curves:
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
+        recorded = _record_split_reads(monkeypatch, curve)
+        whole = hasse_witt_matrix(curve)
+        need = sum(c.nbytes for c in recorded.copies) + max(
+            linalg_work_bytes(curve.field, curve.nvars, g, g),
+            linalg_work_bytes(curve.field, curve.nvars, 2 * g, 1))
+        curve._formed.clear()
+        recorded.copies.clear()
+        formed.clear()
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
+        assert np.array_equal(hasse_witt_matrix(curve), whole)
+        assert formed == powers and len(recorded.copies) == 2
+        curve._formed.clear()
+        recorded.copies.clear()
+        formed.clear()
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
+        with pytest.raises(ConstraintError, match="Hasse-Witt matrix"):
+            hasse_witt_matrix(curve)
+        assert formed == [] and recorded.copies == []
 
 
 def test_hw_plane_matrix_copies_beyond_budget_exit_3(monkeypatch, capsys):
@@ -553,7 +606,7 @@ def test_hw_plane_matrix_result_beyond_budget_refused(monkeypatch, F7):
     curve = fermat_curve(F7, 6)
     monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", linalg_work_bytes(F7, 3, 10, 5))
     with pytest.raises(ConstraintError, match="work budget"):
-        _hw_plane_matrix(curve)
+        hasse_witt_matrix(curve)
 
 
 def test_curve_beyond_work_budget_refused():
@@ -796,8 +849,7 @@ def test_catalecticant_of_rank_two_is_an_internal_error(F5):
 def test_relation_space_reduced_once_per_plane_curve(monkeypatch, F5):
     """hw_triple reduces the relation matrix of a plane curve once: the
     smoothness check computes u and the second operator of an h > 0 curve
-    reuses it, and no Macaulay matrix is ranked. Without the check, an
-    ordinary curve never builds u."""
+    reuses it, and no Macaulay matrix is ranked."""
     reduced, ranked = [], []
     for name, seen in (("null_space", reduced), ("rank", ranked)):
         original = getattr(hwtriple, name)
@@ -806,14 +858,12 @@ def test_relation_space_reduced_once_per_plane_curve(monkeypatch, F5):
     F101 = field_new(101)
     ordinary = GradedPoly(F101, 3, 4, F101.random_elements(np.random.default_rng(0), (15,)))
     golden = GradedPoly.from_terms(F5, 3, GOLDEN_TERMS)
-    # (form, check_smooth, h > 0, reductions of the 30 x 28 relation matrix)
-    for f, check, with_kernel, count in ((golden, True, True, 1), (ordinary, True, False, 1),
-                                         (golden, False, True, 1), (ordinary, False, False, 0)):
+    for f, with_kernel in ((golden, True), (ordinary, False)):
         reduced.clear()
         ranked.clear()
-        assert (hw_triple(plane_curve(f.field, f), check_smooth=check).h > 0) == with_kernel
-        assert reduced.count((30, 28)) == count
-        assert (36, 45) not in ranked and ((3, 21) in ranked) == check
+        assert (hw_triple(plane_curve(f.field, f)).h > 0) == with_kernel
+        assert reduced.count((30, 28)) == 1
+        assert (36, 45) not in ranked and (3, 21) in ranked
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (3, 2), (7, 3)])
@@ -1064,40 +1114,34 @@ def test_u_first_nonzero_coordinate_is_one():
             assert checked == 2
 
 
-def test_hw_general_matrix_builds_no_cube():
-    """With (f_1 f_2)^30 formed beforehand, the Hasse-Witt matrix of a
-    seeded smooth (2,3) curve over GF(31) reads the power's coefficients
-    without rebuilding its 151^3-cell exponent cube (26.3 MiB traced when
-    it did): the traced peak stays under 8 MiB."""
+def test_hw_triple_forms_no_product_power(monkeypatch):
+    """hw_triple forms no polynomial of degree (p-1)*d: the largest it forms
+    is (p-1)*(d - min deg f_i), on the seeded smooth (2,3) curve over GF(31)
+    and a seeded (2,2,2) curve over GF(7) with h > 0, whose second operator
+    reads through pairwise products. The (2,3) curve's traced peak stays
+    under 48 MiB: 38.4 MiB measured, against 135 MiB when (f_1 f_2)^30 was
+    formed whole."""
     import tracemalloc
-    curve = _random_curve(field_new(31), 4, (2, 3), np.random.default_rng(0))
-    assert rank(curve.field, curve.mu) == 4  # dim U = 1 and a perfect pairing
-    curve._product_pm1
-    tracemalloc.start()
-    try:
-        A = _hw_general_matrix(curve)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert A.shape == (4, 4) and 0 < peak < 8 * 2 ** 20
-
-
-def test_gather_copies_no_coefficient_vector():
-    """The Hasse-Witt matrix of the seeded smooth (2,3) curve over GF(31)
-    reads 16 of the 585,276 coefficients of (f_1 f_2)^30. The gather copies
-    none of the others (a 4.47 MiB traced peak when it appended a zero to
-    a copy of them all): the traced peak stays under 1 MiB."""
-    import tracemalloc
-    curve = _random_curve(field_new(31), 4, (2, 3), np.random.default_rng(0))
-    assert rank(curve.field, curve.mu) == 4
-    assert len(curve._product_pm1.coeffs) == 585276
-    tracemalloc.start()
-    try:
-        A = _hw_general_matrix(curve)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert A.shape == (4, 4) and 0 < peak < 2 ** 20
+    formed = []
+    original = GradedPoly._from_cube.__func__
+    monkeypatch.setattr(GradedPoly, "_from_cube", classmethod(
+        lambda cls, field, nvars, degree, cube:
+        formed.append(degree) or original(cls, field, nvars, degree, cube)))
+    for p, degrees, seed, h in ((31, (2, 3), 0, 0), (7, (2, 2, 2), 9, 1)):
+        curve = _random_curve(field_new(p), len(degrees) + 2, degrees,
+                              np.random.default_rng(seed))
+        curve.mu  # dim U = 1 and a perfect pairing, before the traced run
+        formed.clear()
+        tracemalloc.start()
+        try:
+            t = hw_triple(curve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.h == h
+        assert max(formed) == (p - 1) * (curve.d - min(degrees)) < (p - 1) * curve.d
+        if degrees == (2, 3):
+            assert peak < 48 * 2 ** 20
 
 
 def test_catalecticant_matches_earlier_gathers():
