@@ -8,10 +8,9 @@ from .gf import GF, FieldElem, field_new, frobenius
 from .polyring import (GradedPoly, MonomialBasis, TClass, coeff_of, gather,
                        monomial_basis, partial_derivative, poly_mul, poly_pow,
                        t_multiply, tmul_matrix)
-from .semilinear import (Subspace, TwistedMap, independent_subset, null_space,
-                         rank, rref, solve_matrix, standard_gram,
-                         symplectic_perp, twisted_image, twisted_kernel,
-                         twisted_preimage)
+from .semilinear import (Subspace, TwistedMap, null_space, rank, rref,
+                         solve_matrix, standard_gram, symplectic_perp,
+                         twisted_image, twisted_kernel, twisted_preimage)
 from .hwtriple import (CurveCI, HWTriple, ci_q_basis, genus, hasse_witt_matrix,
                        hw_triple, plane_curve, plane_smoothness_check,
                        psi_matrix, theta_apply, u_generator)

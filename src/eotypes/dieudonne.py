@@ -14,8 +14,8 @@ import numpy as np
 from .errors import ConstraintError
 from .gf import DTYPE, GF
 from .hwtriple import HWTriple
-from .semilinear import (Subspace, TwistedMap, independent_subset, null_space,
-                         rank, solve_matrix, standard_gram, symplectic_perp,
+from .semilinear import (Subspace, TwistedMap, null_space, rank, rref,
+                         solve_matrix, standard_gram, symplectic_perp,
                          twisted_image, twisted_kernel)
 
 
@@ -54,18 +54,15 @@ def assemble_dm(triple: HWTriple, scan: str = "descending") -> PolarizedDM:
     coordinates through the second, writing dual rows bottom-up.
 
     The complement is the basis vectors that raise the rank after the
-    kernel basis, read off as pivot columns by ``independent_subset``; the
-    kernel rows are independent, so they are its first h pivots."""
+    kernel basis: e_j is skipped iff a kernel vector is 1 at j and 0 at
+    every coordinate scanned before j, iff j is a pivot of kappa with its
+    columns in reverse scan order (kappa itself for the descending scan)."""
     field, g, h = triple.field, triple.g, triple.h
-    if scan == "descending":
-        order = range(g - 1, -1, -1)
-    elif scan == "ascending":
-        order = range(g)
-    else:
+    if scan not in ("descending", "ascending"):
         raise ConstraintError(f"unknown scan order {scan!r}")
-    basis = np.eye(g, dtype=DTYPE)[list(order)]
-    kept = independent_subset(field, np.vstack([triple.kappa, basis]))[0]
-    complement = sorted(order[k - h] for k in kept[h:])
+    reverse = list(range(g) if scan == "descending" else range(g - 1, -1, -1))
+    pivots = {reverse[c] for c in rref(field, triple.kappa[:, reverse])[1]}
+    complement = [j for j in range(g) if j not in pivots]
     decomp = np.zeros((g, g), DTYPE)
     decomp[complement, np.arange(g - h)] = 1
     decomp[:, g - h:] = triple.kappa.T

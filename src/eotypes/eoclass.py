@@ -18,8 +18,8 @@ from .dieudonne import PolarizedDM, assemble_dm
 from .errors import ConstraintError, InternalInvariantError
 from .gf import DTYPE, GF
 from .hwtriple import CurveCI, HWTriple, fast_path_tag, hw_triple
-from .semilinear import (Subspace, TwistedMap, independent_subset, rank,
-                         symplectic_perp, twisted_image, twisted_preimage)
+from .semilinear import (Subspace, TwistedMap, rank, symplectic_perp,
+                         twisted_image, twisted_preimage)
 
 
 class FinalType:
@@ -145,8 +145,8 @@ def _fill_by_dichotomy(f, n):
 
 def final_type_from_AF(A_F, gram, field: GF) -> FinalType:
     """Table algorithm on the Frobenius block: grow bases at known flag
-    dimensions, record image ranks, store independent image subsets and
-    their perpendiculars, then interpolate."""
+    dimensions, record image ranks, store each image's reduced basis and
+    its perpendicular, then interpolate (F(W) is spanned by F of any basis)."""
     A_F = np.asarray(A_F, DTYPE)
     n, g = A_F.shape
     if n != 2 * g:
@@ -164,13 +164,11 @@ def final_type_from_AF(A_F, gram, field: GF) -> FinalType:
         if not pending:
             break
         i = pending[0]
-        vecs = basis[i]
-        images = field.matmul(A_F, field.frob(vecs[:, :g].T, 1)).T
-        _, kept, span = independent_subset(field, images)
-        fi = span.dim
-        f[i] = fi
+        images = field.matmul(A_F, field.frob(basis[i][:, :g].T, 1)).T
+        span = Subspace.span(field, images)
+        f[i] = fi = span.dim
         if fi not in basis:
-            basis[fi] = kept
+            basis[fi] = span.rows
             if 2 * g - fi not in basis:
                 basis[2 * g - fi] = symplectic_perp(span, gram).rows
     return FinalType(_fill_by_dichotomy(f, 2 * g))

@@ -17,8 +17,8 @@ inverts an element of GF(p) by Python's ``pow``, and any other by the norm
 identity a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), with N(a) in
 GF(p) inverted by ``pow``. A monic modulus is accepted iff sigma^m = 1 (so
 the ring is reduced and its factor degrees divide m) and sigma fixes only a
-line (so there is one factor): Berlekamp's test, whose rank is taken in the
-candidate ring itself. The default modulus is the first accepted one in code
+line (so there is one factor): Berlekamp's test, whose rank is taken with
+GF(p) arithmetic. The default modulus is the first accepted one in code
 order; a candidate with a root in GF(p) is skipped before the test.
 
 The product rule lives in ``mul_digits``, the unreduced product of two
@@ -102,19 +102,9 @@ class GF:
         if m > 62:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         p, m = int(p), int(m)
-        self.p, self.m, self.q = p, m, p ** m
-        # Largest entry of one unreduced product of digits in [0, p): a digit
-        # plane gathers m products, and the m-1 high planes pass through _red.
-        self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
-        # Largest entry of a product of m digits in [0, p) with _bp: of the
-        # products x^i * b that mul_outer takes, and of a multiplication matrix.
-        self._bp_max = m * (p - 1) ** 2
-        # Most terms one sum of products may hold.
-        self.max_terms = _INT64_MAX // self.term_bound
+        self._init_arithmetic(p, m)
         if self.q > _INT64_MAX or self.max_terms < 1:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
-        self._ppow = np.array([p ** i for i in range(m)], DTYPE)
-        self.modulus, self._inv_table = None, None
         if m == 1 and modulus is not None:
             raise ConstraintError(f"a modulus needs extension degree m > 1 (got m = 1 over Z/{p})")
         if m > 1:
@@ -133,15 +123,30 @@ class GF:
         if self.q <= 1 << 16:
             self._inv_table = self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
 
+    def _init_arithmetic(self, p: int, m: int):
+        """The constants of p and m alone: no modulus, no inverse table."""
+        self.p, self.m, self.q = p, m, p ** m
+        # Largest entry of one unreduced product of digits in [0, p): a digit
+        # plane gathers m products, and the m-1 high planes pass through _red.
+        self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
+        # Largest entry of a product of m digits in [0, p) with _bp: of the
+        # products x^i * b that mul_outer takes, and of a multiplication matrix.
+        self._bp_max = m * (p - 1) ** 2
+        # Most terms one sum of products may hold.
+        self.max_terms = _INT64_MAX // self.term_bound
+        self._ppow = np.array([p ** i for i in range(m)], DTYPE)
+        self.modulus, self._inv_table = None, None
+
     def _install_first_irreducible(self, candidates) -> bool:
         """Make the first irreducible monic candidate the modulus, with its
         _red, _bp and Frobenius matrices; False if no candidate is
-        irreducible. The rank of sigma - 1 is taken in the candidate's own
-        ring: row reduction of a matrix over GF(p) never leaves GF(p), so
-        it gives the rank over GF(p) without building that field."""
+        irreducible. sigma - 1 is a matrix over GF(p): its rank is taken in
+        the arithmetic of GF(p), set up once, without GF(p)'s inverse table
+        (``inv_scalar`` inverts its pivots by ``pow``)."""
         from .semilinear import rank
         p, m = self.p, self.m
-        eye = np.eye(m, dtype=DTYPE)
+        prime, eye = GF.__new__(GF), np.eye(m, dtype=DTYPE)
+        prime._init_arithmetic(p, 1)
         xs, high = np.arange(p, dtype=DTYPE), None
         for modulus in candidates:
             # A root in GF(p) makes a candidate reducible. The candidate is
@@ -169,7 +174,7 @@ class GF:
             for _ in range(m):
                 powers.append(sigma @ powers[-1] % p)
             self._frob_mats = powers[:m]
-            if np.array_equal(powers[m], eye) and rank(self, (sigma - eye) % p) == m - 1:
+            if np.array_equal(powers[m], eye) and rank(prime, (sigma - eye) % p) == m - 1:
                 return True
         return False
 

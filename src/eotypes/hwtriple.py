@@ -107,7 +107,7 @@ class CurveCI:
             return Subspace.full(field, ambient)
         _check_work("Q space", linalg_work_bytes(field, nvars, rows, ambient))
         blocks = np.vstack([tmul_matrix(f, -d) for f in self.polys])
-        return Subspace.span(field, null_space(field, blocks), ambient=ambient)
+        return Subspace.kernel(field, blocks)
 
     @cached_property
     def _relations(self):

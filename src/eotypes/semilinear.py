@@ -7,9 +7,9 @@ Hasse-Witt kernel extraction and the canonical-flag construction.
 
 Every subspace is normalized to reduced row echelon form on creation, so
 subspace equality is literal equality of basis matrices and all downstream
-choices are deterministic. A greedy choice ("the vectors, in input order,
-that raise the rank") is one echelon pass: the vectors that raise the rank
-are exactly the pivot columns of the matrix whose columns they are.
+choices are deterministic. Each subspace is reduced once: ``null_space``
+reads a reduced kernel basis off one reduction, ``Subspace.kernel`` keeps its
+pivots, and ``Subspace.twist`` keeps them too, as sigma fixes 0 and 1.
 
 ``rref`` is one elimination loop on the *digit view* of the matrix: the code
 array itself over GF(p), its digits (rows, cols, m) over GF(p^m). An entry
@@ -34,10 +34,9 @@ wrapped; each full reduction and the end of the loop check for that.
 ``rank`` runs the same loop but stops at an echelon form (``rref``'s private
 argument ``_reduced``): a pivot step updates only the rows below row i, as
 rows r to i-1 are 0 in column c. The pivot search reads only those rows, so
-the pivots are the same, and no back-substitution is done.
-``independent_subset``, which reads only the pivots, takes the same pass.
-Each update subtracts the same integers as in the reduced form, on fewer
-rows, so the headroom argument holds unchanged.
+the pivots are the same, and no back-substitution is done. Each update
+subtracts the same integers as in the reduced form, on fewer rows, so the
+headroom argument holds unchanged.
 """
 
 from __future__ import annotations
@@ -96,14 +95,22 @@ def rank(field: GF, M) -> int:
 
 def null_space(field: GF, M):
     """RREF basis (rows) of {x : M x = 0}."""
+    return _kernel(field, M)[0]
+
+
+def _kernel(field: GF, M):
+    """(rows, pivots) of the RREF basis of {x : M x = 0} from one reduction
+    of M with reversed columns: a free column's basis vector is 1 there, 0 to
+    its left and at every other free column, so the free columns are pivots."""
     M = np.asarray(M, DTYPE)
     ncols = M.shape[1]
-    R, pivots = rref(field, M)
+    R, pivots = rref(field, M[:, ::-1])
+    R, pivots = R[:, ::-1], [ncols - 1 - c for c in pivots]
     free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), DTYPE)
     basis[np.arange(len(free)), free] = 1
-    basis[:, list(pivots)] = field.neg(R[:, free].T)
-    return rref(field, basis)[0]
+    basis[:, pivots] = field.neg(R[:, free].T)
+    return basis, tuple(free)
 
 
 def solve_matrix(field: GF, A, B):
@@ -148,6 +155,12 @@ class Subspace:
         return cls(field, rows.shape[1], R, piv)
 
     @classmethod
+    def kernel(cls, field: GF, M):
+        """{x : M x = 0}, with the pivots null_space's reduction gives."""
+        R, pivots = _kernel(field, M)
+        return cls(field, R.shape[1], R, pivots)
+
+    @classmethod
     def zero(cls, field: GF, ambient: int):
         return cls(field, ambient, np.zeros((0, ambient), DTYPE), ())
 
@@ -158,6 +171,10 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.rows.shape[0]
+
+    def twist(self, k: int) -> "Subspace":
+        """sigma^k entrywise: sigma fixes 0 and 1, so the pivots stay."""
+        return Subspace(self.field, self.ambient, self.field.frob(self.rows, k), self.pivots)
 
     def reduce(self, v):
         """Residual of a vector, or of each row of a matrix, after
@@ -222,8 +239,7 @@ class TwistedMap:
 
 def twisted_kernel(f: TwistedMap) -> Subspace:
     """{x : A x^(sigma^k) = 0}: the sigma^(-k)-twist of the null space of A."""
-    linear = null_space(f.field, f.matrix)
-    return Subspace.span(f.field, f.field.frob(linear, -f.twist), ambient=f.ncols)
+    return Subspace.kernel(f.field, f.matrix).twist(-f.twist)
 
 
 def twisted_image(f: TwistedMap, W: Subspace) -> Subspace:
@@ -239,8 +255,7 @@ def twisted_preimage(f: TwistedMap, W: Subspace) -> Subspace:
             f"subspace ambient {W.ambient} does not match map codomain {f.nrows}")
     # functionals annihilating W, then pull back through the untwisted matrix
     constraints = f.field.matmul(null_space(f.field, W.rows), f.matrix)
-    untwisted = null_space(f.field, constraints)
-    return Subspace.span(f.field, f.field.frob(untwisted, -f.twist), ambient=f.ncols)
+    return Subspace.kernel(f.field, constraints).twist(-f.twist)
 
 
 def check_alternating(field: GF, gram) -> None:
@@ -260,23 +275,7 @@ def symplectic_perp(W: Subspace, gram) -> Subspace:
     gram = np.asarray(gram, DTYPE)
     if W.ambient != gram.shape[0]:
         raise ConstraintError("subspace ambient does not match gram size")
-    constraints = field.matmul(W.rows, gram.T)
-    return Subspace.span(field, null_space(field, constraints), ambient=W.ambient)
-
-
-def independent_subset(field: GF, vectors):
-    """The vectors, in input order, that raise the rank: the pivot columns
-    of the matrix whose columns they are.
-
-    Returns (kept indices, kept vectors as rows, Subspace spanned).
-    """
-    vectors = np.asarray(vectors, DTYPE)
-    if vectors.ndim == 1:
-        vectors = vectors[None, :]
-    if not vectors.size:
-        raise ConstraintError("independent_subset needs an ambient dimension")
-    kept = list(rref(field, vectors.T, _reduced=False)[1])
-    return kept, vectors[kept], Subspace.span(field, vectors[kept])
+    return Subspace.kernel(field, field.matmul(W.rows, gram.T))
 
 
 def standard_gram(field: GF, g: int):

@@ -364,8 +364,8 @@ def jacobian_smoothness_oracle(curve):
 
 def independent_subset_oracle(field, vectors):
     """Indices of the vectors, in input order, that raise the rank of those
-    kept before them: one oracle row reduction per vector. The independent
-    oracle of semilinear.independent_subset."""
+    kept before them: the greedy scan, one oracle row reduction per
+    vector."""
     vectors = np.asarray(vectors, DTYPE)
     kept = []
     for i in range(len(vectors)):
@@ -376,20 +376,15 @@ def independent_subset_oracle(field, vectors):
 
 def complement_oracle(field, kappa, scan):
     """Standard basis vectors, scanned in descending or ascending index
-    order, that raise the rank over the kernel basis kappa, stopping at full
-    rank; sorted. The independent oracle of assemble_dm's complement."""
+    order, that raise the rank over the kernel basis kappa (the greedy scan
+    of independent_subset_oracle); sorted. The independent oracle of
+    assemble_dm's complement."""
     kappa = np.asarray(kappa, DTYPE)
-    g = kappa.shape[1]
-    order = range(g - 1, -1, -1) if scan == "descending" else range(g)
-    rows, complement = list(kappa), []
-    for i in order:
-        if len(rows) == g:
-            break
-        e = np.eye(g, dtype=DTYPE)[i]
-        if len(rref_oracle(field, rows + [e])[1]) > len(rows):
-            rows.append(e)
-            complement.append(i)
-    return sorted(complement)
+    h, g = kappa.shape
+    order = list(range(g - 1, -1, -1) if scan == "descending" else range(g))
+    kept = independent_subset_oracle(field, np.vstack([kappa, np.eye(g, dtype=DTYPE)[order]]))
+    assert kept[:h] == list(range(h))
+    return sorted(order[k - h] for k in kept[h:])
 
 
 # -- the recursive-descent polynomial parser: the oracle of cli.parse_poly ---

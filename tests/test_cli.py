@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import random
 import time
@@ -326,6 +327,25 @@ def test_scan_rows_match_their_coset(capsys):
         coset = WeylCoset([int(x) for x in w.split()])
         assert f == " ".join(map(str, final_type_from_weyl(coset).values))
         assert (int(p_rank), int(a_number), int(dim)) == invariants_from_weyl(coset, coset.g)
+
+
+def test_scan_census_follows_stratum_codimension():
+    # Lang-Weil heuristic: a stratum of codimension c holds about p^(-c) of
+    # the smooth curves. For genus 3 over GF(3), c = 6 - stratum_dim, and
+    # every c with a predicted count of at least 30 (c = 1, 2, 3) must lie
+    # within a factor 3 of it. At seeds 101..808 (step 101) the ratios ran
+    # from 0.59 to 1.52.
+    stats = cli.run_scan(3, 4, 1500, 24, io.StringIO())
+    smooth = 1500 - stats["singular"]
+    by_codim = {}
+    for w, count in stats["hist"].items():
+        c = 6 - invariants_from_weyl(WeylCoset(w), 3)[2]
+        by_codim[c] = by_codim.get(c, 0) + count
+    checked = [c for c in range(1, 7) if smooth * 3.0 ** -c >= 30]
+    assert checked == [1, 2, 3]
+    for c in checked:
+        predicted = smooth * 3.0 ** -c
+        assert predicted / 3 <= by_codim.get(c, 0) <= 3 * predicted, (c, by_codim)
 
 
 @pytest.mark.parametrize("flag,value", [("--count", "-3"), ("--seed", "-1")])

@@ -211,14 +211,16 @@ def _triple_with_kernel(F, g, h, rng):
     return HWTriple(F, g, A_phi, null_space(F, A_phi), A_psi)
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (101, 1), (2, 2),
+                                 (3, 2), (5, 2), (2, 3), (7, 3)])
 def test_complement_matches_oracle(p, m):
     # A column of the assembled block's lower half is zero exactly on the
     # complement: there the kernel coordinates vanish, elsewhere they do not
-    # and the second operator is injective.
+    # and the second operator is injective. assemble_dm reads the complement
+    # off one reduction of kappa; the oracle is the greedy scan.
     F = field_new(p, m)
     rng = np.random.default_rng(p * 10 + m)
-    for g in range(1, 6):
+    for g in range(1, 7):
         for h in sorted({0, g // 2, g - 1, g}):
             t = _triple_with_kernel(F, g, h, rng)
             assert t.h == h

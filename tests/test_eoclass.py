@@ -130,15 +130,18 @@ def test_scaling_invariance(F5):
         count += 1
 
 
-def test_path_agreement_random(F5):
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        g = int(rng.integers(1, 5))
-        t = random_hw_triple(F5, g, rng)
-        dm = assemble_dm(t)
-        full_F, full_V = full_fv_matrices(dm)
-        assert final_type_from_AF(dm.A_F, dm.gram, F5) == \
-            final_type_from_FV(full_F, full_V, F5)
+def test_path_agreement_random():
+    # the table route against the F/V saturation, over prime fields and
+    # extensions where sigma^(-1) != sigma; one test, the fields in a loop
+    for p, m in [(2, 1), (5, 1), (2, 3), (3, 2), (7, 3)]:
+        field = field_new(p, m)
+        rng = np.random.default_rng(42 + 10 * p + m)
+        for _ in range(100):
+            g = int(rng.integers(1, 7))
+            dm = assemble_dm(random_hw_triple(field, g, rng))
+            full_F, full_V = full_fv_matrices(dm)
+            assert final_type_from_AF(dm.A_F, dm.gram, field) == \
+                final_type_from_FV(full_F, full_V, field)
 
 
 def test_path_agreement_enumeration():

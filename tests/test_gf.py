@@ -6,6 +6,7 @@ from conftest import matmul_oracle, mul_outer_oracle, scale_by_inverse_oracle
 
 import eotypes.gf as gf
 import eotypes.polyring as polyring
+import eotypes.semilinear as semilinear
 from eotypes import (ConstraintError, CurveCI, GradedPoly, SingularCurveError, classify,
                      field_new, frobenius, hw_triple, monomial_basis)
 from eotypes.gf import is_prime
@@ -398,11 +399,22 @@ def test_prime_field_codes_invert_without_products(monkeypatch):
     assert np.all(mul(codes, np.array(inverses)) == 1)
 
 
-# Default moduli of every other (p, m) the tests build; DEFAULT_MODULI holds
-# the benchmark's.
-MORE_DEFAULT_MODULI = {(101, 3): (1, 1, 0, 1), (251, 2): (1, 0, 1), (257, 2): (3, 0, 1),
-                       (32749, 2): (2, 0, 1), (65521, 2): (17, 0, 1),
-                       (1048573, 2): (2, 0, 1), (1048573, 3): (2, 0, 0, 1)}
+# Default moduli of every other (p, m) the tests build, and of a wider range
+# recorded before the search ranked sigma - 1 with GF(p) arithmetic;
+# DEFAULT_MODULI holds the benchmark's.
+MORE_DEFAULT_MODULI = {
+    (101, 3): (1, 1, 0, 1), (251, 2): (1, 0, 1), (257, 2): (3, 0, 1),
+    (32749, 2): (2, 0, 1), (65521, 2): (17, 0, 1),
+    (1048573, 2): (2, 0, 1), (1048573, 3): (2, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1) + (0,) * 7 + (1,), (2, 10): (1, 0, 0, 1) + (0,) * 6 + (1,),
+    (2, 11): (1, 0, 1) + (0,) * 8 + (1,), (2, 12): (1, 0, 0, 1) + (0,) * 8 + (1,),
+    (2, 40): (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,),
+    (3, 4): (2, 1, 0, 0, 1), (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1), (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1), (7, 4): (1, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1), (13, 3): (2, 0, 0, 1), (101, 2): (2, 0, 1)}
 
 
 @pytest.mark.parametrize("p,m", sorted(MORE_DEFAULT_MODULI))
@@ -422,3 +434,20 @@ def test_extension_field_builds_no_prime_field(monkeypatch):
     monkeypatch.setattr(gf.GF, "__init__", spy)
     assert field_new(65521, 2).modulus == (17, 0, 1)
     assert built == [(65521, 2)]
+
+
+def test_default_modulus_search_ranks_over_the_prime_field(monkeypatch):
+    # sigma - 1 is a matrix over GF(p): every rank the search takes runs
+    # with one-digit arithmetic, in one prime field for the whole search
+    ranked = []
+    rank = semilinear.rank
+
+    def spy(field, M):
+        ranked.append(field)
+        return rank(field, M)
+
+    monkeypatch.setattr(semilinear, "rank", spy)
+    assert field_new(3, 8).modulus == MORE_DEFAULT_MODULI[3, 8]
+    assert len(ranked) > 1
+    assert all(field is ranked[0] for field in ranked)
+    assert (ranked[0].p, ranked[0].m, ranked[0].q) == (3, 1, 3)

@@ -628,9 +628,10 @@ def test_linear_algebra_budget_sizes_the_matrices_it_guards(monkeypatch, F5, ci_
     estimated, reduced = [], []
     monkeypatch.setattr(hwtriple, "linalg_work_bytes",
                         lambda field, nvars, rows, cols: estimated.append((rows, cols)) or 0)
-    for name in ("null_space", "rank"):
-        original = getattr(hwtriple, name)
-        monkeypatch.setattr(hwtriple, name, lambda field, M, original=original:
+    for owner, name in ((hwtriple, "null_space"), (hwtriple, "rank"),
+                        (hwtriple.Subspace, "kernel")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda field, M, original=original:
                             reduced.append(np.shape(M)) or original(field, M))
     plane = fermat_curve(F5, 4)
     plane_smoothness_check(plane)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import independent_subset_oracle, rref_oracle
+from conftest import rref_oracle
 
 from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, Subspace,
-                     TwistedMap, field_new, independent_subset, monomial_basis,
+                     TwistedMap, field_new, monomial_basis,
                      null_space, plane_curve, rank, rref, solve_matrix, standard_gram,
                      symplectic_perp, twisted_image, twisted_kernel, twisted_preimage)
 from eotypes.golden import GOLDEN_HW
@@ -113,33 +113,28 @@ def test_solve_matrix(F5):
         solve_matrix(F5, A2, np.array([1, 2]))
 
 
-def test_independent_subset_input_order(F5):
-    vecs = np.array([[0, 0, 0], [1, 2, 0], [2, 4, 0], [0, 1, 1]])
-    kept, rows, span = independent_subset(F5, vecs)
-    assert kept == [1, 3]
-    assert span.dim == 2
-
-
-SUBSET_FIELDS = [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)]
-
-
-@pytest.mark.parametrize("p,m", SUBSET_FIELDS)
-def test_independent_subset_matches_oracle(p, m):
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)])
+def test_kernel_and_twist_need_no_second_reduction(p, m):
+    # null_space reads its basis off one reduction of M, Subspace.kernel
+    # keeps that basis's pivots and Subspace.twist keeps them through sigma:
+    # reducing either basis again (rref_oracle) changes neither rows nor
+    # pivots.
     F = field_new(p, m)
     rng = np.random.default_rng(p * 10 + m)
     for _ in range(30):
         n, k = (int(x) for x in rng.integers(1, 8, 2))
         r = int(rng.integers(1, min(n, k) + 1))
         low_rank = F.matmul(F.random_elements(rng, (k, r)), F.random_elements(rng, (r, n)))
-        for V in (F.random_elements(rng, (k, n)), low_rank,
-                  np.vstack([low_rank, low_rank[::-1]]), np.zeros((k, n), np.int64),
-                  np.insert(low_rank, int(rng.integers(0, k + 1)), 0, axis=0)):
-            kept, rows, span = independent_subset(F, V)
-            assert kept == independent_subset_oracle(F, V)
-            assert np.array_equal(rows, V[kept])
-            R, pivots = rref_oracle(F, V[kept].reshape(-1, n))
-            assert np.array_equal(span.rows, R) and span.pivots == pivots
-            assert span.ambient == n
+        for M in (F.random_elements(rng, (k, n)), low_rank, np.zeros((k, n), np.int64)):
+            W = Subspace.kernel(F, M)
+            assert W.ambient == n and W.dim == n - rank(F, M)
+            assert not F.matmul(M, W.rows.T).any()
+            assert np.array_equal(W.rows, null_space(F, M))
+            for k_twist in (0, 1, -1):
+                V = W.twist(k_twist)
+                R, pivots = rref_oracle(F, V.rows.reshape(-1, n))
+                assert np.array_equal(V.rows, R) and V.pivots == pivots
+                assert np.array_equal(V.rows, F.frob(W.rows, k_twist))
 
 
 def test_subspace_queries_on_rows(F9):
