@@ -4,7 +4,8 @@ as an independent classification oracle.
 
 Basis convention for the 2g-dimensional module: e_1..e_g followed by the dual
 basis in reversed order (dual of e_g first), with the standard alternating
-form (0 J; -J 0), J the anti-diagonal of ones.
+form (0 J; -J 0), J the anti-diagonal of ones. It is the one form: no
+function takes another, and ``semilinear.standard_gram`` builds its matrix.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .semilinear import (Subspace, TwistedMap, null_space, rank, rref,
 
 class PolarizedDM:
     """2g-dimensional module with Frobenius matrix A_F on the first-half
-    coordinates, over the standard alternating form. F is zero on the second
-    half, so the forced V has Ker V = (Im F)^perp; the data is a module iff
-    the columns of A_F are independent and span an isotropic space."""
+    coordinates, over the standard form. F is zero on the second half, so
+    the forced V has Ker V = (Im F)^perp; the data is a module iff the
+    columns of A_F are independent and span an isotropic space (checked here)."""
 
-    __slots__ = ("field", "g", "A_F", "gram")
+    __slots__ = ("field", "g", "A_F")
 
     def __init__(self, field: GF, A_F):
         A_F = np.asarray(A_F, DTYPE)
@@ -34,14 +35,13 @@ class PolarizedDM:
         g = A_F.shape[1]
         if rank(field, A_F) != g:
             raise ConstraintError("Frobenius block has dependent columns")
-        # A_F^T gram A_F = U^T J L - (U^T J L)^T for the halves U, L of A_F
+        # A_F^T G A_F = U^T J L - (U^T J L)^T for the halves U, L of A_F
         form = field.matmul(A_F[:g].T, A_F[g:][::-1])
         if not np.array_equal(form, form.T):
             raise ConstraintError("the image of the Frobenius block is not isotropic")
         self.field = field
         self.g = g
         self.A_F = A_F
-        self.gram = standard_gram(field, g)
 
     def __repr__(self):
         return f"PolarizedDM(g={self.g}, {self.field!r})"
@@ -93,25 +93,23 @@ def full_fv_matrices(dm: PolarizedDM):
     return full_F, field.frob(V, -1)
 
 
-def validate_dm(full_F, full_V, gram, field: GF):
-    """Check the module axioms; returns the list of violated ones."""
+def validate_dm(full_F, full_V, field: GF):
+    """Check the module axioms under the standard form; returns the list of
+    violated ones. An odd dimension raises ConstraintError."""
     full_F = np.asarray(full_F, DTYPE)
     full_V = np.asarray(full_V, DTYPE)
-    gram = np.asarray(gram, DTYPE)
     n = full_F.shape[0]
-    violations = []
-    if (not np.array_equal(gram, field.neg(gram.T))) or np.diagonal(gram).any():
-        violations.append("form not alternating")
-    if rank(field, gram) != n:
-        violations.append("form degenerate")
-    violations += validate_unpolarized(full_F, full_V, field)
+    if n % 2:
+        raise ConstraintError(f"the standard form needs an even dimension, got {n}")
+    gram = standard_gram(field, n // 2)
+    violations = validate_unpolarized(full_F, full_V, field)
     lhs = field.matmul(full_F.T, gram)
     rhs = field.frob(field.matmul(gram, full_V), 1)
     if not np.array_equal(lhs, rhs):
         violations.append("b(Fx,y) != b(x,Vy)^p")
     for name, ker in (("Ker F", twisted_kernel(TwistedMap(field, full_F, 1))),
                       ("Ker V", twisted_kernel(TwistedMap(field, full_V, -1)))):
-        if 2 * ker.dim != n or not ker.is_subspace_of(symplectic_perp(ker, gram)):
+        if 2 * ker.dim != n or not ker.is_subspace_of(symplectic_perp(ker)):
             violations.append(f"{name} not maximal isotropic")
     return violations
 
@@ -134,14 +132,14 @@ def validate_unpolarized(full_F, full_V, field: GF):
     return violations
 
 
-def dm_to_hw(full_F, full_V, gram, field: GF) -> HWTriple:
-    """Reverse construction: quotient by Ker F with the echelon-complement
-    section, the induced operator, and pairing against Frobenius values."""
-    violations = validate_dm(full_F, full_V, gram, field)
+def dm_to_hw(full_F, full_V, field: GF) -> HWTriple:
+    """Reverse construction under the standard form: quotient by Ker F with
+    the echelon-complement section, the induced operator, and pairing
+    against Frobenius values; ConstraintError where validate_dm objects."""
+    violations = validate_dm(full_F, full_V, field)
     if violations:
         raise ConstraintError(f"module axioms violated: {violations}")
     full_F = np.asarray(full_F, DTYPE)
-    gram = np.asarray(gram, DTYPE)
     n = full_F.shape[0]
     ker = twisted_kernel(TwistedMap(field, full_F, 1))
     comp = [i for i in range(n) if i not in ker.pivots]
@@ -151,6 +149,7 @@ def dm_to_hw(full_F, full_V, gram, field: GF) -> HWTriple:
     # lifts of the twisted-kernel vectors' sigma-images, one per column
     lift = np.zeros((n, kappa.shape[0]), DTYPE)
     lift[comp] = kappa.T
+    gram = standard_gram(field, n // 2)
     A_psi = field.matmul(gram, field.matmul(full_F, lift))[comp]
     return HWTriple(field, g, A_phi, kappa, A_psi)
 
@@ -204,8 +203,8 @@ def standard_module(word, field: GF, a=None):
     q = len(word)
     if a is None:
         a = [1] * q
-    a = [int(c) % field.q for c in a]  # entries are field codes
-    if len(a) != q or any(c == 0 for c in a):
+    a = [int(c) for c in a]  # entries are field codes
+    if len(a) != q or any(not 0 < c < field.q for c in a):
         raise ConstraintError("coefficients must be nonzero field codes, one per letter")
     F = np.zeros((q, q), DTYPE)
     V = np.zeros((q, q), DTYPE)

@@ -143,16 +143,13 @@ def _fill_by_dichotomy(f, n):
     return [out[k] for k in range(n + 1)]
 
 
-def final_type_from_AF(A_F, gram, field: GF) -> FinalType:
-    """Table algorithm on the Frobenius block: grow bases at known flag
-    dimensions, record image ranks, store each image's reduced basis and
-    its perpendicular, then interpolate (F(W) is spanned by F of any basis)."""
-    A_F = np.asarray(A_F, DTYPE)
-    n, g = A_F.shape
-    if n != 2 * g:
-        raise ConstraintError("Frobenius block must be 2g x g")
-    if rank(field, A_F) != g:
-        raise ConstraintError("invalid Dieudonne data: dependent columns")
+def final_type_from_AF(dm: PolarizedDM) -> FinalType:
+    """Table algorithm on the Frobenius block of a module, whose construction
+    checked its shape and rank: grow bases at known flag dimensions, record
+    image ranks, store each image's reduced basis and its perpendicular under
+    the standard form, then interpolate (F(W) is spanned by F of any basis)."""
+    field, g, A_F = dm.field, dm.g, dm.A_F
+    n = 2 * g
     basis = {
         0: np.zeros((0, n), DTYPE),
         g: A_F.T.copy(),
@@ -170,7 +167,7 @@ def final_type_from_AF(A_F, gram, field: GF) -> FinalType:
         if fi not in basis:
             basis[fi] = span.rows
             if 2 * g - fi not in basis:
-                basis[2 * g - fi] = symplectic_perp(span, gram).rows
+                basis[2 * g - fi] = symplectic_perp(span).rows
     return FinalType(_fill_by_dichotomy(f, 2 * g))
 
 
@@ -295,7 +292,7 @@ def classify(obj) -> EOResult:
     if isinstance(obj, HWTriple):
         return _classify_triple(obj)
     if isinstance(obj, PolarizedDM):
-        return _result_from_final_type(final_type_from_AF(obj.A_F, obj.gram, obj.field))
+        return _result_from_final_type(final_type_from_AF(obj))
     raise ConstraintError(f"cannot classify an object of type {type(obj).__name__}")
 
 

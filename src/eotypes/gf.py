@@ -376,7 +376,11 @@ class GF:
         return FieldElem(self, self.from_int(value))
 
     def element_from_code(self, code: int) -> "FieldElem":
-        return FieldElem(self, int(code) % self.q)
+        """Refuse a code outside [0, q): mod q it names another element."""
+        code = int(code)
+        if not 0 <= code < self.q:
+            raise ConstraintError(f"field code {code} is outside [0, {self.q})")
+        return FieldElem(self, code)
 
     def __eq__(self, other):
         return (isinstance(other, GF) and self.p == other.p

@@ -258,28 +258,17 @@ def twisted_preimage(f: TwistedMap, W: Subspace) -> Subspace:
     return Subspace.kernel(f.field, constraints).twist(-f.twist)
 
 
-def check_alternating(field: GF, gram) -> None:
-    gram = np.asarray(gram, DTYPE)
-    if gram.shape[0] != gram.shape[1]:
-        raise ConstraintError("gram matrix must be square")
-    if not np.array_equal(gram, field.neg(gram.T)) or np.diagonal(gram).any():
-        raise ConstraintError("gram matrix is not alternating")
-    if rank(field, gram) != gram.shape[0]:
-        raise ConstraintError("gram matrix is singular")
-
-
-def symplectic_perp(W: Subspace, gram) -> Subspace:
-    """{x : b(x, w) = 0 for all w in W} for b(x, y) = x^T gram y."""
-    field = W.field
-    check_alternating(field, gram)
-    gram = np.asarray(gram, DTYPE)
-    if W.ambient != gram.shape[0]:
-        raise ConstraintError("subspace ambient does not match gram size")
-    return Subspace.kernel(field, field.matmul(W.rows, gram.T))
+def symplectic_perp(W: Subspace) -> Subspace:
+    """{x : b(x, w) = 0 for all w in W} for the standard form
+    b(x, y) = x^T G y, G = standard_gram: the kernel of W G^T."""
+    if W.ambient % 2:
+        raise ConstraintError("the standard form needs an even ambient dimension")
+    gram = standard_gram(W.field, W.ambient // 2)
+    return Subspace.kernel(W.field, W.field.matmul(W.rows, gram.T))
 
 
 def standard_gram(field: GF, g: int):
-    """Block form (0 J; -J 0) with J the g x g anti-diagonal of ones."""
+    """The one form: (0 J; -J 0), J the g x g anti-diagonal of ones."""
     J = np.eye(g, dtype=DTYPE)[::-1]
     gram = np.zeros((2 * g, 2 * g), DTYPE)
     gram[:g, g:] = J

@@ -36,7 +36,7 @@ def test_full_fv_golden(golden_triple):
     assert full_F[:, :3].tolist() == GOLDEN_AF
     assert not full_F[:, 3:].any()
     assert full_V.tolist() == GOLDEN_V
-    assert validate_dm(full_F, full_V, dm.gram, dm.field) == []
+    assert validate_dm(full_F, full_V, dm.field) == []
 
 
 def test_validate_dm_detects_violations(F5, golden_triple):
@@ -45,43 +45,49 @@ def test_validate_dm_detects_violations(F5, golden_triple):
     # single-entry perturbation breaks the pairing identity
     bad_V = full_V.copy()
     bad_V[4, 2] = (bad_V[4, 2] + 1) % 5
-    assert "b(Fx,y) != b(x,Vy)^p" in validate_dm(full_F, bad_V, dm.gram, F5)
+    assert "b(Fx,y) != b(x,Vy)^p" in validate_dm(full_F, bad_V, F5)
     # zero V against an invertible block breaks the kernel-image axiom
-    viol = validate_dm(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int),
-                       standard_gram(F5, 1), F5)
+    viol = validate_dm(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int), F5)
     assert "Ker F != Im V" in viol
 
 
 def test_dm_to_hw_roundtrip_golden(F5, golden_triple):
     dm = assemble_dm(golden_triple)
     full_F, full_V = full_fv_matrices(dm)
-    t2 = dm_to_hw(full_F, full_V, dm.gram, F5)
+    t2 = dm_to_hw(full_F, full_V, F5)
     assert classify(t2).weyl == classify(golden_triple).weyl
 
 
 def test_dm_to_hw_g1_standard_modules(F5):
-    # the self-paired supersingular cycle needs a polarization constant with
-    # beta^(p-1) = -1, which only exists in the quadratic extension
+    # the self-paired supersingular cycle carries the standard form when its
+    # coefficients multiply to -1 (code 4 is -1 in GF(25))
     F25 = field_new(5, 2)
-    beta = next(c for c in range(1, 25)
-                if int(F25.pow_int(np.asarray(c), 4)) == F25.from_int(-1))
-    gram = np.array([[0, beta], [int(F25.neg(np.asarray(beta))), 0]])
-    Fs, Vs = standard_module(("F", "V"), F25)
-    assert validate_dm(Fs, Vs, gram, F25) == []
-    t = dm_to_hw(Fs, Vs, gram, F25)
+    Fs, Vs = standard_module(("F", "V"), F25, a=[1, 4])
+    assert validate_dm(Fs, Vs, F25) == []
+    t = dm_to_hw(Fs, Vs, F25)
     assert t.A_phi.tolist() == [[0]] and t.h == 1 and t.A_psi.shape == (1, 1)
     assert t.A_psi[0, 0] != 0
     # the ordinary dual pair carries the standard form as-is
     Ford = _block_diag([standard_module(("F",), F5)[0], standard_module(("V",), F5)[0]])
     Vord = _block_diag([standard_module(("F",), F5)[1], standard_module(("V",), F5)[1]])
-    t2 = dm_to_hw(Ford, Vord, standard_gram(F5, 1), F5)
+    t2 = dm_to_hw(Ford, Vord, F5)
     assert t2.h == 0 and t2.A_phi[0, 0] != 0
 
 
 def test_dm_to_hw_rejects_invalid(F5):
     with pytest.raises(ConstraintError):
-        dm_to_hw(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int),
-                 standard_gram(F5, 1), F5)
+        dm_to_hw(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int), F5)
+
+
+def test_odd_ambient_dimension_refused(F5):
+    """The standard form exists only in even dimension: the perpendicular,
+    the module axioms and the reverse construction all refuse an odd one."""
+    with pytest.raises(ConstraintError, match="even"):
+        symplectic_perp(Subspace.span(F5, np.array([[1, 0, 0]])))
+    F, V = np.eye(3, dtype=int), np.zeros((3, 3), int)
+    for check in (validate_dm, dm_to_hw):
+        with pytest.raises(ConstraintError, match="even"):
+            check(F, V, F5)
 
 
 def test_standard_module_fixtures(F5):
@@ -94,6 +100,14 @@ def test_standard_module_fixtures(F5):
     assert Fo.tolist() == [[1]] and Vo.tolist() == [[0]]
     with pytest.raises(ConstraintError):
         standard_module(("F", "V"), F5, a=[1, 0])
+
+
+def test_standard_module_refuses_codes_outside_the_field():
+    # taken mod 25, -1 would be code 24 and 26 would be 1, neither of them -1
+    F25 = field_new(5, 2)
+    for a in ([1, -1], [1, 26], [1, 25]):
+        with pytest.raises(ConstraintError):
+            standard_module(("F", "V"), F25, a=a)
 
 
 def test_standard_module_extension_twist():
@@ -139,8 +153,8 @@ def test_roundtrip_property_random(F5):
         t = random_hw_triple(F5, g, rng)
         dm = assemble_dm(t)
         full_F, full_V = full_fv_matrices(dm)
-        assert validate_dm(full_F, full_V, dm.gram, F5) == []
-        t2 = dm_to_hw(full_F, full_V, dm.gram, F5)
+        assert validate_dm(full_F, full_V, F5) == []
+        t2 = dm_to_hw(full_F, full_V, F5)
         assert classify(t2).weyl == classify(t).weyl
 
 
@@ -162,7 +176,7 @@ def test_assembled_image_isotropic(F5):
         dm = assemble_dm(t)
         assert rank(F5, dm.A_F) == g
         image = Subspace.span(F5, dm.A_F.T, ambient=2 * g)
-        assert image.is_subspace_of(symplectic_perp(image, dm.gram))
+        assert image.is_subspace_of(symplectic_perp(image))
 
 
 def test_polarized_dm_rejects_dependent_columns(F5):

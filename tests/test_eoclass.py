@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from collections import deque
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from conftest import fermat_final_type, fermat_form, substituted_form
 
 from eotypes import (ConstraintError, CurveCI, EOResult, FinalType, GradedPoly, HWTriple,
-                     InternalInvariantError, SingularCurveError, WeylCoset, assemble_dm,
-                     classify, enumerate_polarized_dms, field_new, final_type_from_AF,
+                     InternalInvariantError, PolarizedDM, SingularCurveError, WeylCoset,
+                     assemble_dm, classify, enumerate_polarized_dms, field_new, final_type_from_AF,
                      final_type_from_FV, full_fv_matrices,
                      hw_triple, invariants_from_weyl, monomial_basis, ordinary_result,
                      plane_curve, random_hw_triple, rank, stable_rank, standard_module,
                      superspecial_result, weyl_from_final_type, weyl_word)
+from eotypes import dieudonne, semilinear
 from eotypes.dieudonne import _block_diag
 from eotypes.eoclass import final_type_from_weyl
 from eotypes.golden import (GOLDEN_FINAL_TYPE, GOLDEN_INVARIANTS, GOLDEN_WEYL,
@@ -25,7 +27,7 @@ def coset_from_module(mod, field):
 
 def test_final_type_golden(F5, golden_triple):
     dm = assemble_dm(golden_triple)
-    ft = final_type_from_AF(dm.A_F, dm.gram, F5)
+    ft = final_type_from_AF(dm)
     assert ft.values == GOLDEN_FINAL_TYPE
     full_F, full_V = full_fv_matrices(dm)
     assert final_type_from_FV(full_F, full_V, F5) == ft
@@ -35,11 +37,11 @@ def test_final_type_extremes(F5):
     A_phi = np.array([[1, 2], [0, 3]])
     to = HWTriple(F5, 2, A_phi, np.zeros((0, 2), int), np.zeros((2, 0), int))
     dmo = assemble_dm(to)
-    assert final_type_from_AF(dmo.A_F, dmo.gram, F5).values == (0, 1, 2, 2, 2)
+    assert final_type_from_AF(dmo).values == (0, 1, 2, 2, 2)
     ts = HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int),
                   np.array([[1, 0], [0, 1]]))
     dms = assemble_dm(ts)
-    assert final_type_from_AF(dms.A_F, dms.gram, F5).values == (0, 0, 0, 1, 2)
+    assert final_type_from_AF(dms).values == (0, 0, 0, 1, 2)
 
 
 def test_final_type_g1_standard_modules(F5):
@@ -60,9 +62,33 @@ def test_final_type_validation():
 
 
 def test_final_type_from_AF_rejects_dependent_columns(F5):
-    from eotypes import standard_gram
+    # the module type carries the rank check final_type_from_AF relies on
     with pytest.raises(ConstraintError):
-        final_type_from_AF(np.zeros((4, 2), int), standard_gram(F5, 2), F5)
+        final_type_from_AF(PolarizedDM(F5, np.zeros((4, 2), int)))
+
+
+def test_classify_rechecks_nothing_its_module_checked(golden_triple, monkeypatch):
+    """classify ranks A_F once, when the module is built, and reduces no
+    2g x 2g matrix: nothing ranks the standard form. Every module's own
+    binding of rref is spied on, so direct calls are seen too."""
+    real = semilinear.rref
+    reduced = []
+
+    def spy(field, M, *args, **kwargs):
+        reduced.append((np.array(M), kwargs.get("_reduced", True)))
+        return real(field, M, *args, **kwargs)
+
+    bindings = [m for name, m in sys.modules.items()
+                if name.startswith("eotypes") and getattr(m, "rref", None) is real]
+    assert {semilinear, dieudonne} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "rref", spy)
+    A_F = assemble_dm(golden_triple).A_F
+    reduced.clear()
+    assert classify(golden_triple).weyl.one_line == GOLDEN_WEYL
+    ranks_of_A_F = [full for M, full in reduced if np.array_equal(M, A_F)]
+    assert ranks_of_A_F == [False]
+    assert all(M.shape != (6, 6) for M, _ in reduced)
 
 
 def test_weyl_fixtures():
@@ -140,7 +166,7 @@ def test_path_agreement_random():
             g = int(rng.integers(1, 7))
             dm = assemble_dm(random_hw_triple(field, g, rng))
             full_F, full_V = full_fv_matrices(dm)
-            assert final_type_from_AF(dm.A_F, dm.gram, field) == \
+            assert final_type_from_AF(dm) == \
                 final_type_from_FV(full_F, full_V, field)
 
 

@@ -212,6 +212,14 @@ def test_field_elem_wrappers(F4):
         t + field_new(5)(1)
 
 
+def test_element_from_code_refuses_codes_outside_the_field(F4):
+    # taken mod 4, -1 would be code 3 = 1 + t, while -1 = 1 in GF(4)
+    assert F4(-1) == F4.element_from_code(1) != F4.element_from_code(3)
+    for code in (-1, 4, 5):
+        with pytest.raises(ConstraintError):
+            F4.element_from_code(code)
+
+
 def test_scale_int_broadcast(F9):
     rng = np.random.default_rng(0)
     a = F9.random_elements(rng, (6,))

@@ -344,7 +344,7 @@ def test_extension_field_curve_pipeline(F9):
         res = classify(t)
         dm = assemble_dm(t)
         full_F, full_V = full_fv_matrices(dm)
-        assert final_type_from_AF(dm.A_F, dm.gram, F9) == \
+        assert final_type_from_AF(dm) == \
             final_type_from_FV(full_F, full_V, F9) == res.final_type
         tags.append(t.fast_tag)
     assert "interesting" in tags

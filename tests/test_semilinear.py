@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from conftest import rref_oracle
 
-from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, Subspace,
+from eotypes import (GradedPoly, InternalInvariantError, Subspace,
                      TwistedMap, field_new, monomial_basis,
-                     null_space, plane_curve, rank, rref, solve_matrix, standard_gram,
+                     null_space, plane_curve, rank, rref, solve_matrix,
                      symplectic_perp, twisted_image, twisted_kernel, twisted_preimage)
 from eotypes.golden import GOLDEN_HW
 from eotypes.hwtriple import _derivative_matrix
@@ -36,35 +36,25 @@ def test_twisted_preimage_fixtures(F5):
 
 
 def test_perp_fixtures(F5):
-    gram = standard_gram(F5, 3)
     lagrangian = Subspace.span(F5, np.eye(6, dtype=int)[:3])
-    assert symplectic_perp(lagrangian, gram) == lagrangian
-    assert symplectic_perp(Subspace.full(F5, 6), gram).dim == 0
+    assert symplectic_perp(lagrangian) == lagrangian
+    assert symplectic_perp(Subspace.full(F5, 6)).dim == 0
     W = Subspace.span(F5, np.array([[0, 0, 0, 4, 0, 3]]))
-    P = symplectic_perp(W, gram)
+    P = symplectic_perp(W)
     assert P.dim == 5
     for row in P.rows:
         assert (3 * row[0] + 4 * row[2]) % 5 == 0
-
-
-def test_perp_rejects_bad_gram(F5):
-    W = Subspace.span(F5, np.array([[1, 0]]))
-    with pytest.raises(ConstraintError):
-        symplectic_perp(W, np.zeros((2, 2), int))  # singular
-    with pytest.raises(ConstraintError):
-        symplectic_perp(W, np.eye(2, dtype=int))  # not alternating
 
 
 def test_perp_involution_and_rank_nullity_random(F9):
     rng = np.random.default_rng(7)
     for _ in range(100):
         g = int(rng.integers(1, 5))
-        gram = standard_gram(F9, g)
         k = int(rng.integers(0, 2 * g + 1))
         W = Subspace.span(F9, F9.random_elements(rng, (k, 2 * g)), ambient=2 * g)
-        again = symplectic_perp(symplectic_perp(W, gram), gram)
+        again = symplectic_perp(symplectic_perp(W))
         assert again == W
-        assert W.dim + symplectic_perp(W, gram).dim == 2 * g
+        assert W.dim + symplectic_perp(W).dim == 2 * g
         M = F9.random_elements(rng, (2 * g, 2 * g))
         tw = int(rng.integers(-1, 2))
         f = TwistedMap(F9, M, tw)
@@ -170,8 +160,7 @@ def test_zero_subspace(F9):
     f = TwistedMap(F9, F9.random_elements(rng, (4, 3)), 1)
     assert twisted_image(f, Z) == Subspace.zero(F9, 4)
     assert twisted_preimage(f, Subspace.zero(F9, 4)) == twisted_kernel(f)
-    gram = standard_gram(F9, 2)
-    assert symplectic_perp(Subspace.zero(F9, 4), gram) == Subspace.full(F9, 4)
+    assert symplectic_perp(Subspace.zero(F9, 4)) == Subspace.full(F9, 4)
 
 
 def test_subspace_membership_and_coords(F5):
