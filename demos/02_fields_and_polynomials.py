@@ -3,14 +3,14 @@ homogeneous polynomials, and classes in the negatively graded dual module."""
 
 import numpy as np
 
-from eotypes import (GradedPoly, TClass, field_new, frobenius, poly_pow,
+from eotypes import (GradedPoly, TClass, field_new, poly_pow,
                      partial_derivative, t_multiply)
 
 # prime and extension fields; elements are integer codes
 F4 = field_new(2, 2)
 print("GF(4) with modulus", F4.modulus)
 t = F4.element_from_code(2)
-print("generator t, t^2 =", (t * t).coeffs, " frobenius(t) =", frobenius(t).coeffs)
+print("generator t, t^2 =", (t * t).coeffs, " frobenius(t) =", t.frobenius().coeffs)
 
 F9 = field_new(3, 2)
 rng = np.random.default_rng(0)

@@ -1,8 +1,7 @@
 """A genus-4 curve in P^3: the intersection of a quadric and a cubic,
 handled by the general complete-intersection path."""
 
-from eotypes import (CurveCI, GradedPoly, ci_q_basis, classify, field_new,
-                     genus, hw_triple, u_generator)
+from eotypes import CurveCI, GradedPoly, classify, field_new, genus, hw_triple
 
 F5 = field_new(5)
 quadric = GradedPoly.from_terms(
@@ -13,8 +12,8 @@ curve = CurveCI(F5, [quadric, cubic])
 
 print("curve:", curve)
 print("genus:", genus(curve))
-print("dim of the dual-class space:", ci_q_basis(curve).dim)
-u = u_generator(curve)
+print("dim of the dual-class space:", curve.q_basis.dim)
+u = curve.u
 print("relation-space generator has", len(u), "components, degrees",
       [c.degree for c in u])
 

@@ -100,11 +100,6 @@ def _parse_terms(text: str, nvars: int) -> dict:
     return terms
 
 
-def render_poly(poly: GradedPoly) -> str:
-    """Canonical renderer; parse_poly(render_poly(f)) == f."""
-    return str(poly)
-
-
 # -- reports ------------------------------------------------------------------
 
 _REPORT_FIELDS = {

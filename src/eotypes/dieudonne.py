@@ -96,60 +96,60 @@ def full_fv_matrices(dm: PolarizedDM):
 def validate_dm(full_F, full_V, field: GF):
     """Check the module axioms under the standard form; returns the list of
     violated ones. An odd dimension raises ConstraintError."""
-    full_F = np.asarray(full_F, DTYPE)
-    full_V = np.asarray(full_V, DTYPE)
-    n = full_F.shape[0]
-    if n % 2:
-        raise ConstraintError(f"the standard form needs an even dimension, got {n}")
-    gram = standard_gram(field, n // 2)
-    violations = validate_unpolarized(full_F, full_V, field)
-    lhs = field.matmul(full_F.T, gram)
-    rhs = field.frob(field.matmul(gram, full_V), 1)
-    if not np.array_equal(lhs, rhs):
-        violations.append("b(Fx,y) != b(x,Vy)^p")
-    for name, ker in (("Ker F", twisted_kernel(TwistedMap(field, full_F, 1))),
-                      ("Ker V", twisted_kernel(TwistedMap(field, full_V, -1)))):
-        if 2 * ker.dim != n or not ker.is_subspace_of(symplectic_perp(ker)):
-            violations.append(f"{name} not maximal isotropic")
-    return violations
+    return _axioms(full_F, full_V, field, polarized=True)[0]
 
 
 def validate_unpolarized(full_F, full_V, field: GF):
     """Kernel-image axioms only, for modules carried without a form (the
     cyclic standard modules are classified through F and V alone); the
     first of validate_dm's checks on a polarized module."""
-    full_F = np.asarray(full_F, DTYPE)
-    full_V = np.asarray(full_V, DTYPE)
+    return _axioms(full_F, full_V, field, polarized=False)[0]
+
+
+def _axioms(full_F, full_V, field: GF, polarized: bool):
+    """(violations, Ker F): the kernel-image axioms and, if polarized, those
+    of the standard form. Each kernel is reduced once, and dm_to_hw reuses
+    Ker F."""
+    full_F, full_V = np.asarray(full_F, DTYPE), np.asarray(full_V, DTYPE)
     n = full_F.shape[0]
-    fmap = TwistedMap(field, full_F, 1)
-    vmap = TwistedMap(field, full_V, -1)
+    if polarized and n % 2:
+        raise ConstraintError(f"the standard form needs an even dimension, got {n}")
+    fmap, vmap = TwistedMap(field, full_F, 1), TwistedMap(field, full_V, -1)
+    kers = {"Ker F": twisted_kernel(fmap), "Ker V": twisted_kernel(vmap)}
     full = Subspace.full(field, n)
     violations = []
-    if twisted_kernel(fmap) != twisted_image(vmap, full):
+    if kers["Ker F"] != twisted_image(vmap, full):
         violations.append("Ker F != Im V")
-    if twisted_kernel(vmap) != twisted_image(fmap, full):
+    if kers["Ker V"] != twisted_image(fmap, full):
         violations.append("Ker V != Im F")
-    return violations
+    if polarized:
+        gram = standard_gram(field, n // 2)
+        lhs = field.matmul(full_F.T, gram)
+        rhs = field.frob(field.matmul(gram, full_V), 1)
+        if not np.array_equal(lhs, rhs):
+            violations.append("b(Fx,y) != b(x,Vy)^p")
+        for name, ker in kers.items():
+            if 2 * ker.dim != n or not ker.is_subspace_of(symplectic_perp(ker)):
+                violations.append(f"{name} not maximal isotropic")
+    return violations, kers["Ker F"]
 
 
 def dm_to_hw(full_F, full_V, field: GF) -> HWTriple:
     """Reverse construction under the standard form: quotient by Ker F with
     the echelon-complement section, the induced operator, and pairing
     against Frobenius values; ConstraintError where validate_dm objects."""
-    violations = validate_dm(full_F, full_V, field)
+    violations, ker = _axioms(full_F, full_V, field, polarized=True)
     if violations:
         raise ConstraintError(f"module axioms violated: {violations}")
     full_F = np.asarray(full_F, DTYPE)
-    n = full_F.shape[0]
-    ker = twisted_kernel(TwistedMap(field, full_F, 1))
-    comp = [i for i in range(n) if i not in ker.pivots]
+    comp = [i for i in range(ker.ambient) if i not in ker.pivots]
     g = len(comp)
     A_phi = ker.reduce(full_F[:, comp].T)[:, comp].T
     kappa = null_space(field, A_phi)
     # lifts of the twisted-kernel vectors' sigma-images, one per column
-    lift = np.zeros((n, kappa.shape[0]), DTYPE)
+    lift = np.zeros((ker.ambient, kappa.shape[0]), DTYPE)
     lift[comp] = kappa.T
-    gram = standard_gram(field, n // 2)
+    gram = standard_gram(field, g)
     A_psi = field.matmul(gram, field.matmul(full_F, lift))[comp]
     return HWTriple(field, g, A_phi, kappa, A_psi)
 

@@ -386,9 +386,6 @@ class GF:
         return (isinstance(other, GF) and self.p == other.p
                 and self.m == other.m and self.modulus == other.modulus)
 
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
     def __repr__(self):
         if self.m == 1:
             return f"GF({self.p})"
@@ -429,9 +426,6 @@ class FieldElem:
     def __sub__(self, other):
         return FieldElem(self.field, int(self.field.sub(self.code, self._coerce(other))))
 
-    def __rsub__(self, other):
-        return FieldElem(self.field, int(self.field.sub(self._coerce(other), self.code)))
-
     def __mul__(self, other):
         return FieldElem(self.field, int(self.field.mul(self.code, self._coerce(other))))
 
@@ -460,19 +454,8 @@ class FieldElem:
             return self.code == self.field.from_int(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.field, self.code))
-
     def __bool__(self):
         return self.code != 0
 
-    def __int__(self):
-        return self.code
-
     def __repr__(self):
         return f"FieldElem({self.field!r}, {self.field.format_element(self.code)})"
-
-
-def frobenius(x: FieldElem, k: int = 1) -> FieldElem:
-    """x^(p^k) in the element's field; frobenius(x, -1) is the inverse twist."""
-    return x.frobenius(k)

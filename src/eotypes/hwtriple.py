@@ -190,16 +190,14 @@ def plane_curve(field: GF, f: GradedPoly) -> CurveCI:
 
 def genus(curve: CurveCI) -> int:
     """Arithmetic genus 1 + deg(C) (d-n-1) / 2, for a plane curve
-    (d-1)(d-2)/2; for n >= 3 cross-checked against dim Q."""
-    twice = prod(curve.degrees) * (curve.d - curve.n - 1)
-    if twice % 2:
-        raise InternalInvariantError("genus formula did not give an integer")
-    g = 1 + twice // 2
-    if g < 1:
-        raise ConstraintError("genus 0 configurations are not supported")
-    if curve.n >= 3 and ci_q_basis(curve).dim != g:
-        raise SingularCurveError(
-            f"dim Q = {ci_q_basis(curve).dim} differs from the genus {g}")
+    (d-1)(d-2)/2; for n >= 3 cross-checked against dim Q. It is an integer
+    >= 1 for every curve ``CurveCI`` admits. deg(C), the product of the
+    degrees, is even unless every degree is odd, and then d = n-1 mod 2 and
+    d-n-1 is even. d-n-1 >= 0: d >= 3 for n = 2, and d >= 2(n-1) for
+    n >= 3, as every degree is >= 2."""
+    g = 1 + prod(curve.degrees) * (curve.d - curve.n - 1) // 2
+    if curve.n >= 3 and curve.q_basis.dim != g:
+        raise SingularCurveError(f"dim Q = {curve.q_basis.dim} differs from the genus {g}")
     return g
 
 
@@ -261,11 +259,6 @@ def _catalecticant(curve: CurveCI, u, k: int):
     return np.hstack([gather(comp, monos[:, None] + t[None]) for comp, t in zip(u, tails)])
 
 
-def ci_q_basis(curve: CurveCI) -> Subspace:
-    """Echelon basis of Q, computed once per curve (``CurveCI.q_basis``)."""
-    return curve.q_basis
-
-
 def hasse_witt_matrix(curve: CurveCI):
     """Matrix of the Hasse-Witt operator: left action, twist 1. Column j is
     F * Frob(q_j), F = (f_1...f_(n-1))^(p-1), in the coordinates of the Q
@@ -273,7 +266,7 @@ def hasse_witt_matrix(curve: CurveCI):
     product of the other forms' powers is the least. Where Q is the whole
     degree -d piece its basis is the identity, and the matrix is the
     reader's own (``_frob_times``)."""
-    qb = ci_q_basis(curve)
+    qb = curve.q_basis
     split = curve._split(curve.degrees.index(max(curve.degrees)), curve.field.p - 1)
     if qb.dim == qb.ambient:
         return _frob_times(curve, split, None, "Hasse-Witt matrix")
@@ -408,23 +401,16 @@ def _derivative_plan(nvars: int, degree: int, src_degree: int):
     return plan
 
 
-def u_generator(curve: CurveCI):
-    """The duality's relation-space generator, computed once (``CurveCI.u``)."""
-    return curve.u
-
-
-def psi_matrix(curve: CurveCI, A_phi, kappa, u):
+def psi_matrix(curve: CurveCI, kappa, u):
     """Columns are the second operator's values on the twisted kernel basis,
-    written in the dual of the Q basis: column j is theta of
-    (F_l * Frob(tau(kappa_j) . Q))_l, F_l = f_l^(p-2) times the other
-    forms' (p-1) powers, one read per form (``_frob_times``); a plane
-    curve's F_0 = f^(p-2) is read off f^(p-2-a) and f^a. The images must
-    lie in the dual module and satisfy the derivative relations."""
+    h > 0 rows (``hw_triple`` calls it only then), written in the dual of
+    the Q basis: column j is theta of (F_l * Frob(tau(kappa_j) . Q))_l,
+    F_l = f_l^(p-2) times the other forms' (p-1) powers, one read per form
+    (``_frob_times``); a plane curve's F_0 = f^(p-2) is read off f^(p-2-a)
+    and f^a. The images must lie in the dual module and satisfy the
+    derivative relations."""
     field, d = curve.field, curve.d
-    kappa = np.asarray(kappa, DTYPE)
-    if kappa.shape[0] == 0:
-        return np.zeros((A_phi.shape[0], 0), DTYPE)
-    rows = field.matmul(field.frob(kappa, -1), ci_q_basis(curve).rows)
+    rows = field.matmul(field.frob(np.asarray(kappa, DTYPE), -1), curve.q_basis.rows)
     comps = [_frob_times(curve, curve._split(ell, field.p - 2), rows, "second operator")
              for ell in range(len(curve.polys))]
     if any(field.matmul(tmul_matrix(f, -d - f_l.degree), comp).any()
@@ -464,7 +450,7 @@ def theta_apply(curve: CurveCI, u, xi):
 def _dual_coords(curve: CurveCI, mu, xi_cols):
     """theta on each column, a stacked tuple class, for the pairing mu; the
     pairing of the degree d-n-1 monomials against the Q basis is qb.rows."""
-    return curve.field.matmul(ci_q_basis(curve).rows, solve_matrix(curve.field, mu, xi_cols))
+    return curve.field.matmul(curve.q_basis.rows, solve_matrix(curve.field, mu, xi_cols))
 
 
 def fast_path_tag(a_number: int, g: int) -> str:
@@ -530,7 +516,7 @@ def hw_triple(curve: CurveCI) -> HWTriple:
     A_phi = hasse_witt_matrix(curve)
     kappa = null_space(field, A_phi)
     if kappa.shape[0]:
-        A_psi = psi_matrix(curve, A_phi, kappa, u_generator(curve))
+        A_psi = psi_matrix(curve, kappa, curve.u)
     else:
         A_psi = np.zeros((g, 0), DTYPE)
     return HWTriple(field, g, A_phi, kappa, A_psi)

@@ -370,23 +370,8 @@ class GradedPoly:
         return GradedPoly(self.field, self.nvars, self.degree,
                           self.field.add(self.coeffs, other.coeffs))
 
-    def __sub__(self, other):
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ConstraintError("cannot subtract forms of different degrees")
-        return GradedPoly(self.field, self.nvars, self.degree,
-                          self.field.sub(self.coeffs, other.coeffs))
-
     def __neg__(self):
         return GradedPoly(self.field, self.nvars, self.degree, self.field.neg(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, GradedPoly):
-            return poly_mul(self, other)
-        return NotImplemented
-
-    def __pow__(self, e):
-        return poly_pow(self, e)
 
     def __eq__(self, other):
         return (isinstance(other, GradedPoly) and self.field == other.field
@@ -519,13 +504,6 @@ class TClass:
 
     # a form's zero test, over the shifted basis
     is_zero = GradedPoly.is_zero
-
-    def __add__(self, other):
-        if (self.field != other.field or self.nvars != other.nvars
-                or self.degree != other.degree):
-            raise ConstraintError("T-classes live in different graded pieces")
-        return TClass(self.field, self.nvars, self.degree,
-                      self.field.add(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "TClass":
         code = c.code if isinstance(c, FieldElem) else self.field.from_int(c)

@@ -147,8 +147,6 @@ class Subspace:
     @classmethod
     def span(cls, field: GF, rows, ambient=None):
         rows = np.asarray(rows, DTYPE)
-        if rows.ndim == 1:
-            rows = rows[None, :]
         if rows.size == 0 and ambient is not None:
             rows = rows.reshape(0, ambient)
         R, piv = rref(field, rows)

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from eotypes import (CurveCI, GradedPoly, TClass, ci_q_basis, field_new, gather, hw_triple,
+from eotypes import (CurveCI, GradedPoly, TClass, field_new, gather, hw_triple,
                      monomial_basis, null_space, poly_mul, poly_pow, rank,
                      t_multiply, theta_apply, tmul_matrix)
 from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
@@ -553,7 +553,7 @@ def full_product_frob_times(curve, F, rows):
 
 def _oracle_hw_general_matrix(curve):
     field, nvars, d = curve.field, curve.nvars, curve.d
-    qb = ci_q_basis(curve)
+    qb = curve.q_basis
     F = product_pm1(curve)
     images = [t_multiply(F, TClass(field, nvars, -d, row).frobenius()).coeffs
               for row in qb.rows]
@@ -562,7 +562,7 @@ def _oracle_hw_general_matrix(curve):
 
 def _oracle_psi_general(curve, kappa, u):
     field, nvars, d = curve.field, curve.nvars, curve.d
-    qb = ci_q_basis(curve)
+    qb = curve.q_basis
     products = products_pm1_over(curve)
     cols = []
     for kap in kappa:

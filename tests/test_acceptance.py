@@ -11,13 +11,13 @@ import time
 import numpy as np
 
 from conftest import integer_power_terms
-from eotypes import (GradedPoly, HWTriple, assemble_dm, ci_q_basis,
+from eotypes import (GradedPoly, HWTriple, assemble_dm,
                      classify, enumerate_polarized_dms, field_new,
                      final_type_from_AF, final_type_from_FV,
                      full_fv_matrices, genus, hw_triple, monomial_basis,
                      plane_curve, plane_smoothness_check, psi_matrix,
                      random_hw_triple, rank, stable_rank,
-                     symplectic_perp, t_multiply, u_generator, validate_dm,
+                     symplectic_perp, t_multiply, validate_dm,
                      weyl_from_final_type, weyl_word)
 from eotypes.cli import parse_poly, run_scan
 from eotypes.golden import (GOLDEN_AF, GOLDEN_FINAL_TYPE, GOLDEN_KAPPA, GOLDEN_PSI_COLS,
@@ -129,12 +129,12 @@ def test_criterion_5b_invariances(F5, golden_curve, golden_triple):
         assert classify(assemble_dm(t, scan="ascending")).weyl == \
             classify(assemble_dm(t, scan="descending")).weyl == base.weyl
     # rescaling the duality generator on the fixture curve
-    u = u_generator(golden_curve)
+    u = golden_curve.u
     base = classify(golden_triple)
     for _ in range(100):
         lam = int(rng.integers(1, 5))
         scaled_u = tuple(comp.scale(lam) for comp in u)
-        psi = psi_matrix(golden_curve, golden_triple.A_phi, golden_triple.kappa, scaled_u)
+        psi = psi_matrix(golden_curve, golden_triple.kappa, scaled_u)
         t = HWTriple(F5, 3, golden_triple.A_phi, golden_triple.kappa, psi)
         assert classify(t).weyl == base.weyl
     print("ACCEPTANCE 5b (scaling and complement invariance): PASS")
@@ -181,8 +181,8 @@ def test_criterion_5e_random_smooth_curves():
                 continue
             done += 1
             g = genus(curve)
-            assert ci_q_basis(curve).dim == g
-            u = u_generator(curve)
+            assert curve.q_basis.dim == g
+            u = curve.u
             md = monomial_basis(3, d - 3).monomials
             B = np.array([t_multiply(GradedPoly.monomial(field, 3, m), u[0]).coeffs
                           for m in md])
@@ -240,8 +240,8 @@ def test_criterion_7_scan_throughput():
 
 def test_criterion_8_general_ci_path(ci_23_curve):
     assert genus(ci_23_curve) == 4
-    assert ci_q_basis(ci_23_curve).dim == 4
-    u = u_generator(ci_23_curve)
+    assert ci_23_curve.q_basis.dim == 4
+    u = ci_23_curve.u
     assert len(u) == 2  # one component per defining form, jointly unique
     triple = hw_triple(ci_23_curve)  # HWTriple invariants validated inside
     result = classify(triple)  # FinalType and WeylCoset validated inside

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from conftest import parse_oracle
 
-from eotypes import ConstraintError, GradedPoly, PolyParseError, cli, golden, monomial_basis
-from eotypes.cli import (build_report, main, parse_poly, read_dm_file,
-                         render_poly, validate_report)
+from eotypes import (ConstraintError, GradedPoly, HWTriple, InternalInvariantError,
+                     PolyParseError, cli, golden, monomial_basis)
+from eotypes.cli import build_report, main, parse_poly, read_dm_file, validate_report
 from eotypes.eoclass import (WeylCoset, final_type_from_weyl,
                              invariants_from_weyl)
 from eotypes.golden import GOLDEN_AF, GOLDEN_TEXT, GOLDEN_WEYL, GOLDEN_WEYL_WORD
@@ -181,7 +181,7 @@ def test_render_roundtrip_random(F5):
         poly = GradedPoly(F5, 3, d, coeffs)
         if poly.is_zero():
             continue
-        assert parse_poly(render_poly(poly), 3, F5) == poly
+        assert parse_poly(str(poly), 3, F5) == poly
 
 
 def test_cmd_eotype_json(capsys):
@@ -211,6 +211,24 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_internal_invariant_violation_exits_5(monkeypatch, capsys):
+    """A failed consistency check ends eotype and scan with exit 5 and no
+    traceback; scan first names the sample it failed on. Draw 0 of seed 1
+    is singular, so the first triple checked is that of draw 1."""
+    def corrupted(self):
+        raise InternalInvariantError("injected")
+    monkeypatch.setattr(HWTriple, "validate", corrupted)
+    assert main(["eotype", "--p", "7", "--f", "x^3+y^3+z^3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal invariant violation: injected"]
+    assert main(["scan", "--p", "5", "--d", "4", "--count", "20", "--seed", "1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["internal error at sample index 1",
+                                         "internal invariant violation: injected"]
+
+
 def test_space_curve_on_reducible_quadric_exits_singular(capsys):
     # x*y = 0 splits the curve into two plane cubics meeting in three points;
     # the ordinary path now checks dim U = 1 as well
@@ -225,6 +243,24 @@ def test_cmd_hw(capsys):
     assert payload["hasse_witt"] == [[0, 4, 1], [0, 2, 3], [0, 2, 3]]
     assert payload["kernel_basis"] == [[1, 0, 0], [0, 1, 1]]
     assert payload["second_operator"] == [[3, 3], [1, 3], [3, 1]]
+
+
+def test_cmd_hw_text(capsys):
+    assert main(["hw", "--p", "5", "--f", GOLDEN_TEXT]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "genus 3, tag interesting",
+        "hasse-witt matrix:", "  0 4 1", "  0 2 3", "  0 2 3",
+        "kernel basis (2 rows):", "  1 0 0", "  0 1 1",
+        "second operator columns:", "  3 3", "  1 3", "  3 1"]
+
+
+def test_classify_dm_text(tmp_path, capsys):
+    path = tmp_path / "module.txt"
+    path.write_text("3 5 1\n" + "".join(" ".join(map(str, row)) + "\n" for row in GOLDEN_AF))
+    assert main(["classify-dm", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "w=[1, 4, 2, 5, 3, 6] (s3*s2), f=[0, 0, 1, 1, 2, 2, 3], p-rank 0, "
+        "a-number 2, stratum dim 2 [interesting]\n")
 
 
 def test_classify_dm_command(tmp_path, capsys):
@@ -247,6 +283,22 @@ def test_classify_dm_bad_file(tmp_path, capsys):
     path2.write_text("2 5 1\n1 0\n")
     assert main(["classify-dm", str(path2)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "empty matrix file"),
+    ("1 5\n1\n0\n", "first line must be 'g p m'"),
+    ("1 five 1\n1\n0\n", "non-integer header '1 five 1'"),
+    ("1 5 1\n1 0\n0\n", "expected 1 entries per row, found 2"),
+    ("1 5 1\n1\nx\n", "non-integer matrix entry in row 'x'"),
+])
+def test_classify_dm_refuses_malformed_files(tmp_path, capsys, text, message):
+    path = tmp_path / "module.txt"
+    path.write_text(text)
+    assert main(["classify-dm", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"parse error: {message}"]
 
 
 def test_classify_dm_refuses_non_isotropic_image(tmp_path, capsys):

@@ -5,8 +5,8 @@ from conftest import complement_oracle
 from eotypes import (ConstraintError, HWTriple, KraftWord, PolarizedDM,
                      assemble_dm, classify, dm_to_hw, enumerate_polarized_dms,
                      field_new, full_fv_matrices, null_space, random_hw_triple,
-                     rank, standard_gram, standard_module, symplectic_perp,
-                     validate_dm, validate_unpolarized)
+                     rank, semilinear, standard_gram, standard_module,
+                     symplectic_perp, validate_dm, validate_unpolarized)
 from eotypes.dieudonne import _block_diag
 from eotypes.golden import GOLDEN_AF, GOLDEN_V
 from eotypes.semilinear import Subspace
@@ -156,6 +156,24 @@ def test_roundtrip_property_random(F5):
         assert validate_dm(full_F, full_V, F5) == []
         t2 = dm_to_hw(full_F, full_V, F5)
         assert classify(t2).weyl == classify(t).weyl
+
+
+def test_ker_f_reduced_once(F5, golden_triple, monkeypatch):
+    """validate_unpolarized's kernel-image check, validate_dm's isotropy
+    check and dm_to_hw's quotient all use Ker F: full_F is reduced once
+    per call, on the golden module (h = 2) and a seeded one with h = 1."""
+    kernel, seen = semilinear._kernel, []
+
+    def spy(field, M):
+        seen.append(np.array(M))
+        return kernel(field, M)
+    monkeypatch.setattr(semilinear, "_kernel", spy)
+    for t in (golden_triple, random_hw_triple(F5, 3, np.random.default_rng(0))):
+        full_F, full_V = full_fv_matrices(assemble_dm(t))
+        for call in (validate_dm, dm_to_hw):
+            seen.clear()
+            call(full_F, full_V, F5)
+            assert sum(np.array_equal(M, full_F) for M in seen) == 1
 
 
 def test_complement_choice_invariance(F5):

@@ -13,10 +13,10 @@ from conftest import (GOLDEN_TERMS, GOLDEN_U_SHIFTED, derivative_matrix_oracle, 
                       products_pm1_over, rational_singular_points)
 from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInvariantError,
                      SingularCurveError, partial_derivative,
-                     TClass, ci_q_basis, classify, field_new, genus, hasse_witt_matrix,
+                     TClass, classify, field_new, genus, hasse_witt_matrix,
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
-                     theta_apply, u_generator)
+                     theta_apply)
 from eotypes import hwtriple
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
 from eotypes.hwtriple import (_assert_tuple_relations, _catalecticant, _derivative_matrix,
@@ -77,14 +77,14 @@ def test_hasse_witt_fermat_quartic_f7_vanishes(F7):
 
 
 def test_ci_q_basis(F5, golden_curve, ci_23_curve):
-    qb = ci_q_basis(golden_curve)
+    qb = golden_curve.q_basis
     assert qb.dim == 3
     assert np.array_equal(qb.rows, np.eye(3, dtype=np.int64))  # full dual piece
-    assert ci_q_basis(ci_23_curve).dim == 4
+    assert ci_23_curve.q_basis.dim == 4
 
 
 def test_u_generator_golden(F5, golden_curve):
-    u = u_generator(golden_curve)
+    u = golden_curve.u
     assert len(u) == 1 and u[0].degree == -9
     expected = TClass.from_laurent_terms(
         F5, 3, {tuple(x - 7 for x in e): c for e, c in GOLDEN_U_SHIFTED.items()})
@@ -92,14 +92,14 @@ def test_u_generator_golden(F5, golden_curve):
 
 
 def test_u_generator_fermat_quartic(F5):
-    u = u_generator(fermat_curve(F5, 4))
+    u = fermat_curve(F5, 4).u
     assert u[0] == TClass.from_laurent_terms(F5, 3, {(-3, -3, -3): 1})
 
 
 def test_u_generator_singular_raises(F5):
     bad = plane_curve(F5, GradedPoly.from_terms(F5, 3, {(4, 0, 0): 1, (0, 4, 0): 1}))
     with pytest.raises(SingularCurveError):
-        u_generator(bad)
+        bad.u
 
 
 def test_psi_golden(golden_triple):
@@ -123,10 +123,10 @@ def test_psi_fermat_quartic_f7_invertible(F7):
 
 
 def test_u_rescaling_scales_psi_inversely(F5, golden_curve, golden_triple):
-    u = u_generator(golden_curve)
+    u = golden_curve.u
     for lam in (2, 3, 4):
         scaled = tuple(comp.scale(lam) for comp in u)
-        psi = psi_matrix(golden_curve, golden_triple.A_phi, golden_triple.kappa, scaled)
+        psi = psi_matrix(golden_curve, golden_triple.kappa, scaled)
         inv = F5.inv_scalar(lam)
         assert np.array_equal(psi, F5.mul(golden_triple.A_psi, inv))
 
@@ -136,7 +136,7 @@ def test_pairing_dual_basis_identity(F5, golden_curve):
     identity pairing matrix in the plane case."""
     d = golden_curve.d
     md = monomial_basis(3, d - 3).monomials
-    qb = ci_q_basis(golden_curve)
+    qb = golden_curve.q_basis
     P = np.zeros((3, 3), np.int64)
     for i, row in enumerate(qb.rows):
         q = TClass(F5, 3, -d, row)
@@ -147,7 +147,7 @@ def test_pairing_dual_basis_identity(F5, golden_curve):
 
 
 def test_theta_apply_plane_dual_basis(F5, golden_curve):
-    u = u_generator(golden_curve)
+    u = golden_curve.u
     for i, mono in enumerate(monomial_basis(3, 1).monomials):
         xi = tuple(t_multiply(GradedPoly.monomial(F5, 3, mono), comp) for comp in u)
         coords = theta_apply(golden_curve, u, xi)
@@ -159,7 +159,7 @@ def test_theta_apply_plane_dual_basis(F5, golden_curve):
 def test_theta_apply_rejects_degenerate_pairing(golden_curve, ci_23_curve):
     for curve in (golden_curve, ci_23_curve):
         zero = tuple(TClass.zero(curve.field, curve.nvars, comp.degree)
-                     for comp in u_generator(curve))
+                     for comp in curve.u)
         with pytest.raises(SingularCurveError, match="duality pairing is degenerate"):
             theta_apply(curve, zero, zero)
 
@@ -185,7 +185,7 @@ def test_plane_and_general_paths_agree(F5, F7, F9, golden_curve):
     with_kernel = 0
     for curve in curves:
         t = hw_triple(curve)
-        A_gen = full_product_frob_times(curve, product_pm1(curve), ci_q_basis(curve).rows)
+        A_gen = full_product_frob_times(curve, product_pm1(curve), curve.q_basis.rows)
         assert np.array_equal(A_gen, t.A_phi)
         kappa = null_space(curve.field, A_gen)
         if kappa.shape[0]:
@@ -216,7 +216,7 @@ def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
             assert np.array_equal(hasse_witt_matrix(curve), A_phi)
             assert np.array_equal(t.A_phi, A_phi) and np.array_equal(t.kappa, kappa)
             if t.h:
-                assert np.array_equal(psi_matrix(curve, A_phi, kappa, curve.u), A_psi)
+                assert np.array_equal(psi_matrix(curve, kappa, curve.u), A_psi)
                 with_kernel.append(field.m)
             assert np.array_equal(t.A_psi, A_psi)
             classified.append(field.m)
@@ -229,8 +229,7 @@ def test_psi_general_refuses_image_outside_dual_module(ci_23_curve):
     the curve's dual module, and the check says so."""
     with pytest.raises(InternalInvariantError,
                        match="second operator image left the curve's dual module"):
-        psi_matrix(ci_23_curve, hasse_witt_matrix(ci_23_curve), [[1, 0, 0, 0]],
-                   u_generator(ci_23_curve))
+        psi_matrix(ci_23_curve, [[1, 0, 0, 0]], ci_23_curve.u)
 
 
 def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
@@ -241,8 +240,7 @@ def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
     kappa = np.array([[0, 0, 1]])
     with pytest.raises(InternalInvariantError,
                        match="second operator image left the curve's dual module"):
-        psi_matrix(golden_curve, hasse_witt_matrix(golden_curve), kappa,
-                   u_generator(golden_curve))
+        psi_matrix(golden_curve, kappa, golden_curve.u)
     image = _frob_times(golden_curve, golden_curve._split(0, 3), kappa, "second operator")
     with pytest.raises(InternalInvariantError,
                        match="second operator image violates the derivative relations"):
@@ -257,6 +255,24 @@ def test_triple_refuses_kernel_short_of_the_null_space(F5):
                        match="kernel basis does not span the null space"):
         HWTriple(F5, 2, np.zeros((2, 2), int), [[1, 0]], [[1], [0]])
     assert HWTriple(F5, 2, np.zeros((2, 2), int), np.eye(2, dtype=int), np.eye(2, dtype=int)).h == 2
+
+
+# Each case corrupts one matrix of the golden triple, A_phi = [[0, 4, 1],
+# [0, 2, 3], [0, 2, 3]], kappa = [[1, 0, 0], [0, 1, 1]], so that exactly
+# one check fails: the earlier checks all hold.
+@pytest.mark.parametrize("corrupt,message", [
+    ({"A_phi": np.array(GOLDEN_HW)[:, :2]}, "triple matrices have inconsistent shapes"),
+    ({"kappa": np.array(GOLDEN_KAPPA)[::-1]}, "kernel basis is not in echelon form"),
+    ({"kappa": [[1, 0, 0], [0, 1, 0]]}, "kernel basis is not in the null space"),
+    ({"A_psi": [[3, 3], [1, 1], [3, 3]]}, "second operator is not injective"),
+    ({"A_psi": [[1, 0], [0, 1], [0, 0]]},
+     "second operator does not annihilate the image of the first"),
+], ids=["shapes", "echelon", "null-space", "injective", "annihilates-image"])
+def test_triple_checks_fire(F5, golden_triple, corrupt, message):
+    parts = {"A_phi": golden_triple.A_phi, "kappa": golden_triple.kappa,
+             "A_psi": golden_triple.A_psi, **corrupt}
+    with pytest.raises(InternalInvariantError, match=message):
+        HWTriple(F5, 3, parts["A_phi"], parts["kappa"], parts["A_psi"])
 
 
 def test_triple_invariants_random_smooth_curves():
@@ -277,7 +293,7 @@ def test_triple_invariants_random_smooth_curves():
                     continue
                 trials += 1
                 t = hw_triple(curve)
-                assert t.g == g == ci_q_basis(curve).dim
+                assert t.g == g == curve.q_basis.dim
                 assert rank(field, t.A_psi) == t.h
                 if t.h:
                     assert not field.matmul(t.A_psi.T, t.A_phi).any()
@@ -288,7 +304,7 @@ def test_triple_invariants_random_smooth_curves():
 def test_ci_23_triple(ci_23_curve):
     t = hw_triple(ci_23_curve)
     assert t.g == 4
-    u = u_generator(ci_23_curve)
+    u = ci_23_curve.u
     assert len(u) == 2
     assert t.fast_tag == "ordinary"
 
@@ -387,7 +403,7 @@ def test_split_read_matches_full_product_oracle(p, m, degrees):
     taken on the Q basis rows, so every curve runs them, whatever its h."""
     for seed in range(3):
         curve = _seeded_curve(p, m, degrees, 10 * seed + len(degrees))
-        qb = ci_q_basis(curve)
+        qb = curve.q_basis
         expected = full_product_frob_times(curve, product_pm1(curve), qb.rows)
         assert np.array_equal(hasse_witt_matrix(curve), qb.coords_of(expected.T).T)
         for ell, F in enumerate(products_pm1_over(curve)):
