@@ -11,6 +11,7 @@ must agree wherever both apply.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -276,12 +277,24 @@ def _result_from_final_type(f: FinalType) -> EOResult:
     return EOResult(w, f, *invariants_from_weyl(w, f.g))
 
 
+# The two fast-path types of g = 1..64; the bound keeps a long-lived process
+# from holding every genus it ever met.
+@lru_cache(maxsize=128)
+def _fast_path_type(g: int, superspecial: bool):
+    """The minimal coset, final type and invariants of the ordinary or the
+    superspecial type of genus g, the fields of its ``EOResult``, built
+    once: none of them can change."""
+    f = FinalType([max(0, i - g) if superspecial else min(i, g) for i in range(2 * g + 1)])
+    w = weyl_from_final_type(f)
+    return (w, f, *invariants_from_weyl(w, g))
+
+
 def ordinary_result(g: int) -> EOResult:
-    return _result_from_final_type(FinalType([min(i, g) for i in range(2 * g + 1)]))
+    return EOResult(*_fast_path_type(g, False))
 
 
 def superspecial_result(g: int) -> EOResult:
-    return _result_from_final_type(FinalType([max(0, i - g) for i in range(2 * g + 1)]))
+    return EOResult(*_fast_path_type(g, True))
 
 
 def classify(obj) -> EOResult:

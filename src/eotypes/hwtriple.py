@@ -17,21 +17,28 @@ which the second operator needs anyway: a curve in P^n is smooth iff
 dim U = 1 and the catalecticant of u in degree 1 has rank n + 1
 (``plane_smoothness_check``). The same reader (``_catalecticant``) in
 degree d-n-1 is the duality pairing (``pairing_matrix``). The relation
-matrix is one take per form from the coefficients of its partials
-(``_derivative_plan``).
+matrix is one take per form from the coefficients of its partials.
+
+What the readers take from where depends only on the case (n, the
+degrees, p), not on the curve, and is built once into read-only plans kept
+in bounded caches keyed by those ints: the relation matrix's positions
+(``_derivative_plan``), the catalecticants' (``_catalecticant_plan``) and
+the split reader's shapes (``_split_plan``). Every work guard still runs
+on each call, before the plan is read.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache, reduce
-from math import prod
+from math import comb, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
 from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, _positions, exponent_array,
-                       gather, linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
+                       linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
                        power_work_bytes, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
 
@@ -248,15 +255,39 @@ def plane_smoothness_check(curve: CurveCI) -> bool:
 
 def _catalecticant(curve: CurveCI, u, k: int):
     """The catalecticant of the stacked tuple u in degree k: row i is
-    m_i * u over the degree k monomials m_i, one gather per component. It
-    has no more rows than the relation matrix that ``CurveCI._relations``
+    m_i * u over the degree k monomials m_i. It is one take from u's
+    components laid end to end, at the positions of ``_catalecticant_plan``.
+    It has no more rows than the relation matrix that ``CurveCI._relations``
     guarded, and columns of no higher degree, so its guard refuses no curve
     that got this far."""
-    monos = exponent_array(curve.nvars, k)
-    tails = [exponent_array(curve.nvars, comp.shifted_degree - k) for comp in u]
+    nvars = curve.nvars
     _check_work("smoothness check", linalg_work_bytes(
-        curve.field, curve.nvars, len(monos), sum(map(len, tails))))
-    return np.hstack([gather(comp, monos[:, None] + t[None]) for comp, t in zip(u, tails)])
+        curve.field, nvars, comb(k + nvars - 1, nvars - 1),
+        sum(TClass.basis_size(nvars, comp.degree + k) for comp in u)))
+    plan = _catalecticant_plan(nvars, k, *(comp.shifted_degree for comp in u))
+    return np.concatenate([comp.coeffs for comp in u]).take(plan)
+
+
+# A plane curve needs the plans of degrees 1 and d-3, so a plane workload
+# of degrees 4..6 needs five; the bound keeps a long-lived process from
+# holding every plan it ever built.
+@lru_cache(maxsize=8)
+def _catalecticant_plan(nvars: int, k: int, *shifted_degrees: int):
+    """Read-only positions, in the coefficients of components of the given
+    shifted degrees laid end to end, of the catalecticant in degree k:
+    entry (i, t) of block l is at the basis position of m_i + t in
+    component l, t over the monomials of its degree less k. Every such
+    sum is a monomial, so no position is a sentinel."""
+    monos = exponent_array(nvars, k)
+    blocks, offset = [], 0
+    for s in shifted_degrees:
+        basis = monomial_basis(nvars, s)
+        tails = exponent_array(nvars, s - k)
+        blocks.append(_positions(basis, monos[:, None] + tails[None]) + offset)
+        offset += len(basis)
+    plan = np.hstack(blocks)
+    plan.flags.writeable = False
+    return plan
 
 
 def hasse_witt_matrix(curve: CurveCI):
@@ -280,19 +311,18 @@ def _frob_times(curve: CurveCI, split, rows, what: str):
     (F * Frob(t))_c = sum over s of sigma(t_s) F_(p*s+p-1-c), so no
     Frobenius image is formed, and F_(p*s+p-1-c) is read off the factors
     (``_split_read``) with the targets c as the m_i and c_j = p*s_j + p-1."""
-    field, p, nvars = curve.field, curve.field.p, curve.nvars
-    src = exponent_array(nvars, curve.d - nvars)
-    tgt = exponent_array(nvars, p * curve.d - nvars - split[0][0] - split[1][0])
-    G = _split_read(curve, split, tgt, p * src + p - 1, what)
+    field = curve.field
+    G = _split_read(curve, split, what)
     return G if rows is None else field.matmul(G, field.frob(rows, 1).T)
 
 
-def _split_read(curve: CurveCI, split, m, c, what: str):
-    """G[i, j] = (P*Q)_(c_j - m_i) for exponent rows m_i and c_j, P and Q
-    the two factors of split, P the one of lower degree. Splitting P*Q at
-    z = m_i + (the exponent taken from P), G[i, j] is the sum over z of
-    degree deg P + deg m_i of P_(z - m_i) Q_(c_j - z), so G = L R^T with
-    L[i, z] = P_(z - m_i) and R[j, z] = Q_(c_j - z); P*Q is never formed.
+def _split_read(curve: CurveCI, split, what: str):
+    """G[i, j] = (P*Q)_(c_j - m_i) for ``_frob_times``' exponent rows m_i
+    and c_j, P and Q the two factors of split, P the one of lower degree.
+    Splitting P*Q at z = m_i + (the exponent taken from P), G[i, j] is the
+    sum over z of degree deg P + deg m_i of P_(z - m_i) Q_(c_j - z), so
+    G = L R^T with L[i, z] = P_(z - m_i) and R[j, z] = Q_(c_j - z); P*Q is
+    never formed.
 
     On the cube axes (the exponents of X1..Xn), Q_(c_j - z) = Q'_(z - s_j)
     for the cube Q' of Q flipped on every axis and s_j = c_j - (D, ..., D),
@@ -305,6 +335,10 @@ def _split_read(curve: CurveCI, split, m, c, what: str):
     of the factor's cube. One with a negative entry borrows from the axes
     before it, and on the last such axis lands at k + (that entry) > deg,
     past the factor's cube; a negative flat offset counts from the end.
+    The copies' sides, strides and bytes and the offsets of depend on the
+    curve only through (n, p, d, deg P, deg Q), and ``_split_plan`` builds
+    them once. What grows with |z| is built on every call and not kept:
+    the copies, the zf and the index matrices zf - of, one at a time.
 
     The two copies, the |m| x |c| result and one column of L and R must fit
     the work budget together, checked before either factor is formed.
@@ -332,33 +366,64 @@ def _split_read(curve: CurveCI, split, m, c, what: str):
     field, nvars = curve.field, curve.nvars
     axes = nvars - 1
     (lo_degree, lo), (hi_degree, hi) = sorted(split)
-    top = lo_degree + int(m[0].sum())  # the degree of every z
-    # for P and for Q flipped: the degree, and the offsets o of the reads
-    # z - o on the cube axes
-    reads = ((lo_degree, m[:, 1:]), (hi_degree, c[:, 1:] - hi_degree))
-    sides = [max(deg + 1 + max(0, int(o.max())), top - int(o.min()) + 1) for deg, o in reads]
-    copy_bytes = 8 * sum(side ** axes for side in sides)
-    column = linalg_work_bytes(field, nvars, len(m) + len(c), 1)
-    _check_work(what, copy_bytes + max(linalg_work_bytes(field, nvars, len(m), len(c)), column))
-    width = (WORK_BUDGET_BYTES - copy_bytes) // column
+    plan = _split_plan(nvars, field.p, curve.d, lo_degree, hi_degree)
+    column = linalg_work_bytes(field, nvars, plan.rows + plan.cols, 1)
+    _check_work(what, plan.copy_bytes + max(
+        linalg_work_bytes(field, nvars, plan.rows, plan.cols), column))
+    width = (WORK_BUDGET_BYTES - plan.copy_bytes) // column
     P, Q = curve._factor(lo), curve._factor(hi)
     lo_cube = P._cube()
     cubes = (lo_cube, (lo_cube if Q is P else Q._cube())[(slice(None, None, -1),) * axes])
-    z = exponent_array(nvars, top)[:, 1:]
-    copies, zf, of = [], [], []
-    for cube, (deg, o), side in zip(cubes, reads, sides):
+    z = exponent_array(nvars, plan.top)[:, 1:]
+    copies, zf = [], []
+    for cube, deg, side, strides in zip(cubes, (lo_degree, hi_degree), plan.sides, plan.strides):
         copies.append(np.zeros((side,) * axes, DTYPE))
         copies[-1][(slice(deg + 1),) * axes] = cube
-        strides = side ** np.arange(axes - 1, -1, -1)
         zf.append(z @ strides)
-        of.append(o @ strides)
     G = None
     for start in range(0, len(z), width):
         L, R = (copy.take(f[None, start:start + width] - o[:, None])
-                for copy, f, o in zip(copies, zf, of))
+                for copy, f, o in zip(copies, zf, plan.offsets))
         block = field.matmul(L, R.T)
         G = block if G is None else field.add(G, block)
     return G
+
+
+class _SplitPlan(NamedTuple):
+    rows: int          # |m|
+    cols: int          # |c|
+    top: int           # the degree of every z
+    sides: tuple       # of the bordered copies of P and of Q flipped
+    strides: tuple     # of each copy's flat offsets
+    offsets: tuple     # the flat offsets of the o of each read
+    copy_bytes: int
+
+
+# Each operator reads through one plan per (p, d) and form, so a plane
+# workload of three cases needs six; the bound keeps a long-lived process
+# from holding every plan it ever built.
+@lru_cache(maxsize=16)
+def _split_plan(nvars: int, p: int, d: int, lo_degree: int, hi_degree: int) -> _SplitPlan:
+    """The shape of ``_split_read``'s copies for a curve in nvars variables
+    of total degree d over a field of characteristic p and factors of
+    degrees lo_degree <= hi_degree: m the targets of degree
+    p*d - nvars - lo_degree - hi_degree and c = p*s + p-1 over the s of
+    degree d - nvars (``_frob_times``). Every array is read-only."""
+    axes = nvars - 1
+    m = exponent_array(nvars, p * d - nvars - lo_degree - hi_degree)
+    c = p * exponent_array(nvars, d - nvars) + p - 1
+    top = lo_degree + int(m[0].sum())
+    # for P and for Q flipped: the degree, and the offsets o of the reads
+    # z - o on the cube axes
+    reads = ((lo_degree, m[:, 1:]), (hi_degree, c[:, 1:] - hi_degree))
+    sides = tuple(max(deg + 1 + max(0, int(o.max())), top - int(o.min()) + 1)
+                  for deg, o in reads)
+    strides = tuple(side ** np.arange(axes - 1, -1, -1) for side in sides)
+    offsets = tuple(o @ s for (_, o), s in zip(reads, strides))
+    for array in strides + offsets:
+        array.flags.writeable = False
+    return _SplitPlan(len(m), len(c), top, sides, strides, offsets,
+                      8 * sum(side ** axes for side in sides))
 
 
 def _derivative_matrix(curve: CurveCI, src_degrees):

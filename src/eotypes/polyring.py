@@ -49,12 +49,19 @@ shifted T-class, at an array of exponent tuples as one take from its
 coefficients with a zero appended, the zero wherever a tuple has a negative
 entry. In shifted exponents s*t sends source monomial a to target c with
 coefficient s[a - c], so ``tmul_matrix`` is a gather and ``t_multiply``
-applies it to one class; the pipeline gathers stacks of products, and
-``hwtriple._derivative_plan`` caches the positions of a relation matrix.
+applies it to one class.
+
+Where a gather's positions depend only on the shape of the case (numbers
+of variables, degrees, p) and not on the curve, they are built once into a
+read-only plan, kept in a bounded ``lru_cache`` keyed by those ints, and
+each call is one take from the coefficients: ``_tmul_plan`` for
+``tmul_matrix``, and in ``hwtriple`` the relation matrix
+(``_derivative_plan``) and the catalecticants (``_catalecticant_plan``).
 The exponent cube is the format of the products and of the split reads of
 both Hasse-Witt operators (``hwtriple._split_read``): the entries of L and
 R, read off two factor powers whose product is never formed, are one take
-each from a zero-bordered copy of a factor's cube at flat offsets.
+each from a zero-bordered copy of a factor's cube at flat offsets, whose
+shape ``hwtriple._split_plan`` keeps the same way.
 """
 
 from __future__ import annotations
@@ -580,10 +587,26 @@ def gather(x, exps):
 
 
 def tmul_matrix(s: GradedPoly, src_degree: int):
-    """Matrix of t -> s*t from the degree src_degree piece of T."""
-    src = exponent_array(s.nvars, -src_degree - s.nvars)
-    tgt = exponent_array(s.nvars, -src_degree - s.degree - s.nvars)
-    return gather(s, src[None] - tgt[:, None])
+    """Matrix of t -> s*t from the degree src_degree piece of T: one take
+    from s's coefficients with a zero appended, at the positions of
+    ``_tmul_plan``."""
+    return np.append(s.coeffs, 0).take(_tmul_plan(s.nvars, s.degree, src_degree))
+
+
+# A curve reads at most a few plans per form: the Q space, the relation
+# space for n >= 3 and the second operator's dual-module check; the bound
+# keeps a long-lived process from holding every plan it ever built.
+@lru_cache(maxsize=16)
+def _tmul_plan(nvars: int, degree: int, src_degree: int):
+    """Read-only positions, in the coefficients of a degree-`degree` form
+    with a zero appended, of its multiplication matrix from T_src_degree:
+    entry (c, a) is s[a - c] in shifted exponents, the zero where a - c
+    has a negative entry."""
+    src = exponent_array(nvars, -src_degree - nvars)
+    tgt = exponent_array(nvars, -src_degree - degree - nvars)
+    plan = _positions(monomial_basis(nvars, degree), src[None] - tgt[:, None])
+    plan.flags.writeable = False
+    return plan
 
 
 def t_multiply(s: GradedPoly, t: TClass) -> TClass:

@@ -229,6 +229,37 @@ def test_internal_invariant_violation_exits_5(monkeypatch, capsys):
                                          "internal invariant violation: injected"]
 
 
+@pytest.mark.parametrize("p", [7, 5], ids=["ordinary", "superspecial"])
+def test_wrong_stable_rank_exits_5(monkeypatch, capsys, p):
+    """The p-rank check runs on every fast-path result, cached or not: the
+    cubic is ordinary at p = 7 and superspecial at p = 5, and a stable rank
+    one off ends eotype with exit 5 and one stderr line."""
+    from eotypes import eoclass
+    args = ["eotype", "--p", str(p), "--f", "x^3+y^3+z^3"]
+    assert main(args) == 0  # the fast-path result of genus 1 is now cached
+    capsys.readouterr()
+    stable_rank = eoclass.stable_rank
+    monkeypatch.setattr(eoclass, "stable_rank", lambda field, A: stable_rank(field, A) + 1)
+    assert main(args) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal invariant violation: p-rank does not match the stable rank"]
+
+
+def test_wrong_fast_path_result_exits_5(monkeypatch, capsys):
+    """The a-number check runs on every fast-path result: an ordinary cubic
+    handed the superspecial result ends eotype with exit 5 and one stderr
+    line."""
+    from eotypes import eoclass
+    monkeypatch.setattr(eoclass, "ordinary_result", eoclass.superspecial_result)
+    assert main(["eotype", "--p", "7", "--f", "x^3+y^3+z^3"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal invariant violation: a-number does not match the kernel dimension"]
+
+
 def test_space_curve_on_reducible_quadric_exits_singular(capsys):
     # x*y = 0 splits the curve into two plane cubics meeting in three points;
     # the ordinary path now checks dim U = 1 as well

@@ -212,6 +212,22 @@ def test_field_elem_wrappers(F4):
         t + field_new(5)(1)
 
 
+def test_field_elem_equality_and_conversion(F4, F5, F7):
+    """An element equals an int by the int's residue, and leaves any other
+    type to it; a field passes its own element through and refuses
+    another field's."""
+    three = F5(3)
+    assert three == 8 and three == -2 and three != 2
+    assert three.__eq__("3") is NotImplemented and three != "3" and three != 3.0
+    assert F4.element_from_code(1) == 5 and F4.element_from_code(2) != 2
+    assert F5(three) is three
+    with pytest.raises(ConstraintError, match="different field"):
+        F7(three)
+    # the same size of field under another modulus is another field
+    with pytest.raises(ConstraintError, match="different field"):
+        field_new(3, 2, (2, 1, 1))(field_new(3, 2, (1, 0, 1)).element_from_code(4))
+
+
 def test_element_from_code_refuses_codes_outside_the_field(F4):
     # taken mod 4, -1 would be code 3 = 1 + t, while -1 = 1 in GF(4)
     assert F4(-1) == F4.element_from_code(1) != F4.element_from_code(3)

@@ -17,8 +17,9 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInv
                      hw_triple, monomial_basis, plane_curve,
                      plane_smoothness_check, psi_matrix, rank, t_multiply,
                      theta_apply)
-from eotypes import hwtriple
-from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS
+from eotypes import eoclass, hwtriple, polyring
+from eotypes.cli import parse_poly
+from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS, GOLDEN_TEXT
 from eotypes.hwtriple import (_assert_tuple_relations, _catalecticant, _derivative_matrix,
                               _derivative_plan, _frob_times)
 from eotypes.polyring import WORK_BUDGET_BYTES, gather, linalg_work_bytes, poly_mul, poly_pow
@@ -668,6 +669,24 @@ def test_linear_algebra_beyond_work_budget_refused(monkeypatch, F5, ci_23_curve)
             compute()
 
 
+def test_catalecticant_guard_runs_with_a_warm_plan(monkeypatch, F7):
+    """With its plan cached, each catalecticant is still guarded: at its
+    estimate it is read, one byte less refuses it. On the Fermat quintic
+    over GF(7), in degree 1 (3 x 45) and in the pairing's degree 2 (6 x 36)."""
+    curve = fermat_curve(F7, 5)
+    assert plane_smoothness_check(curve)
+    for k, rows, cols in ((1, 3, 45), (2, 6, 36)):
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
+        expected = _catalecticant(curve, curve.u, k)
+        assert expected.shape == (rows, cols)
+        need = linalg_work_bytes(F7, 3, rows, cols)
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
+        assert np.array_equal(_catalecticant(curve, curve.u, k), expected)
+        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
+        with pytest.raises(ConstraintError, match="smoothness check"):
+            _catalecticant(curve, curve.u, k)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_ci_23_rational_singular_point_rejected(p):
     """Seeded (2,3) curves in P^3, every other one forced singular at
@@ -921,6 +940,104 @@ def test_derivative_plan_cache_is_bounded():
         assert _derivative_plan.cache_info().currsize == limit
     finally:
         _derivative_plan.cache_clear()
+
+
+# every cache of a curve-independent plan or result
+_PLAN_CACHES = (hwtriple._derivative_plan, hwtriple._catalecticant_plan, hwtriple._split_plan,
+                polyring._tmul_plan, eoclass._fast_path_type)
+
+
+def test_plans_built_cold_or_read_warm_give_the_same_results(ci_23_curve):
+    """Each curve of a mixed list, classified with every plan cache cleared
+    before it and again warm in shuffled order, gives the same triple and
+    result: plane quartics, quintics and sextics over GF(p), GF(p^2) and
+    GF(p^3) and a (2,3) curve, of every fast-path tag, five with h > 0."""
+    plane = [(5, 1, GOLDEN_TEXT), (3, 1, "x^4+y^4+z^4"),
+             (7, 3, "x^4+3*x*y^3+y^4+z^4+x*y*z^2"),
+             (7, 2, "5*x^5+3*x^2*y^2*z+6*x*y^4+2*y^5+5*y*z^4"), (3, 2, "x^5+y^5+z^5"),
+             (11, 1, "x^5+y^5+z^5"), (7, 1, "x^6+y^6+z^6"),
+             (11, 1, "x^6+y^6+z^6+x^2*y^2*z^2")]
+    makers = [lambda p=p, m=m, text=text: plane_curve(
+        field_new(p, m), parse_poly(text, 3, field_new(p, m))) for p, m, text in plane]
+    makers.append(lambda: CurveCI(ci_23_curve.field, ci_23_curve.polys))
+    cold = []
+    for make in makers:
+        for cache in _PLAN_CACHES:
+            cache.cache_clear()
+        triple = hw_triple(make())
+        cold.append((triple, classify(triple)))
+    assert {res.fast_tag for _, res in cold} == {"ordinary", "superspecial", "interesting"}
+    assert sum(triple.h > 0 for triple, _ in cold) >= 5
+    for make in makers:
+        classify(hw_triple(make()))
+    hits = [cache.cache_info().hits for cache in _PLAN_CACHES]
+    for i in np.random.default_rng(27).permutation(len(makers)):
+        triple = hw_triple(makers[i]())
+        expected, expected_result = cold[i]
+        for name in ("A_phi", "kappa", "A_psi"):
+            assert np.array_equal(getattr(triple, name), getattr(expected, name))
+        assert classify(triple) == expected_result
+    assert all(cache.cache_info().hits > h for cache, h in zip(_PLAN_CACHES, hits))
+
+
+def _assert_bounded(cache, needed, more, arrays=lambda plan: [plan]):
+    """The keys a workload needs stay cached; more keys than the bound leave
+    the cache at its bound. Every array of a plan is read-only."""
+    limit = cache.cache_info().maxsize
+    assert limit is not None and limit >= len(needed)
+    cache.cache_clear()
+    try:
+        plans = [cache(*key) for key in needed]
+        assert cache.cache_info().currsize == len(needed)
+        assert not any(a.flags.writeable for plan in plans for a in arrays(plan))
+        for key in itertools.islice(more, limit):
+            cache(*key)
+        assert cache.cache_info().currsize == limit
+    finally:
+        cache.cache_clear()
+
+
+def test_catalecticant_plan_cache_is_bounded():
+    """A plane workload of degrees 4..6 needs five plans, in degrees 1 and
+    d-3 of u's one component, of shifted degree 3d-6; they are one plan at
+    d = 4."""
+    _assert_bounded(hwtriple._catalecticant_plan,
+                    sorted({(3, k, 3 * d - 6) for d in (4, 5, 6) for k in (1, d - 3)}),
+                    ((3, 1, s) for s in itertools.count(20)))
+
+
+def test_split_plan_cache_is_bounded():
+    """plane-large-p's three cases need six plans, a Hasse-Witt and a
+    second-operator split each: f^a against f^a and f^(a-1) against f^a,
+    a = (p-1)/2."""
+    needed = [(3, p, d, e * d, (p - 1) // 2 * d) for p, d in ((31, 6), (53, 5), (101, 4))
+              for e in ((p - 1) // 2, (p - 3) // 2)]
+    _assert_bounded(hwtriple._split_plan, needed,
+                    ((3, 5, d, 2 * d, 2 * d) for d in itertools.count(7)),
+                    lambda plan: plan.strides + plan.offsets)
+
+
+def test_tmul_plan_cache_is_bounded():
+    """A plane workload of degrees 4..6 needs three plans, for the second
+    operator's dual-module check, and a (2,3) curve six: each form from
+    the relation space's degrees -8 and -9 and the check's -7 and -8."""
+    needed = [(3, d, -2 * d) for d in (4, 5, 6)]
+    needed += [(4, f, m) for f in (2, 3) for m in (-7, -8, -9)]
+    _assert_bounded(polyring._tmul_plan, needed, ((3, 2, m) for m in itertools.count(-4, -1)))
+
+
+def test_fast_path_results_are_built_once_and_returned_fresh():
+    """The fast-path types of g = 1..10 stay cached and more genera leave
+    the cache at its bound; each call returns a new, equal result, so a
+    caller that changes one changes no other."""
+    _assert_bounded(eoclass._fast_path_type,
+                    [(g, kind) for g in range(1, 11) for kind in (False, True)],
+                    ((g, False) for g in itertools.count(11)), lambda plan: [])
+    for build in (eoclass.ordinary_result, eoclass.superspecial_result):
+        first, second = build(4), build(4)
+        assert first is not second and first == second
+        first.p_rank = -1
+        assert build(4) == second and build(4).p_rank == second.p_rank != -1
 
 
 def _singular_at(field, coeffs, d, a, b):

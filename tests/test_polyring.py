@@ -46,6 +46,19 @@ def test_poly_mul_fixtures(F5):
     assert poly_mul(s, d) == GradedPoly.from_terms(F5, 3, {(2, 0, 0): 1, (0, 2, 0): -1})
 
 
+def test_one_variable_products_are_scalar_products(F5, F9):
+    """A form in one variable is one coefficient on a cube of no axes, so
+    its products and powers are the field's products of the coefficients."""
+    for field in (F5, F9):
+        a, b = GradedPoly(field, 1, 3, [2]), GradedPoly(field, 1, 2, [field.q - 1])
+        assert poly_mul(a, b) == GradedPoly(field, 1, 5, [field.mul(2, field.q - 1)])
+        for e in (1, 2, 3, 4, 6):
+            power = 1
+            for _ in range(e):
+                power = field.mul(power, 2)
+            assert poly_pow(a, e) == GradedPoly(field, 1, 3 * e, [power])
+
+
 def test_poly_mul_ctx_mismatch(F5, F7):
     a = GradedPoly.monomial(F5, 3, (1, 0, 0))
     b = GradedPoly.monomial(F7, 3, (1, 0, 0))
