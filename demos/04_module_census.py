@@ -14,7 +14,7 @@ for g in (1, 2, 3):
         f = final_type_from_FV(mod["F"], mod["V"], field)
         w = weyl_from_final_type(f)
         by_class[w.one_line] += 1
-        p_rank, a_number, dim = invariants_from_weyl(w, g)
+        p_rank, a_number, dim = invariants_from_weyl(w)
         print(f"  {mod['label']:<42} -> w={list(w.one_line)} "
               f"({weyl_word(w)}), p-rank {p_rank}, a {a_number}, dim {dim}")
     print(f"  distinct classes: {len(by_class)} (expected {2 ** g})\n")

@@ -310,6 +310,8 @@ def read_dm_file(path: str):
             rows.append([field.parse_element(e) for e in entries])
         except ValueError:
             raise PolyParseError(f"non-integer matrix entry in row {ln!r}") from None
+        except ConstraintError as exc:
+            raise PolyParseError(f"{exc} in row {ln!r}") from None
     return field, np.array(rows)
 
 

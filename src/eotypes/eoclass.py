@@ -57,9 +57,6 @@ class FinalType:
     def __eq__(self, other):
         return isinstance(other, FinalType) and self.values == other.values
 
-    def __hash__(self):
-        return hash(self.values)
-
     def __repr__(self):
         return f"FinalType{self.values}"
 
@@ -201,12 +198,10 @@ def final_type_from_FV(full_F, full_V, field: GF) -> FinalType:
 
 def weyl_from_final_type(f: FinalType) -> WeylCoset:
     """Positions where f repeats carry 1..g in order; the rest carry
-    g+1..2g in order."""
+    g+1..2g in order. There are g of each: a FinalType runs from 0 to g in
+    2g steps of 0 or 1."""
     g = f.g
     flats = [j for j in range(1, 2 * g + 1) if f[j] == f[j - 1]]
-    if len(flats) != g:
-        raise InternalInvariantError(
-            f"final type has {len(flats)} flat steps, expected {g}")
     w = [0] * (2 * g)
     for m, j in enumerate(flats, start=1):
         w[j - 1] = m
@@ -224,11 +219,9 @@ def final_type_from_weyl(w: WeylCoset) -> FinalType:
     return FinalType(values)
 
 
-def invariants_from_weyl(w: WeylCoset, g: int):
+def invariants_from_weyl(w: WeylCoset):
     """(p_rank, a_number, stratum_dim) read off the minimal representative."""
-    if w.g != g:
-        raise ConstraintError("genus does not match the permutation size")
-    one = w.one_line
+    g, one = w.g, w.one_line
     p_rank = sum(1 for i in range(1, g + 1) if one[i - 1] == i + g)
     a_number = sum(1 for i in range(1, g + 1) if one[i - 1] <= g)
     f = final_type_from_weyl(w)
@@ -238,25 +231,24 @@ def invariants_from_weyl(w: WeylCoset, g: int):
 
 def weyl_word(w: WeylCoset) -> str:
     """Reduced word of the representative as a product of simple
-    reflections, peeled off by right descents; 'id' for the identity."""
+    reflections, peeled off by right descents; 'id' for the identity.
+
+    Every element other than the identity has a descent i <= g, w(i) >
+    w(i+1): with w(1) < ... < w(g+1), w(g) < w(g+1) = 2g+1-w(g) forces
+    w(g) <= g, so w(1..g) = 1..g, and w(g+1..2g) = g+1..2g by symmetry.
+    Peeling s_i swaps the descent pair and, for i < g, its mirror, also a
+    descent; each swap lowers the inversion count by one, so the loop
+    ends."""
     g = w.g
     n = 2 * g
     cur = list(w.one_line)
     letters = []
-    for _ in range(g * g + 1):
-        if cur == list(range(1, n + 1)):
-            break
-        for i in range(1, g + 1):
-            if cur[i - 1] > cur[i]:
-                cur[i - 1], cur[i] = cur[i], cur[i - 1]
-                if i < g:
-                    cur[n - i - 1], cur[n - i] = cur[n - i], cur[n - i - 1]
-                letters.append(i)
-                break
-        else:
-            raise InternalInvariantError("no descent found in a non-identity element")
-    else:
-        raise InternalInvariantError("descent peeling did not terminate")
+    while cur != list(range(1, n + 1)):
+        i = next(i for i in range(1, g + 1) if cur[i - 1] > cur[i])
+        cur[i - 1], cur[i] = cur[i], cur[i - 1]
+        if i < g:
+            cur[n - i - 1], cur[n - i] = cur[n - i], cur[n - i - 1]
+        letters.append(i)
     if not letters:
         return "id"
     return "*".join(f"s{i}" for i in reversed(letters))
@@ -274,7 +266,7 @@ def stable_rank(field: GF, A) -> int:
 
 def _result_from_final_type(f: FinalType) -> EOResult:
     w = weyl_from_final_type(f)
-    return EOResult(w, f, *invariants_from_weyl(w, f.g))
+    return EOResult(w, f, *invariants_from_weyl(w))
 
 
 # The two fast-path types of g = 1..64; the bound keeps a long-lived process
@@ -286,7 +278,7 @@ def _fast_path_type(g: int, superspecial: bool):
     once: none of them can change."""
     f = FinalType([max(0, i - g) if superspecial else min(i, g) for i in range(2 * g + 1)])
     w = weyl_from_final_type(f)
-    return (w, f, *invariants_from_weyl(w, g))
+    return (w, f, *invariants_from_weyl(w))
 
 
 def ordinary_result(g: int) -> EOResult:

@@ -350,8 +350,8 @@ class GradedPoly:
         return out
 
     @classmethod
-    def monomial(cls, field, nvars, exponents, coeff=1):
-        return cls.from_terms(field, nvars, {tuple(exponents): coeff})
+    def monomial(cls, field, nvars, exponents):
+        return cls.from_terms(field, nvars, {tuple(exponents): 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs.any()

@@ -114,23 +114,21 @@ def _kernel(field: GF, M):
 
 
 def solve_matrix(field: GF, A, B):
-    """Solve A X = B exactly; returns the solution with free unknowns 0.
+    """Solve A X = B exactly for a matrix B; returns the solution with free
+    unknowns 0.
 
     Raises InternalInvariantError when the system is inconsistent: every
     call site solves a system that theory guarantees to be solvable.
     """
     A = np.asarray(A, DTYPE)
     B = np.asarray(B, DTYPE)
-    vector = B.ndim == 1
-    if vector:
-        B = B[:, None]
     ncols = A.shape[1]
     R, pivots = rref(field, np.hstack([A, B]))
     if any(pc >= ncols for pc in pivots):
         raise InternalInvariantError("inconsistent linear system")
     X = np.zeros((ncols, B.shape[1]), DTYPE)
     X[list(pivots)] = R[:, ncols:]
-    return X[:, 0] if vector else X
+    return X
 
 
 class Subspace:
@@ -145,10 +143,10 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
-    def span(cls, field: GF, rows, ambient=None):
+    def span(cls, field: GF, rows):
+        """The span of the rows of a matrix; a zero subspace comes from a
+        matrix with no rows and as many columns as the ambient dimension."""
         rows = np.asarray(rows, DTYPE)
-        if rows.size == 0 and ambient is not None:
-            rows = rows.reshape(0, ambient)
         R, piv = rref(field, rows)
         return cls(field, rows.shape[1], R, piv)
 
@@ -175,22 +173,21 @@ class Subspace:
         return Subspace(self.field, self.ambient, self.field.frob(self.rows, k), self.pivots)
 
     def reduce(self, v):
-        """Residual of a vector, or of each row of a matrix, after
-        eliminating this subspace's pivot coordinates."""
+        """Residual of each row of a matrix after eliminating this
+        subspace's pivot coordinates."""
         v = np.asarray(v, DTYPE)
-        c = np.atleast_2d(v)[:, list(self.pivots)]
-        return self.field.sub(v, self.field.matmul(c, self.rows).reshape(v.shape))
+        return self.field.sub(v, self.field.matmul(v[:, list(self.pivots)], self.rows))
 
     def contains(self, v) -> bool:
-        """Whether a vector, or every row of a matrix, lies in the span."""
+        """Whether every row of a matrix lies in the span."""
         return not self.reduce(v).any()
 
     def coords_of(self, v):
-        """Coordinates over the echelon basis of a vector, or of each row of
-        a matrix; everything must lie in the span."""
+        """Coordinates over the echelon basis of each row of a matrix; every
+        row must lie in the span."""
         if not self.contains(v):
             raise InternalInvariantError("vector does not lie in the subspace")
-        return np.asarray(v, DTYPE)[..., list(self.pivots)]
+        return np.asarray(v, DTYPE)[:, list(self.pivots)]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return other.contains(self.rows)
@@ -226,13 +223,8 @@ class TwistedMap:
         return self.matrix.shape[1]
 
     def apply(self, vecs):
-        """Apply to a column vector or to the columns of a matrix."""
-        vecs = np.asarray(vecs, DTYPE)
-        vector = vecs.ndim == 1
-        if vector:
-            vecs = vecs[:, None]
-        out = self.field.matmul(self.matrix, self.field.frob(vecs, self.twist))
-        return out[:, 0] if vector else out
+        """Apply to the columns of a matrix."""
+        return self.field.matmul(self.matrix, self.field.frob(vecs, self.twist))
 
 
 def twisted_kernel(f: TwistedMap) -> Subspace:
@@ -244,7 +236,7 @@ def twisted_image(f: TwistedMap, W: Subspace) -> Subspace:
     if W.ambient != f.ncols:
         raise ConstraintError(
             f"subspace ambient {W.ambient} does not match map domain {f.ncols}")
-    return Subspace.span(f.field, f.apply(W.rows.T).T, ambient=f.nrows)
+    return Subspace.span(f.field, f.apply(W.rows.T).T)
 
 
 def twisted_preimage(f: TwistedMap, W: Subspace) -> Subspace:

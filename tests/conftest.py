@@ -387,6 +387,37 @@ def complement_oracle(field, kappa, scan):
     return sorted(order[k - h] for k in kept[h:])
 
 
+def module_axioms_oracle(field, F, V):
+    """Whether (F, V) over a prime field is a polarized module under the
+    form (0 J; -J 0), J the anti-diagonal of ones, by enumerating every
+    vector: Ker F = Im V, Ker V = Im F, b(Fx, y) = b(x, Vy)^p for every x
+    and y, and Ker F and Ker V maximal isotropic. The Frobenius twist and
+    the p-th power are the identity on GF(p). The independent oracle of
+    dieudonne.validate_dm."""
+    assert field.m == 1
+    p, n = field.p, len(F)
+    F, V = np.asarray(F, DTYPE) % p, np.asarray(V, DTYPE) % p
+    X = np.array(list(itertools.product(range(p), repeat=n)), DTYPE).T
+    g = n // 2
+    G = np.zeros((n, n), DTYPE)
+    for i in range(g):
+        G[i, n - 1 - i], G[n - 1 - i, i] = 1, p - 1
+
+    def kernel(M):
+        return X[:, ~(M @ X % p).any(axis=0)]
+
+    def vectors(cols):
+        return {tuple(c) for c in cols.T}
+
+    def form(A, B):
+        return A.T @ G @ B % p
+
+    ker_f, ker_v = kernel(F), kernel(V)
+    return (vectors(ker_f) == vectors(V @ X % p) and vectors(ker_v) == vectors(F @ X % p)
+            and np.array_equal(form(F @ X, X), form(X, V @ X))
+            and all(K.shape[1] == p ** g and not form(K, K).any() for K in (ker_f, ker_v)))
+
+
 # -- the recursive-descent polynomial parser: the oracle of cli.parse_poly ---
 
 _ORACLE_ALIASES = {"x": 0, "y": 1, "z": 2}

@@ -156,7 +156,7 @@ def test_criterion_5d_semilinear_properties(F9):
     for _ in range(100):
         g = int(rng.integers(1, 5))
         k = int(rng.integers(0, 2 * g + 1))
-        W = Subspace.span(F9, F9.random_elements(rng, (k, 2 * g)), ambient=2 * g)
+        W = Subspace.span(F9, F9.random_elements(rng, (k, 2 * g)))
         assert symplectic_perp(symplectic_perp(W)) == W
         fmap = TwistedMap(F9, F9.random_elements(rng, (2 * g, 2 * g)),
                           int(rng.integers(-1, 2)))

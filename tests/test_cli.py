@@ -211,6 +211,22 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--p", "7", "--f", "x+y+z"], "defining forms must have degree >= 2"),
+    (["--p", "7", "--n", "3", "--f", "X0^2+X1^2+X2^2+X3^2"], "a curve in P^3 needs 2 forms, got 1"),
+    # the count is checked before any form is parsed
+    (["--p", "7", "--f", "x^3+y^3+z^3", "--f2", "x^"], "a curve in P^2 needs 1 forms, got 2"),
+    (["--p", "7", "--ext", "2", "--modulus", "1,2", "--f", "x^3+y^3+z^3"],
+     "modulus must be monic of degree 2"),
+], ids=["linear-form", "form-count", "form-count-first", "modulus-degree"])
+def test_malformed_curve_arguments_exit_3(capsys, argv, message):
+    assert main(["eotype", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("constraint violation: ") and message in line
+
+
 def test_internal_invariant_violation_exits_5(monkeypatch, capsys):
     """A failed consistency check ends eotype and scan with exit 5 and no
     traceback; scan first names the sample it failed on. Draw 0 of seed 1
@@ -322,6 +338,8 @@ def test_classify_dm_bad_file(tmp_path, capsys):
     ("1 five 1\n1\n0\n", "non-integer header '1 five 1'"),
     ("1 5 1\n1 0\n0\n", "expected 1 entries per row, found 2"),
     ("1 5 1\n1\nx\n", "non-integer matrix entry in row 'x'"),
+    ("1 5 1\n1,0\n0\n", "expected a single integer, got '1,0' in row '1,0'"),
+    ("1 7 2\n1,2,3\n0\n", "element '1,2,3' has more than m=2 coefficients in row '1,2,3'"),
 ])
 def test_classify_dm_refuses_malformed_files(tmp_path, capsys, text, message):
     path = tmp_path / "module.txt"
@@ -409,7 +427,7 @@ def test_scan_rows_match_their_coset(capsys):
         w, f, p_rank, a_number, dim, _ = row.split(",")
         coset = WeylCoset([int(x) for x in w.split()])
         assert f == " ".join(map(str, final_type_from_weyl(coset).values))
-        assert (int(p_rank), int(a_number), int(dim)) == invariants_from_weyl(coset, coset.g)
+        assert (int(p_rank), int(a_number), int(dim)) == invariants_from_weyl(coset)
 
 
 def test_scan_census_follows_stratum_codimension():
@@ -424,7 +442,7 @@ def test_scan_census_follows_stratum_codimension():
         smooth = 1500 - stats["singular"]
         by_codim = {}
         for w, count in stats["hist"].items():
-            c = 6 - invariants_from_weyl(WeylCoset(w), 3)[2]
+            c = 6 - invariants_from_weyl(WeylCoset(w))[2]
             by_codim[c] = by_codim.get(c, 0) + count
         checked = [c for c in range(1, 7) if smooth * float(p) ** -c >= 30]
         assert checked == codims
@@ -484,6 +502,12 @@ def test_report_schema_rejects_bad(golden_curve, golden_triple):
     bad2["final_type"] = [0, 0]
     with pytest.raises(InternalInvariantError):
         validate_report(bad2)
+    bad3 = dict(report, genus=str(report["genus"]))
+    with pytest.raises(InternalInvariantError, match="'genus' has the wrong type"):
+        validate_report(bad3)
+    bad4 = dict(report, timings={"total_s": float("nan")})
+    with pytest.raises(InternalInvariantError, match="round-trip through JSON"):
+        validate_report(bad4)
 
 
 def test_extension_field_flags(capsys):

@@ -1,6 +1,9 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
-from conftest import complement_oracle
+from conftest import complement_oracle, module_axioms_oracle
 
 from eotypes import (ConstraintError, HWTriple, KraftWord, PolarizedDM,
                      assemble_dm, classify, dm_to_hw, enumerate_polarized_dms,
@@ -77,6 +80,49 @@ def test_dm_to_hw_g1_standard_modules(F5):
 def test_dm_to_hw_rejects_invalid(F5):
     with pytest.raises(ConstraintError):
         dm_to_hw(np.array([[1, 0], [0, 0]]), np.zeros((2, 2), int), F5)
+
+
+def test_validate_dm_agrees_with_the_brute_force_axioms(monkeypatch):
+    """validate_dm checks three axioms; the oracle checks those and that
+    Ker F and Ker V are maximal isotropic, which the three imply. They agree
+    on every 2 x 2 pair over GF(2), and over GF(3) on seeded random pairs,
+    modules and modules with one entry changed; no perpendicular is taken."""
+    real = semilinear.symplectic_perp
+    perps = []
+
+    def spy(W):
+        perps.append(W)
+        return real(W)
+
+    for module in [m for name, m in sys.modules.items()
+                   if name.startswith("eotypes") and getattr(m, "symplectic_perp", None) is real]:
+        monkeypatch.setattr(module, "symplectic_perp", spy)
+    F2, F3 = field_new(2), field_new(3)
+    matrices = [np.array(e).reshape(2, 2) for e in itertools.product(range(2), repeat=4)]
+    cases = [(F2, F, V) for F in matrices for V in matrices]
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        cases.append((F3, F3.random_elements(rng, (4, 4)), F3.random_elements(rng, (4, 4))))
+        F, V = full_fv_matrices(assemble_dm(random_hw_triple(F3, 2, rng)))
+        changed = F.copy()
+        i, j = rng.integers(0, 4, 2)
+        changed[i, j] = (changed[i, j] + rng.integers(1, 3)) % 3
+        cases += [(F3, F, V), (F3, changed, V)]
+    verdicts = [(field.p, module_axioms_oracle(field, F, V)) for field, F, V in cases]
+    assert verdicts == [(field.p, validate_dm(F, V, field) == []) for field, F, V in cases]
+    assert {(2, True), (2, False), (3, True), (3, False)} <= set(verdicts)
+    assert perps == []
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda t: PolarizedDM(t.field, np.zeros((3, 2), int)), "must be 2g x g"),
+    (lambda t: assemble_dm(t, scan="sideways"), "unknown scan order 'sideways'"),
+    (lambda t: KraftWord(()), "needs letters"),
+    (lambda t: KraftWord("FX"), "needs letters"),
+], ids=["block-shape", "scan-order", "empty-word", "bad-letter"])
+def test_argument_checks(golden_triple, call, message):
+    with pytest.raises(ConstraintError, match=message):
+        call(golden_triple)
 
 
 def test_odd_ambient_dimension_refused(F5):
@@ -193,7 +239,7 @@ def test_assembled_image_isotropic(F5):
         t = random_hw_triple(F5, g, rng)
         dm = assemble_dm(t)
         assert rank(F5, dm.A_F) == g
-        image = Subspace.span(F5, dm.A_F.T, ambient=2 * g)
+        image = Subspace.span(F5, dm.A_F.T)
         assert image.is_subspace_of(symplectic_perp(image))
 
 

@@ -59,6 +59,10 @@ def test_final_type_validation():
         FinalType((0, 0, 2, 2, 2))  # step of two
     with pytest.raises(InternalInvariantError):
         FinalType((0, 1, 1, 1, 2))  # duality violated
+    with pytest.raises(InternalInvariantError, match="steps of 0 or 1"):
+        FinalType((0, 2, 1))  # step of two, with its endpoints and duality intact
+    with pytest.raises(InternalInvariantError, match="endpoints must be 0 and g"):
+        FinalType((1, 1, 2))  # its steps and duality intact
 
 
 def test_final_type_from_AF_rejects_dependent_columns(F5):
@@ -91,6 +95,24 @@ def test_classify_rechecks_nothing_its_module_checked(golden_triple, monkeypatch
     assert all(M.shape != (6, 6) for M, _ in reduced)
 
 
+# (F, V) pairs over GF(2) that are not modules, each refused by the F/V
+# route at a different check. The last two were found among seed-0 random
+# 4 x 4 pairs, of which 135 in 300 end at the first check and 133 at the
+# second.
+@pytest.mark.parametrize("F,V,message", [
+    ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]], np.zeros((4, 4), int),
+     "dichotomy violated"),
+    ([[1, 0, 0], [0, 0, 0], [0, 1, 0]], np.zeros((3, 3), int), "odd length"),
+    ([[1, 1, 1, 0], [0, 0, 0, 0], [0, 1, 1, 1], [1, 1, 1, 1]],
+     [[1, 1, 1, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0]], "did not stabilize"),
+    ([[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 1, 1]],
+     [[0, 1, 1, 0], [0, 1, 1, 1], [0, 1, 1, 1], [1, 1, 1, 0]], "not a chain"),
+], ids=["dichotomy", "odd-length", "stabilize", "chain"])
+def test_final_type_from_FV_refuses_non_modules(F, V, message):
+    with pytest.raises(InternalInvariantError, match=message):
+        final_type_from_FV(np.array(F), np.array(V), field_new(2))
+
+
 def test_weyl_fixtures():
     assert weyl_from_final_type(FinalType(GOLDEN_FINAL_TYPE)).one_line == GOLDEN_WEYL
     assert weyl_from_final_type(FinalType((0, 0, 0, 0, 1, 2, 3))).one_line == (1, 2, 3, 4, 5, 6)
@@ -102,6 +124,10 @@ def test_weyl_membership_validation():
         WeylCoset((2, 1, 3, 4))  # violates w(i) + w(2g+1-i) = 2g+1
     with pytest.raises(InternalInvariantError):
         WeylCoset((2, 4, 1, 3))  # in W but not a minimal representative
+    with pytest.raises(InternalInvariantError, match="not a permutation"):
+        WeylCoset((1, 1))
+    with pytest.raises(InternalInvariantError, match="not in the Weyl group"):
+        WeylCoset((1, 3, 4, 2))  # 1..g and g+1..2g each in order
 
 
 def test_weyl_words():
@@ -112,10 +138,10 @@ def test_weyl_words():
 
 
 def test_invariants_fixtures():
-    assert invariants_from_weyl(WeylCoset(GOLDEN_WEYL), 3) == GOLDEN_INVARIANTS
-    assert invariants_from_weyl(WeylCoset((1, 2, 3, 4, 5, 6)), 3) == (0, 3, 0)
-    assert invariants_from_weyl(WeylCoset((4, 5, 6, 1, 2, 3)), 3) == (3, 0, 6)
-    assert invariants_from_weyl(WeylCoset((1, 2, 4, 3, 5, 6)), 3) == (0, 2, 1)
+    assert invariants_from_weyl(WeylCoset(GOLDEN_WEYL)) == GOLDEN_INVARIANTS
+    assert invariants_from_weyl(WeylCoset((1, 2, 3, 4, 5, 6))) == (0, 3, 0)
+    assert invariants_from_weyl(WeylCoset((4, 5, 6, 1, 2, 3))) == (3, 0, 6)
+    assert invariants_from_weyl(WeylCoset((1, 2, 4, 3, 5, 6))) == (0, 2, 1)
 
 
 def test_ordinary_superspecial_results():
@@ -223,7 +249,7 @@ def test_stratum_dim_equals_coxeter_length(g):
         if w.one_line in seen:
             continue
         seen.add(w.one_line)
-        _, _, dim = invariants_from_weyl(w, g)
+        _, _, dim = invariants_from_weyl(w)
         assert dim == lengths[w.one_line]
         # the peeled word is reduced: its letter count equals the length
         word = weyl_word(w)
@@ -300,7 +326,7 @@ def test_fast_path_tag_matches_p_rank_on_every_census_coset():
         assert len(cosets) == 2 ** g
         tags = set()
         for w in cosets:
-            p_rank, a, _ = invariants_from_weyl(w, g)
+            p_rank, a, _ = invariants_from_weyl(w)
             by_p_rank = ("superspecial" if a == g else
                          "ordinary" if p_rank == g else "interesting")
             assert fast_path_tag(a, g) == by_p_rank

@@ -41,6 +41,15 @@ def test_is_prime_small():
     assert not any(is_prime(c) for c in composites)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: is_prime(1 << 31), "too large for primality by trial division"),
+    (lambda: field_new((1 << 31) + 11), r"int64 arithmetic needs p < 2\^31"),
+], ids=["is-prime", "field-prime"])
+def test_argument_checks(call, message):
+    with pytest.raises(ConstraintError, match=message):
+        call()
+
+
 def test_f4_construction(F4):
     assert F4.q == 4
     assert F4.modulus == (1, 1, 1)

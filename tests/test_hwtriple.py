@@ -47,6 +47,28 @@ def test_curve_constraints(F5, F7):
         CurveCI(F5, [GradedPoly.from_terms(F5, 4, {(2, 0, 0, 0): 1})])
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda F: CurveCI(F, []), "a curve needs at least one defining form"),
+    (lambda F: CurveCI(F, [GradedPoly.from_terms(F, 2, {(3, 0): 1, (0, 3): 1})]),
+     "ambient projective dimension must be >= 2"),
+    (lambda F: CurveCI(F, [fermat_curve(field_new(7), 3).polys[0]]),
+     "defining forms live in different rings"),
+], ids=["no-forms", "projective-line", "rings"])
+def test_argument_checks(F5, call, message):
+    with pytest.raises(ConstraintError, match=message):
+        call(F5)
+
+
+def test_forms_with_a_common_factor_fail_at_dim_q(F7):
+    # X0^4 and X0^5 share X0^4, of degree n + 1 = 4: X0^5 = X0 * X0^4 lies
+    # in the degree d-n-1 = 5 part of (X0^4), so the forms cut out one
+    # dimension fewer there than a complete intersection, and dim Q = g + 1
+    curve = CurveCI(F7, [GradedPoly.monomial(F7, 4, (4, 0, 0, 0)),
+                         GradedPoly.monomial(F7, 4, (5, 0, 0, 0))])
+    with pytest.raises(SingularCurveError, match="dim Q = 52 differs from the genus 51"):
+        genus(curve)
+
+
 def test_smoothness_fixtures(F5, F7, golden_curve):
     assert plane_smoothness_check(golden_curve) is True
     assert plane_smoothness_check(

@@ -792,3 +792,21 @@ def test_monomial_basis_cache_is_bounded():
         assert monomial_basis.cache_info().currsize == limit
     finally:
         monomial_basis.cache_clear()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda F: MonomialBasis(0, 2), "nvars must be >= 1"),
+    (lambda F: GradedPoly(F, 3, 2, [1, 2]), r"coefficient vector has length \(2,\), expected 6"),
+    (lambda F: GradedPoly.monomial(F, 3, (1, 0, 0)) + GradedPoly.monomial(F, 3, (2, 0, 0)),
+     "cannot add forms of different degrees"),
+    (lambda F: TClass(F, 3, -4, [1, 2]), "T-class of degree -4 needs 3 coefficients"),
+    (lambda F: t_multiply(GradedPoly.monomial(field_new(7), 3, (1, 0, 0)), TClass.zero(F, 3, -4)),
+     "polynomial and T-class live over different rings"),
+    (lambda F: poly_pow(GradedPoly.monomial(F, 3, (1, 0, 0)), -1), "negative exponent"),
+    (lambda F: partial_derivative(GradedPoly.monomial(F, 3, (0, 0, 0)), 0),
+     "cannot differentiate a form of degree 0"),
+], ids=["basis-nvars", "poly-length", "add-degrees", "tclass-length", "tmul-rings",
+        "negative-power", "constant-derivative"])
+def test_argument_checks(F5, call, message):
+    with pytest.raises(ConstraintError, match=message):
+        call(F5)

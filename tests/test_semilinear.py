@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import rref_oracle
 
-from eotypes import (GradedPoly, InternalInvariantError, Subspace,
+from eotypes import (ConstraintError, GradedPoly, InternalInvariantError, Subspace,
                      TwistedMap, field_new, monomial_basis,
                      null_space, plane_curve, rank, rref, solve_matrix,
                      symplectic_perp, twisted_image, twisted_kernel, twisted_preimage)
@@ -51,7 +51,7 @@ def test_perp_involution_and_rank_nullity_random(F9):
     for _ in range(100):
         g = int(rng.integers(1, 5))
         k = int(rng.integers(0, 2 * g + 1))
-        W = Subspace.span(F9, F9.random_elements(rng, (k, 2 * g)), ambient=2 * g)
+        W = Subspace.span(F9, F9.random_elements(rng, (k, 2 * g)))
         again = symplectic_perp(symplectic_perp(W))
         assert again == W
         assert W.dim + symplectic_perp(W).dim == 2 * g
@@ -100,7 +100,7 @@ def test_solve_matrix(F5):
     # inconsistent system
     A2 = np.array([[1, 0], [1, 0]])
     with pytest.raises(InternalInvariantError):
-        solve_matrix(F5, A2, np.array([1, 2]))
+        solve_matrix(F5, A2, np.array([[1], [2]]))
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (101, 1), (2, 2), (3, 2), (7, 3)])
@@ -132,11 +132,11 @@ def test_subspace_queries_on_rows(F9):
     W = Subspace.span(F9, F9.random_elements(rng, (2, 5)))
     inside = F9.matmul(F9.random_elements(rng, (4, 2)), W.rows)
     outside = np.vstack([inside, F9.random_elements(rng, (1, 5))])
-    assert np.array_equal(W.reduce(outside), np.array([W.reduce(v) for v in outside]))
+    assert np.array_equal(W.reduce(outside), np.vstack([W.reduce(v[None]) for v in outside]))
     assert not W.reduce(inside).any()
     assert W.reduce(np.zeros((0, 5), np.int64)).shape == (0, 5)
     assert W.contains(inside) and not W.contains(outside)
-    assert np.array_equal(W.coords_of(inside), np.array([W.coords_of(v) for v in inside]))
+    assert np.array_equal(W.coords_of(inside), np.vstack([W.coords_of(v[None]) for v in inside]))
     assert np.array_equal(F9.matmul(W.coords_of(inside), W.rows), inside)
     with pytest.raises(InternalInvariantError):
         W.coords_of(outside)
@@ -144,13 +144,13 @@ def test_subspace_queries_on_rows(F9):
 
 def test_zero_subspace(F9):
     Z = Subspace.zero(F9, 3)
-    v = np.array([1, 0, 5])
+    v = np.array([[1, 0, 5]])
     rows = np.array([[0, 0, 0], [1, 2, 3]])
     assert np.array_equal(Z.reduce(v), v) and np.array_equal(Z.reduce(rows), rows)
     assert Z.reduce(np.zeros((0, 3), np.int64)).shape == (0, 3)
-    assert Z.contains(np.zeros(3, np.int64)) and Z.contains(np.zeros((2, 3), np.int64))
+    assert Z.contains(np.zeros((1, 3), np.int64)) and Z.contains(np.zeros((2, 3), np.int64))
     assert not Z.contains(v) and not Z.contains(rows)
-    assert Z.coords_of(np.zeros(3, np.int64)).shape == (0,)
+    assert Z.coords_of(np.zeros((1, 3), np.int64)).shape == (1, 0)
     assert Z.coords_of(np.zeros((2, 3), np.int64)).shape == (2, 0)
     for bad in (v, rows):
         with pytest.raises(InternalInvariantError):
@@ -165,11 +165,11 @@ def test_zero_subspace(F9):
 
 def test_subspace_membership_and_coords(F5):
     W = Subspace.span(F5, np.array([[1, 0, 2], [0, 1, 3]]))
-    v = F5.add(W.rows[0], F5.scale_int(2, W.rows[1]))
+    v = F5.add(W.rows[:1], F5.scale_int(2, W.rows[1:]))
     assert W.contains(v)
-    assert W.coords_of(v).tolist() == [1, 2]
+    assert W.coords_of(v).tolist() == [[1, 2]]
     with pytest.raises(InternalInvariantError):
-        W.coords_of(np.array([0, 0, 1]))
+        W.coords_of(np.array([[0, 0, 1]]))
 
 
 def test_extension_field_twisted_kernel(F4):
@@ -179,7 +179,7 @@ def test_extension_field_twisted_kernel(F4):
     assert k.dim == 1
     # verify by direct application
     f = TwistedMap(F4, M, 1)
-    img = f.apply(k.rows[0])
+    img = f.apply(k.rows.T)
     assert not img.any()
 
 
@@ -240,6 +240,31 @@ def test_rref_headroom_schedule():
     R_oracle, pivots_oracle = rref_oracle(F, M)
     assert pivots == tuple(range(8))
     assert np.array_equal(R, R_oracle) and pivots == pivots_oracle
+
+
+def test_rref_refuses_an_entry_past_its_headroom(monkeypatch):
+    # test_rref_headroom_schedule's matrix with max_terms raised from 2 to
+    # 8: no full reduction in its eight steps, so entries pass below int64
+    # and wrap to the top, which the check at the end of the loop finds
+    F = field_new(2 ** 31 - 1)
+    i, j = np.indices((8, 12))
+    M = np.where(i == j, i + 1, np.minimum(i, j) - 1) % F.p
+    monkeypatch.setattr(F, "max_terms", 8)
+    with pytest.raises(InternalInvariantError, match="int64 headroom"):
+        rref(F, M)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda F: rref(F, np.array([1, 2, 3])), "rref expects a matrix"),
+    (lambda F: TwistedMap(F, np.array([1, 2]), 1), "twisted map needs a matrix"),
+    (lambda F: twisted_image(TwistedMap(F, np.eye(2, dtype=int)), Subspace.full(F, 3)),
+     "subspace ambient 3 does not match map domain 2"),
+    (lambda F: twisted_preimage(TwistedMap(F, np.zeros((3, 2), int)), Subspace.full(F, 2)),
+     "subspace ambient 2 does not match map codomain 3"),
+], ids=["rref", "twisted-map", "image", "preimage"])
+def test_argument_checks(F5, call, message):
+    with pytest.raises(ConstraintError, match=message):
+        call(F5)
 
 
 def test_rref_worst_case_digits_without_headroom():
