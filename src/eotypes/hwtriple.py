@@ -201,12 +201,13 @@ def genus(curve: CurveCI) -> int:
     >= 1 for every curve ``CurveCI`` admits. deg(C), the product of the
     degrees, is even unless every degree is odd, and then d = n-1 mod 2 and
     d-n-1 is even. d-n-1 >= 0: d >= 3 for n = 2, and d >= 2(n-1) for
-    n >= 3, as every degree is >= 2. dim Q differs where the forms are not a
-    complete intersection in degree d-n-1, as X0^4 and X0^5 in P^3:
-    dim Q = 52 against g = 51."""
+    n >= 3, as every degree is >= 2. For a complete intersection the
+    degrees fix dim Q, so it differs only where the forms are not one, as
+    X0^4 and X0^5 in P^3: dim Q = 52 against g = 51."""
     g = 1 + prod(curve.degrees) * (curve.d - curve.n - 1) // 2
     if curve.n >= 3 and curve.q_basis.dim != g:
-        raise SingularCurveError(f"dim Q = {curve.q_basis.dim} differs from the genus {g}")
+        raise ConstraintError(f"the forms are not a complete intersection: "
+                              f"dim Q = {curve.q_basis.dim} differs from the genus {g}")
     return g
 
 

@@ -1,13 +1,14 @@
 """Raise audit: run tier-1 under a line tracer limited to ``src/eotypes`` and
 list every ``raise`` statement that no test reached.
 
-    PYTHONPATH=src python tests/raise_audit.py [pytest args]
+    PYTHONPATH=src python tests/raise_audit.py
 
-Exits 1 with one ``path:line`` per unreached raise, 0 when every raise in
-the package fires in some test, and pytest's own code when a test fails.
-The file is not named ``test_*``, so tier-1 does not collect it. Only the
-test process is traced: a raise reached only inside a subprocess does not
-count.
+Runs the whole of tier-1, as a subset would show the raises that only the
+tests left out reach. Exits 0 when every test passes and every raise in the
+package fires in some test; otherwise 1, listing one ``path:line`` per
+unreached raise. The file is not named ``test_*``, so tier-1 does not
+collect it. Only the test process is traced: a raise reached only inside a
+subprocess does not count.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ def raise_lines() -> dict:
     return out
 
 
-def run_traced(pytest_args) -> tuple:
-    """(pytest exit code, {path: set of executed lines}) for one run."""
+def run_traced() -> tuple:
+    """(pytest exit code, {path: set of executed lines}) for one tier-1 run."""
     seen, inside = {}, {}  # by code file name as the interpreter gives it
 
     def local(frame, event, arg):
@@ -55,7 +56,8 @@ def run_traced(pytest_args) -> tuple:
 
     sys.settrace(tracer)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+        code = pytest.main(["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+                            os.path.join(ROOT, "tests")])
     finally:
         sys.settrace(None)
     lines = {}
@@ -65,10 +67,10 @@ def run_traced(pytest_args) -> tuple:
 
 
 def main() -> int:
-    code, seen = run_traced(sys.argv[1:] or [os.path.join(ROOT, "tests")])
+    code, seen = run_traced()
     if code != 0:
         print(f"raise audit: tier-1 failed (pytest exit code {code})", file=sys.stderr)
-        return code
+        return 1
     raises = raise_lines()
     missed = [(path, line) for path, lines in raises.items() for line in lines
               if line not in seen.get(path, ())]

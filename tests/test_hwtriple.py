@@ -65,7 +65,8 @@ def test_forms_with_a_common_factor_fail_at_dim_q(F7):
     # dimension fewer there than a complete intersection, and dim Q = g + 1
     curve = CurveCI(F7, [GradedPoly.monomial(F7, 4, (4, 0, 0, 0)),
                          GradedPoly.monomial(F7, 4, (5, 0, 0, 0))])
-    with pytest.raises(SingularCurveError, match="dim Q = 52 differs from the genus 51"):
+    with pytest.raises(ConstraintError, match="not a complete intersection: "
+                       "dim Q = 52 differs from the genus 51"):
         genus(curve)
 
 
