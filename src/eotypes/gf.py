@@ -12,8 +12,8 @@ arrays.
 For m > 1 one matrix defines the field: ``_red``, whose row t holds the
 digits of x^(m+t) modulo the modulus. Products reduce through it, and the
 rest derives from products: the Frobenius sigma has the digits of x^(p*j) as
-column j. Inverses come from a table for q <= 2^16; otherwise ``inv_scalar``
-inverts an element of GF(p) by Python's ``pow``, and any other by the norm
+column j. ``inv_scalar`` inverts an element of GF(p) by Python's ``pow``,
+one of GF(p^m) with q <= 2^16 by a table, and any other by the norm
 identity a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), with N(a) in
 GF(p) inverted by ``pow``. A monic modulus is accepted iff sigma^m = 1 (so
 the ring is reduced and its factor degrees divide m) and sigma fixes only a
@@ -102,7 +102,17 @@ class GF:
         if m > 62:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         p, m = int(p), int(m)
-        self._init_arithmetic(p, m)
+        self.p, self.m, self.q = p, m, p ** m
+        # Largest entry of one unreduced product of digits in [0, p): a digit
+        # plane gathers m products, and the m-1 high planes pass through _red.
+        self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
+        # Largest entry of a product of m digits in [0, p) with _bp: of the
+        # products x^i * b that mul_outer takes, and of a multiplication matrix.
+        self._bp_max = m * (p - 1) ** 2
+        # Most terms one sum of products may hold.
+        self.max_terms = _INT64_MAX // self.term_bound
+        self._ppow = np.array([p ** i for i in range(m)], DTYPE)
+        self.modulus, self._inv_table = None, None
         if self.q > _INT64_MAX or self.max_terms < 1:
             raise ConstraintError(f"GF({p}^{m}) is too large for int64 digit planes")
         if m == 1 and modulus is not None:
@@ -120,33 +130,17 @@ class GF:
                 candidates = [modulus]
             if not self._install_first_irreducible(candidates):
                 raise ConstraintError(f"modulus {modulus} is reducible over Z/{p}")
-        if self.q <= 1 << 16:
+        if m > 1 and self.q <= 1 << 16:
             self._inv_table = self.pow_int(np.arange(self.q, dtype=DTYPE), self.q - 2)
-
-    def _init_arithmetic(self, p: int, m: int):
-        """The constants of p and m alone: no modulus, no inverse table."""
-        self.p, self.m, self.q = p, m, p ** m
-        # Largest entry of one unreduced product of digits in [0, p): a digit
-        # plane gathers m products, and the m-1 high planes pass through _red.
-        self.term_bound = m * (1 + (m - 1) * (p - 1)) * (p - 1) ** 2
-        # Largest entry of a product of m digits in [0, p) with _bp: of the
-        # products x^i * b that mul_outer takes, and of a multiplication matrix.
-        self._bp_max = m * (p - 1) ** 2
-        # Most terms one sum of products may hold.
-        self.max_terms = _INT64_MAX // self.term_bound
-        self._ppow = np.array([p ** i for i in range(m)], DTYPE)
-        self.modulus, self._inv_table = None, None
 
     def _install_first_irreducible(self, candidates) -> bool:
         """Make the first irreducible monic candidate the modulus, with its
         _red, _bp and Frobenius matrices; False if no candidate is
         irreducible. sigma - 1 is a matrix over GF(p): its rank is taken in
-        the arithmetic of GF(p), set up once, without GF(p)'s inverse table
-        (``inv_scalar`` inverts its pivots by ``pow``)."""
+        one GF(p) for the whole search."""
         from .semilinear import rank
         p, m = self.p, self.m
-        prime, eye = GF.__new__(GF), np.eye(m, dtype=DTYPE)
-        prime._init_arithmetic(p, 1)
+        prime, eye = GF(p), np.eye(m, dtype=DTYPE)
         xs, high = np.arange(p, dtype=DTYPE), None
         for modulus in candidates:
             # A root in GF(p) makes a candidate reducible. The candidate is
@@ -285,9 +279,10 @@ class GF:
         return self.encode(self._fold(planes))
 
     def inv_scalar(self, code):
-        """Inverse of a single element: a table lookup, Python's ``pow`` in
-        GF(p) (the codes below p), or the norm identity a^(-1) = N(a)^(-1) *
-        sigma(a) ... sigma^(m-1)(a), N(a) = a * sigma(a) ... lying in GF(p)."""
+        """Inverse of a single element: a table lookup over GF(p^m) with
+        q <= 2^16, Python's ``pow`` in GF(p) (the codes below p), or the norm
+        identity a^(-1) = N(a)^(-1) * sigma(a) ... sigma^(m-1)(a), where
+        N(a) = a * sigma(a) ... lies in GF(p)."""
         code = int(code)
         if code == 0:
             raise ZeroDivisionError("0 has no inverse")

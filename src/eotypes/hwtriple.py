@@ -16,15 +16,16 @@ Smoothness is read off the generator u of the duality's relation space U,
 which the second operator needs anyway: a curve in P^n is smooth iff
 dim U = 1 and the catalecticant of u in degree 1 has rank n + 1
 (``plane_smoothness_check``). The same reader (``_catalecticant``) in
-degree d-n-1 is the duality pairing (``pairing_matrix``). The relation
-matrix is one take per form from the coefficients of its partials.
+degree d-n-1 is the duality pairing (``pairing_matrix``). One builder,
+``_relation_matrix``, stacks the relations of U: U is its null space, and
+the second operator's image is checked by one product with it.
 
 What the readers take from where depends only on the case (n, the
 degrees, p), not on the curve, and is built once into read-only plans kept
 in bounded caches keyed by those ints: the relation matrix's positions
 (``_derivative_plan``), the catalecticants' (``_catalecticant_plan``) and
 the split reader's shapes (``_split_plan``). Every work guard still runs
-on each call, before the plan is read.
+on each call, before the plan is read, through ``polyring._check_work``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ import numpy as np
 
 from .errors import ConstraintError, InternalInvariantError, SingularCurveError
 from .gf import DTYPE, GF
-from .polyring import (WORK_BUDGET_BYTES, GradedPoly, TClass, _positions, exponent_array,
+from . import polyring
+from .polyring import (GradedPoly, TClass, _check_work, _positions, exponent_array,
                        linalg_work_bytes, monomial_basis, poly_mul, poly_pow,
                        power_work_bytes, tmul_matrix)
 from .semilinear import Subspace, null_space, rank, rref, solve_matrix
@@ -113,37 +115,15 @@ class CurveCI:
         if rows == 0:
             return Subspace.full(field, ambient)
         _check_work("Q space", linalg_work_bytes(field, nvars, rows, ambient))
-        blocks = np.vstack([tmul_matrix(f, -d) for f in self.polys])
-        return Subspace.kernel(field, blocks)
+        return Subspace.kernel(field, _membership_matrix(self, -d))
 
     @cached_property
     def _relations(self):
-        """Echelon basis (rows) of the relation space U behind the duality:
-        the tuples (xi_l) in degrees n+1-2d-deg f_l with
-        sum_l (d f_l / dX_j) * xi_l = 0 for every j and, for n >= 3, each
-        xi_l in the curve's dual module. On a plane curve U decides
-        smoothness (``plane_smoothness_check``), so its guard bears that
-        check's name there."""
-        field, nvars, d, n = self.field, self.nvars, self.d, self.n
-        src_degrees = self._relation_degrees
-        sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        rows = nvars * TClass.basis_size(nvars, n - 2 * d)
-        if n >= 3:
-            rows += sum(TClass.basis_size(nvars, m + f.degree)
-                        for m in src_degrees for f in self.polys)
-        _check_work("smoothness check" if n == 2 else "relation space",
-                    linalg_work_bytes(field, nvars, rows, int(offsets[-1])))
-        blocks = [_derivative_matrix(self, src_degrees)]
-        if n >= 3:
-            # membership of each component in the curve's dual module
-            for ell, m in enumerate(src_degrees):
-                for f in self.polys:
-                    block = np.zeros((TClass.basis_size(nvars, m + f.degree),
-                                      int(offsets[-1])), DTYPE)
-                    block[:, offsets[ell]:offsets[ell + 1]] = tmul_matrix(f, m)
-                    blocks.append(block)
-        return null_space(field, np.vstack(blocks))
+        """Echelon basis (rows) of the relation space U behind the duality,
+        in degrees n+1-2d-deg f_l. On a plane curve U decides smoothness
+        (``plane_smoothness_check``), so its guard bears that check's name."""
+        return null_space(self.field, _relation_matrix(
+            self, self._relation_degrees, "smoothness check" if self.n == 2 else "relation space"))
 
     @property
     def _relation_degrees(self):
@@ -182,13 +162,6 @@ def check_power_budget(field: GF, nvars: int, d: int):
     Frobenius image of degree -p*d is formed. The charge on degree p*d is
     kept unchanged as an upper bound on every one of them."""
     _check_work("powers", power_work_bytes(field, nvars, field.p * d))
-
-
-def _check_work(what: str, work: int):
-    if work > WORK_BUDGET_BYTES:
-        raise ConstraintError(
-            f"the {what} of this curve would need about {work / 2 ** 30:.3g} GiB, above the "
-            f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
 
 
 def plane_curve(field: GF, f: GradedPoly) -> CurveCI:
@@ -260,9 +233,9 @@ def _catalecticant(curve: CurveCI, u, k: int):
     """The catalecticant of the stacked tuple u in degree k: row i is
     m_i * u over the degree k monomials m_i. It is one take from u's
     components laid end to end, at the positions of ``_catalecticant_plan``.
-    It has no more rows than the relation matrix that ``CurveCI._relations``
-    guarded, and columns of no higher degree, so its guard refuses no curve
-    that got this far."""
+    It has no more rows than the relation matrix of U, guarded before it,
+    and columns of no higher degree, so its guard refuses no curve that got
+    this far."""
     nvars = curve.nvars
     _check_work("smoothness check", linalg_work_bytes(
         curve.field, nvars, comb(k + nvars - 1, nvars - 1),
@@ -347,7 +320,8 @@ def _split_read(curve: CurveCI, split, what: str):
     the work budget together, checked before either factor is formed.
     Beyond the budget left by the copies, L[:, blk] R[:, blk]^T is summed
     over blocks of the widest column range it allows (one block on every
-    curve of the benchmark), all read from the same two copies.
+    curve of the benchmark), all read from the same two copies. The width
+    reads ``polyring.WORK_BUDGET_BYTES`` at call time, as the check does.
 
     The copies are never what refuses a curve that reaches the reader in
     ``hw_triple``. With e = d-n-1 and t = deg m_i, their sides are
@@ -373,7 +347,7 @@ def _split_read(curve: CurveCI, split, what: str):
     column = linalg_work_bytes(field, nvars, plan.rows + plan.cols, 1)
     _check_work(what, plan.copy_bytes + max(
         linalg_work_bytes(field, nvars, plan.rows, plan.cols), column))
-    width = (WORK_BUDGET_BYTES - plan.copy_bytes) // column
+    width = (polyring.WORK_BUDGET_BYTES - plan.copy_bytes) // column
     P, Q = curve._factor(lo), curve._factor(hi)
     lo_cube = P._cube()
     cubes = (lo_cube, (lo_cube if Q is P else Q._cube())[(slice(None, None, -1),) * axes])
@@ -429,6 +403,36 @@ def _split_plan(nvars: int, p: int, d: int, lo_degree: int, hi_degree: int) -> _
                       8 * sum(side ** axes for side in sides))
 
 
+def _relation_matrix(curve: CurveCI, src_degrees, stage: str):
+    """Matrix of the relations of U on stacked tuples (xi_l) in degrees
+    src_degrees, charged under stage before it is built: the derivative
+    relations sum_l (d f_l / dX_j) * xi_l = 0 for every j and, for n >= 3,
+    each xi_l in the curve's dual module, f_k * xi_l = 0 for every k.
+
+    A plane curve needs no membership rows. By Euler's identity
+    d * f = sum_j X_j * df/dX_j, d * (f * xi) = sum_j X_j * (df/dX_j * xi)
+    is 0 where the derivative rows hold, and p does not divide d
+    (``CurveCI`` asserts it), so f * xi = 0. With several forms it gives
+    only sum_l deg f_l * (f_l * xi_l) = 0, so space curves keep them."""
+    nvars = curve.nvars
+    sizes = [TClass.basis_size(nvars, m) for m in src_degrees]
+    members = src_degrees if curve.n >= 3 else []
+    # every sum_l (d f_l / dX_j) * xi_l lies in one degree
+    rows = nvars * TClass.basis_size(nvars, src_degrees[0] + curve.degrees[0] - 1) + sum(
+        TClass.basis_size(nvars, m + f.degree) for m in members for f in curve.polys)
+    _check_work(stage, linalg_work_bytes(curve.field, nvars, rows, sum(sizes)))
+    ends = np.cumsum(sizes)
+    return np.vstack([_derivative_matrix(curve, src_degrees)] + [
+        np.pad(_membership_matrix(curve, m), ((0, 0), (end - size, ends[-1] - end)))
+        for m, size, end in zip(members, sizes, ends)])
+
+
+def _membership_matrix(curve: CurveCI, src_degree: int):
+    """Matrix of t -> (f_k * t)_k from T_src_degree, stacked over the forms:
+    its kernel is that degree's piece of the curve's dual module."""
+    return np.vstack([tmul_matrix(f, src_degree) for f in curve.polys])
+
+
 def _derivative_matrix(curve: CurveCI, src_degrees):
     """Matrix of the tuple (xi_l) in degrees src_degrees to the tuple over j
     of sum_l (d f_l / dX_j) * xi_l, on stacked coefficient vectors: per
@@ -475,27 +479,18 @@ def psi_matrix(curve: CurveCI, kappa, u):
     the Q basis: column j is theta of (F_l * Frob(tau(kappa_j) . Q))_l,
     F_l = f_l^(p-2) times the other forms' (p-1) powers, one read per form
     (``_frob_times``); a plane curve's F_0 = f^(p-2) is read off f^(p-2-a)
-    and f^a. The images must lie in the dual module and satisfy the
-    derivative relations."""
+    and f^a. The images, tuples in degrees -d - deg f_l, must satisfy the
+    relations of U, checked by one product with ``_relation_matrix``. That
+    matrix is d-n-1 >= 0 degrees above U's and no larger, so its charge
+    refuses no curve that reached the second operator."""
     field, d = curve.field, curve.d
     rows = field.matmul(field.frob(np.asarray(kappa, DTYPE), -1), curve.q_basis.rows)
-    comps = [_frob_times(curve, curve._split(ell, field.p - 2), rows, "second operator")
-             for ell in range(len(curve.polys))]
-    if any(field.matmul(tmul_matrix(f, -d - f_l.degree), comp).any()
-           for comp, f_l in zip(comps, curve.polys) for f in curve.polys):
-        raise InternalInvariantError("second operator image left the curve's dual module")
-    xi_cols = np.vstack(comps)
-    _assert_tuple_relations(curve, xi_cols)
+    xi_cols = np.vstack([_frob_times(curve, curve._split(ell, field.p - 2), rows,
+                                     "second operator") for ell in range(len(curve.polys))])
+    relations = _relation_matrix(curve, [-d - f.degree for f in curve.polys], "second operator")
+    if field.matmul(relations, xi_cols).any():
+        raise InternalInvariantError("second operator image violates the relations of U")
     return _dual_coords(curve, curve._mu_of(u), xi_cols)
-
-
-def _assert_tuple_relations(curve: CurveCI, xi_cols):
-    """Each column, a stacked tuple in degrees -d - deg f_l, must satisfy
-    sum_l (d f_l / dX_j) * xi_l = 0 for every j."""
-    M = _derivative_matrix(curve, [-curve.d - f.degree for f in curve.polys])
-    if curve.field.matmul(M, xi_cols).any():
-        raise InternalInvariantError(
-            "second operator image violates the derivative relations")
 
 
 def pairing_matrix(curve: CurveCI, u):

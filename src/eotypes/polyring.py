@@ -80,6 +80,17 @@ from .gf import DTYPE, GF, FieldElem
 # before the arithmetic starts.
 WORK_BUDGET_BYTES = 1 << 30
 
+
+def _check_work(what: str, work: int):
+    """Refuse a stage whose estimated working set, in bytes, exceeds the
+    work budget. Every guard of the package calls it, and it alone reads
+    ``WORK_BUDGET_BYTES``, at call time."""
+    if work > WORK_BUDGET_BYTES:
+        raise ConstraintError(
+            f"the {what} of this curve would need about {work / 2 ** 30:.3g} GiB, above the "
+            f"{WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
+
+
 # Padded multiply-adds of one product of exponent cubes, the product of the
 # two factors' ``_kronecker_len``, up to which it is one int64 np.convolve
 # (``_conv_direct``) rather than an FFT; both give the same integers. The
@@ -120,10 +131,8 @@ class MonomialBasis:
         self.degree = degree
         self.cube_shape = (degree + 1,) * (nvars - 1)
         table_words = (2 * nvars + 1) * comb(degree + nvars - 1, nvars - 1)
-        if 8 * (prod(self.cube_shape) + table_words) > WORK_BUDGET_BYTES:
-            raise ConstraintError(
-                f"the degree-{degree} cube and exponent table in {nvars} variables exceed "
-                f"the {WORK_BUDGET_BYTES / 2 ** 30:.3g} GiB work budget")
+        _check_work(f"degree-{degree} monomial basis in {nvars} variables",
+                    8 * (prod(self.cube_shape) + table_words))
         tails = _tail_exponents(nvars - 1, degree)
         exps = np.hstack([degree - tails.sum(axis=1, keepdims=True), tails])
         exps.flags.writeable = False
@@ -593,8 +602,8 @@ def tmul_matrix(s: GradedPoly, src_degree: int):
     return np.append(s.coeffs, 0).take(_tmul_plan(s.nvars, s.degree, src_degree))
 
 
-# A curve reads at most a few plans per form: the Q space, the relation
-# space for n >= 3 and the second operator's dual-module check; the bound
+# A curve reads at most a few plans per form: the Q space and, for n >= 3,
+# the relation space and the second operator's image check; the bound
 # keeps a long-lived process from holding every plan it ever built.
 @lru_cache(maxsize=16)
 def _tmul_plan(nvars: int, degree: int, src_degree: int):

@@ -1,4 +1,6 @@
+import faulthandler
 import itertools
+import os
 from functools import reduce
 
 import numpy as np
@@ -9,7 +11,6 @@ from eotypes import (CurveCI, GradedPoly, TClass, field_new, gather, hw_triple,
                      t_multiply, theta_apply, tmul_matrix)
 from eotypes.errors import ConstraintError, InternalInvariantError, PolyParseError
 from eotypes.gf import DTYPE
-from eotypes.hwtriple import _assert_tuple_relations
 from eotypes.polyring import exponent_array
 
 # The worked quartic written as terms, independently of its text in
@@ -26,6 +27,32 @@ GOLDEN_U_SHIFTED = {
     (3, 4, 5): 2, (3, 3, 6): 1, (2, 6, 4): 4, (2, 5, 5): 1, (2, 4, 6): 2,
     (1, 6, 5): 2, (1, 5, 6): 1,
 }
+
+
+# Seconds a test may run before the watchdog dumps every thread's traceback
+# and ends the run with exit code 1, so that a regression that loops fails
+# in one test's time. The slowest test takes a few seconds, and about twice
+# as long under tests/raise_audit.py.
+WATCHDOG_SECONDS = 120
+
+
+def pytest_configure(config):
+    """Keep a copy of the real stderr for the watchdog's dump: pytest's
+    capture points fd 2 at a file that the exit would discard. Capture is
+    suspended while pytest_configure runs."""
+    global _watchdog_fd
+    _watchdog_fd = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_watchdog_fd)
+
+
+@pytest.fixture(autouse=True)
+def _watchdog():
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True, file=_watchdog_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")
@@ -603,7 +630,9 @@ def _oracle_psi_general(curve, kappa, u):
         xi = tuple(t_multiply(F, t) for F in products)
         for comp in xi:
             _oracle_assert_in_dual_module(curve, comp)
-        _assert_tuple_relations(curve, np.concatenate([comp.coeffs for comp in xi])[:, None])
+        relations = derivative_matrix_oracle(curve, [comp.degree for comp in xi])
+        if field.matmul(relations, np.concatenate([comp.coeffs for comp in xi])[:, None]).any():
+            raise InternalInvariantError("second operator image violates the derivative relations")
         cols.append(theta_apply(curve, u, xi))
     return np.array(cols, DTYPE).T
 

@@ -455,8 +455,10 @@ def test_default_modulus_unchanged(p, m):
     assert field_new(p, m).modulus == MORE_DEFAULT_MODULI[p, m]
 
 
-def test_extension_field_builds_no_prime_field(monkeypatch):
-    # the rank of sigma - 1 is taken without GF(p) and its inverse table
+def test_prime_field_builds_no_inverse_table(monkeypatch):
+    # GF(p) inverts by pow and keeps no table, so the modulus search takes
+    # the ranks of sigma - 1 in one plain GF(p); an extension field with
+    # q <= 2^16 keeps its table
     built = []
     init = gf.GF.__init__
 
@@ -465,8 +467,13 @@ def test_extension_field_builds_no_prime_field(monkeypatch):
         init(self, p, m, modulus)
 
     monkeypatch.setattr(gf.GF, "__init__", spy)
-    assert field_new(65521, 2).modulus == (17, 0, 1)
-    assert built == [(65521, 2)]
+    F = field_new(65521, 2)
+    assert F.modulus == (17, 0, 1) and F._inv_table is None
+    assert built == [(65521, 2), (65521, 1)]
+    assert field_new(65521)._inv_table is None and field_new(5)._inv_table is None
+    F49 = field_new(7, 2)
+    assert F49._inv_table is not None
+    assert np.all(F49.mul(np.arange(1, 49), F49._inv_table[1:]) == 1)
 
 
 def test_default_modulus_search_ranks_over_the_prime_field(monkeypatch):

@@ -20,9 +20,10 @@ from eotypes import (ConstraintError, CurveCI, GradedPoly, HWTriple, InternalInv
 from eotypes import eoclass, hwtriple, polyring
 from eotypes.cli import parse_poly
 from eotypes.golden import GOLDEN_HW, GOLDEN_KAPPA, GOLDEN_PSI_COLS, GOLDEN_TEXT
-from eotypes.hwtriple import (_assert_tuple_relations, _catalecticant, _derivative_matrix,
-                              _derivative_plan, _frob_times)
-from eotypes.polyring import WORK_BUDGET_BYTES, gather, linalg_work_bytes, poly_mul, poly_pow
+from eotypes.hwtriple import (_catalecticant, _derivative_matrix, _derivative_plan, _frob_times,
+                              _relation_matrix)
+from eotypes.polyring import (WORK_BUDGET_BYTES, MonomialBasis, gather, linalg_work_bytes,
+                              poly_mul, poly_pow, tmul_matrix)
 from eotypes.semilinear import null_space
 
 
@@ -250,25 +251,52 @@ def test_general_path_matches_frobenius_class_oracle(F4, F5, F7, F9):
 
 def test_psi_general_refuses_image_outside_dual_module(ci_23_curve):
     """A vector outside the kernel sends the second operator's image out of
-    the curve's dual module, and the check says so."""
+    the curve's dual module, off the relations of U, and the check says so."""
     with pytest.raises(InternalInvariantError,
-                       match="second operator image left the curve's dual module"):
+                       match="second operator image violates the relations of U"):
         psi_matrix(ci_23_curve, [[1, 0, 0, 0]], ci_23_curve.u)
 
 
 def test_psi_plane_refuses_image_off_derivative_relations(golden_curve):
     """A vector outside the golden quartic's kernel gives an image that
-    leaves the dual module and breaks the derivative relations. Every such
-    vector fails both checks, so psi_matrix reports the first, and the
-    second is run on the image columns directly."""
-    kappa = np.array([[0, 0, 1]])
+    leaves the dual module, so by Euler's identity it also breaks the
+    derivative relations, and the one check of the relations of U says so."""
     with pytest.raises(InternalInvariantError,
-                       match="second operator image left the curve's dual module"):
-        psi_matrix(golden_curve, kappa, golden_curve.u)
-    image = _frob_times(golden_curve, golden_curve._split(0, 3), kappa, "second operator")
-    with pytest.raises(InternalInvariantError,
-                       match="second operator image violates the derivative relations"):
-        _assert_tuple_relations(golden_curve, image)
+                       match="second operator image violates the relations of U"):
+        psi_matrix(golden_curve, np.array([[0, 0, 1]]), golden_curve.u)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (3, 2), (5, 2)])
+def test_plane_derivative_relations_imply_dual_module_membership(p, m):
+    """By Euler's identity d * f = sum_j X_j * df/dX_j, and p not dividing
+    d, the derivative relations give f * xi = 0, so a plane curve's
+    relation matrix has no membership rows. On seeded plane curves of
+    degree 3..6, every null-space vector of the derivative rows at the
+    second operator's degree -2d is killed by tmul_matrix(f, -2d)."""
+    field = field_new(p, m)
+    rng = np.random.default_rng(10 * p + m)
+    for d in (d for d in range(3, 7) if d % p):
+        f = GradedPoly(field, 3, d, field.random_elements(rng, (len(monomial_basis(3, d)),)))
+        curve = plane_curve(field, f)
+        relations = _relation_matrix(curve, [-2 * d], "second operator")
+        assert np.array_equal(relations, _derivative_matrix(curve, [-2 * d]))
+        kernel = null_space(field, relations)
+        assert kernel.shape[0] > 0
+        assert not field.matmul(tmul_matrix(f, -2 * d), kernel.T).any()
+
+
+def test_space_curve_derivative_relations_miss_dual_module_membership(ci_23_curve):
+    """With several forms Euler's identity gives only
+    sum_l deg f_l * (f_l * xi_l) = 0: on the (2,3) curve the derivative
+    rows alone admit tuples outside the dual module at the degrees of U
+    and of the second operator's image, so its relation matrix keeps the
+    membership rows, and U is one-dimensional only with them."""
+    curve, field = ci_23_curve, ci_23_curve.field
+    for degrees in (curve._relation_degrees, [-curve.d - f.degree for f in curve.polys]):
+        kernel = null_space(field, _derivative_matrix(curve, degrees))
+        assert field.matmul(_relation_matrix(curve, degrees, "relation space"), kernel.T).any()
+    relations = _relation_matrix(curve, curve._relation_degrees, "relation space")
+    assert null_space(field, relations).shape[0] == 1
 
 
 def test_triple_refuses_kernel_short_of_the_null_space(F5):
@@ -585,7 +613,7 @@ def test_hw_plane_matrix_in_column_blocks_matches_one_block(monkeypatch, p, m, d
     monkeypatch.setattr(hwtriple, "poly_pow",
                         lambda f, e: formed.append(original_pow(f, e)) or formed[-1])
     monkeypatch.setattr(GradedPoly, "_cube", lambda x: cubes.append(x) or original_cube(x))
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES",
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES",
                         copy_bytes + linalg_work_bytes(field, nvars, 2 * g, -(-columns // 2)))
     assert np.array_equal(hasse_witt_matrix(curve), whole)
     assert len(recorded.widths) == 4 and sum(recorded.widths) == 2 * columns
@@ -607,7 +635,7 @@ def test_hw_plane_matrix_copies_counted_in_budget(monkeypatch):
     formed = []
     monkeypatch.setattr(hwtriple, "poly_pow", lambda f, e: formed.append(e) or original_pow(f, e))
     for curve, g, powers in curves:
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
         recorded = _record_split_reads(monkeypatch, curve)
         whole = hasse_witt_matrix(curve)
         need = sum(c.nbytes for c in recorded.copies) + max(
@@ -616,13 +644,13 @@ def test_hw_plane_matrix_copies_counted_in_budget(monkeypatch):
         curve._formed.clear()
         recorded.copies.clear()
         formed.clear()
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", need)
         assert np.array_equal(hasse_witt_matrix(curve), whole)
         assert formed == powers and len(recorded.copies) == 2
         curve._formed.clear()
         recorded.copies.clear()
         formed.clear()
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", need - 1)
         with pytest.raises(ConstraintError, match="Hasse-Witt matrix"):
             hasse_witt_matrix(curve)
         assert formed == [] and recorded.copies == []
@@ -635,7 +663,7 @@ def test_hw_plane_matrix_copies_beyond_budget_exit_3(monkeypatch, capsys):
     from eotypes import cli
     monkeypatch.setattr(cli, "check_power_budget", lambda *args: None)
     monkeypatch.setattr(hwtriple, "check_power_budget", lambda *args: None)
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", 1 << 19)
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", 1 << 19)
     assert cli.main(["eotype", "--p", "101", "--f", "x^4+y^4+z^4+x*y^2*z"]) == 3
     assert "Hasse-Witt matrix" in capsys.readouterr().err
 
@@ -644,7 +672,7 @@ def test_hw_plane_matrix_result_beyond_budget_refused(monkeypatch, F7):
     """A g x g result above the budget is refused even when one column of
     L and R fits it."""
     curve = fermat_curve(F7, 6)
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", linalg_work_bytes(F7, 3, 10, 5))
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", linalg_work_bytes(F7, 3, 10, 5))
     with pytest.raises(ConstraintError, match="work budget"):
         hasse_witt_matrix(curve)
 
@@ -678,6 +706,9 @@ def test_linear_algebra_budget_sizes_the_matrices_it_guards(monkeypatch, F5, ci_
     for curve in (plane, CurveCI(F5, ci_23_curve.polys), _ci_24_curve(F5, ci_23_curve.polys[0])):
         curve.q_basis
         curve.u
+        # the second operator's image check, one product with this matrix
+        reduced.append(_relation_matrix(
+            curve, [-curve.d - f.degree for f in curve.polys], "second operator").shape)
     assert estimated == reduced and (1, 10) in estimated
 
 
@@ -685,10 +716,26 @@ def test_linear_algebra_beyond_work_budget_refused(monkeypatch, F5, ci_23_curve)
     plane = fermat_curve(F5, 4)
     curve = CurveCI(F5, ci_23_curve.polys)
     curve_24 = _ci_24_curve(F5, ci_23_curve.polys[0])
-    monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", 100)
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", 100)
     for compute in (lambda: plane_smoothness_check(plane), lambda: curve_24.q_basis,
                     lambda: curve.u, lambda: hasse_witt_matrix(plane)):
         with pytest.raises(ConstraintError, match="work budget"):
+            compute()
+
+
+def test_one_budget_binding_guards_every_stage(monkeypatch, F7):
+    """Lowering polyring.WORK_BUDGET_BYTES alone refuses the smoothness
+    check, the Hasse-Witt matrix and a monomial basis, each naming its
+    stage: every guard compares against that one binding, and hwtriple
+    keeps no copy of it. The plans are built first, at the full budget."""
+    hasse_witt_matrix(fermat_curve(F7, 5))
+    curve = fermat_curve(F7, 5)
+    monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", 100)
+    assert not hasattr(hwtriple, "WORK_BUDGET_BYTES")
+    for compute, stage in ((lambda: plane_smoothness_check(curve), "smoothness check"),
+                           (lambda: hasse_witt_matrix(curve), "Hasse-Witt matrix"),
+                           (lambda: MonomialBasis(3, 5), "degree-5 monomial basis in 3 variables")):
+        with pytest.raises(ConstraintError, match=f"^the {stage} of this curve .*work budget$"):
             compute()
 
 
@@ -699,13 +746,13 @@ def test_catalecticant_guard_runs_with_a_warm_plan(monkeypatch, F7):
     curve = fermat_curve(F7, 5)
     assert plane_smoothness_check(curve)
     for k, rows, cols in ((1, 3, 45), (2, 6, 36)):
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", WORK_BUDGET_BYTES)
         expected = _catalecticant(curve, curve.u, k)
         assert expected.shape == (rows, cols)
         need = linalg_work_bytes(F7, 3, rows, cols)
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", need)
         assert np.array_equal(_catalecticant(curve, curve.u, k), expected)
-        monkeypatch.setattr(hwtriple, "WORK_BUDGET_BYTES", need - 1)
+        monkeypatch.setattr(polyring, "WORK_BUDGET_BYTES", need - 1)
         with pytest.raises(ConstraintError, match="smoothness check"):
             _catalecticant(curve, curve.u, k)
 
